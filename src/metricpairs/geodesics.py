@@ -19,7 +19,7 @@ from .correspondences import (
     validate_correspondence,
 )
 from .oracle import DEFAULT_BUDGET, exact_pair_gh
-from .scalars import Scalar, half, is_exact
+from .scalars import DEFAULT_TOLERANCE, Scalar, half, is_exact
 from .spaces import FiniteMetricSpace, MetricPair
 
 
@@ -150,7 +150,7 @@ class GeodesicityAudit:
 def _close(a: Scalar, b: Scalar) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
-    return abs(a - b) <= 1e-9
+    return abs(a - b) <= DEFAULT_TOLERANCE
 
 
 def geodesicity_audit(

@@ -3,10 +3,13 @@
 For fixed witness maps (one map each way per level) the optimization over
 admissible cross metrics collapses: only the worst additive mismatch
 between tagged witness entries matters, one number per level pair.  The
-value is then a tiny program over one radius per level, in closed form for
-up to two levels.  The outer search over witness maps is a depth-first
-branch and bound; the reduced value only grows as entries accumulate, so
-it prunes against the incumbent safely.
+value is then a tiny program over one radius per level whose optimum, by
+duality, is a max-weight assignment of levels to levels: in closed form
+for up to two levels and a subset dynamic program for more.  The outer
+search over witness maps is a depth-first branch and bound; the reduced
+value only grows as entries accumulate, so it prunes against the
+incumbent safely.  The simplex runs once per solve, to split the optimal
+value into certificate radii.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from itertools import permutations
 from typing import Optional
 
 from .lp import LinearProgram, solve_lp
-from .scalars import Scalar, format_scalar, half
+from .scalars import DEFAULT_TOLERANCE, Scalar, format_scalar, half
 from .spaces import (
     CrossMetric,
     MetricPair,
@@ -68,7 +71,9 @@ def _check_budget(levels_left, levels_right, budget) -> None:
 def _cheap_value2(m) -> Scalar:
     """Doubled lower bound on the radius sum: trace and doubled off-diagonals.
 
-    Exact for one or two levels; a valid bound for more.
+    Exact for one or two levels, where it also prices leaves.  For more
+    levels it is only the key the search orders children by, and stops a
+    sorted scan at; _assignment_value2 prices and prunes there.
     """
     nlev = len(m)
     total = m[0][0]
@@ -92,6 +97,37 @@ def _max_entry(m) -> Scalar:
             if row[b] > best:
                 best = row[b]
     return best
+
+
+def _assignment_value2(m) -> Scalar:
+    """Doubled optimal radius sum as a max-weight assignment over levels.
+
+    The dual of the radius program is a fractional matching with loops;
+    its optimum is max over permutations s of sum_a m[a][s(a)].  Entries
+    only enter with positive sign, so the value never drops when one of
+    them grows, which makes it a pruning bound on unfinished witnesses.
+    """
+    nlev = len(m)
+    if nlev == 1:
+        return m[0][0]
+    if nlev == 2:
+        trace = m[0][0] + m[1][1]
+        cross = 2 * m[0][1]
+        return cross if cross > trace else trace
+    # best[mask]: rows 0 .. |mask|-1 assigned to the columns in mask
+    best = [0] * (1 << nlev)
+    for mask in range(1, 1 << nlev):
+        row = m[mask.bit_count() - 1]
+        top = None
+        rest = mask
+        while rest:
+            low = rest & -rest
+            cand = best[mask ^ low] + row[low.bit_length() - 1]
+            if top is None or cand > top:
+                top = cand
+            rest ^= low
+        best[mask] = top
+    return best[-1]
 
 
 def radius_lp(m):
@@ -142,13 +178,17 @@ def _search(space_left, space_right, levels_left, levels_right, variant):
 
     Slots run innermost level first, left-side points before right-side
     ones; children are tried in order of their bound, then target index,
-    so the first optimum found is deterministic.  Returns the doubled
+    so the first optimum found is deterministic.  Summed tuples of three
+    or more levels keep that order and price leaves by the assignment
+    value, skipping a child whose assignment value already reaches the
+    incumbent: its leaves could not replace it.  Returns the doubled
     value, the per-level entry lists and the mismatch matrix.
     """
     dx, dy = space_left.dist, space_right.dist
     nlev = len(levels_left)
     bound_fn = _max_entry if variant == "max" else _cheap_value2
-    exact_leaf = variant == "max" or nlev <= 2
+    priced = variant == "sum" and nlev > 2
+    leaf_fn = _assignment_value2 if priced else bound_fn
 
     slots = []
     for lvl in range(nlev - 1, -1, -1):
@@ -163,9 +203,7 @@ def _search(space_left, space_right, levels_left, levels_right, variant):
 
     def run(si):
         if si == len(slots):
-            v2 = bound_fn(m)
-            if not exact_leaf:
-                v2 = radius_lp(m)[0]
+            v2 = leaf_fn(m)
             if best[0] is None or v2 < best[0]:
                 best[0] = v2
                 best[1] = [list(lv) for lv in entries]
@@ -186,12 +224,15 @@ def _search(space_left, space_right, levels_left, levels_right, variant):
                     if diff > worst:
                         worst = diff
                 row_new[m2] = worst
-            b2 = bound_fn(_patched(m, lvl, row_new))
-            cands.append((b2, tgt, x, y, row_new))
+            patched = _patched(m, lvl, row_new)
+            cands.append((bound_fn(patched), tgt, x, y, row_new, patched))
         cands.sort(key=lambda c: (c[0], c[1]))
-        for b2, _tgt, x, y, row_new in cands:
-            if best[0] is not None and not b2 < best[0]:
-                break
+        for b2, _tgt, x, y, row_new, patched in cands:
+            if best[0] is not None:
+                if not b2 < best[0]:
+                    break
+                if priced and not _assignment_value2(patched) < best[0]:
+                    continue
             saved = list(m[lvl])
             for j in range(nlev):
                 m[lvl][j] = row_new[j]
@@ -259,7 +300,7 @@ class GHResult:
         terms = self.hausdorff_terms(cross)
         combined = sum(terms) if self.variant == "sum" else max(terms)
         if isinstance(combined, float) or isinstance(self.value, float):
-            achieves = abs(combined - self.value) <= 1e-9
+            achieves = abs(combined - self.value) <= DEFAULT_TOLERANCE
         else:
             achieves = combined == self.value
         zero = tuple(
@@ -315,6 +356,9 @@ def _finalize(left, right, variant, v2, ents, m):
         _, radii2 = _canonical_radii2(m)
         value = half(v2)
         radii = tuple(half(r) for r in radii2)
+        if not (left.space.exact and right.space.exact):
+            # the simplex works in exact binary rationals of float inputs
+            radii = tuple(float(r) if isinstance(r, Fraction) else r for r in radii)
     return GHResult(
         left,
         right,

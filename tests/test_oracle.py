@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -316,13 +317,14 @@ def test_tuple_degenerate_chain_scales_single_level():
         base_l = MetricPair(left.space, full_l)
         base_r = MetricPair(right.space, full_r)
         single = exact_pair_gh(base_l, base_r, cache=False)
-        for chain_len in (2, 3):
+        for chain_len in (2, 3, 4):
             tl = MetricTuple(left.space, (full_l,) * chain_len)
             tr = MetricTuple(right.space, (full_r,) * chain_len)
             levels = chain_len + 1
-            rep = exact_tuple_gh(tl, tr)
+            # five levels of 2x2 witnesses estimate 16**5, above the default
+            rep = exact_tuple_gh(tl, tr, budget=10**7)
             assert rep.value == Fraction(levels, 2) * single.value
-            rep_max = exact_tuple_gh(tl, tr, variant="max")
+            rep_max = exact_tuple_gh(tl, tr, budget=10**7, variant="max")
             assert 2 * rep_max.value == single.value
 
 
@@ -337,6 +339,13 @@ def test_tuple_three_levels_certified():
     report = result.certificate_report()
     assert report["achieves_value"]
     assert report["violations"] == ()
+    # the witness itself is pinned: a change of search order shows up here
+    assert json.dumps(result.as_dict()) == (
+        '{"variant": "sum", "value": "3", "radii": ["1", "1", "1"], '
+        '"levels": [[[0, 0], [0, 0], [1, 0], [2, 1], [2, 1]], '
+        '[[0, 0], [0, 0], [1, 0], [2, 1], [2, 1]], [[0, 0], [0, 0], [1, 0]]], '
+        '"mismatch": [["2", "2", "2"], ["2", "2", "2"], ["2", "2", "1"]]}'
+    )
 
     capped = exact_tuple_gh(tl, tr, variant="max")
     assert capped.value <= result.value <= 3 * capped.value
