@@ -67,7 +67,7 @@ def main():
     big = MetricPair(FiniteMetricSpace.from_matrix([[0, 2], [2, 0]]), (0, 1))
     one = MetricPair(FiniteMetricSpace.from_matrix([[0]]), (0,))
     best = min_distortion(big, one).correspondence
-    audit = geodesicity_audit(best, threads=4)
+    audit = geodesicity_audit(best)
     print("endpoint distance:", format_scalar(audit.endpoint_value))
     for row in audit.rows[:5]:
         print(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .correspondences import PairCorrespondence, distortion
-from .oracle import exact_pair_gh, exact_pair_gh_max
+from .oracle import DEFAULT_BUDGET, exact_pair_gh, exact_pair_gh_max
 from .scalars import Scalar, half, is_exact
 from .spaces import FiniteMetricSpace, MetricPair, MetricTuple
 
@@ -120,12 +120,11 @@ class VariantSandwich:
 def variant_sandwich(
     left: MetricPair,
     right: MetricPair,
-    budget: int = 10**6,
-    cache: bool = True,
+    budget: int = DEFAULT_BUDGET,
 ) -> VariantSandwich:
     """Certify max-variant <= sum-variant <= twice the max-variant."""
-    mx = exact_pair_gh_max(left, right, budget=budget, cache=cache).value
-    sm = exact_pair_gh(left, right, budget=budget, cache=cache).value
+    mx = exact_pair_gh_max(left, right, budget=budget).value
+    sm = exact_pair_gh(left, right, budget=budget).value
     if mx == 0:
         ratio = None
     elif is_exact(mx) and is_exact(sm):

@@ -16,7 +16,7 @@ from .correspondences import (
     classical_glue,
     min_distortion,
 )
-from .oracle import GHResult, exact_pair_gh
+from .oracle import DEFAULT_BUDGET, GHResult, exact_pair_gh
 from .scalars import Scalar, half
 from .spaces import MetricPair, pair_hausdorff
 
@@ -187,7 +187,7 @@ def sandwich_report(
     left: MetricPair,
     right: MetricPair,
     budget: Optional[SearchBudget] = None,
-    search_budget: int = 10**6,
+    search_budget: int = DEFAULT_BUDGET,
 ) -> SandwichReport:
     """Certify half-min-distortion <= exact value <= min full sup.
 

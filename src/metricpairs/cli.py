@@ -185,11 +185,12 @@ def cmd_gh_exact(args) -> int:
     left = _load_pair(args, args.input[0])
     right = _load_pair(args, args.input[1])
     fn = exact_pair_gh_max if args.variant == "max" else exact_pair_gh
+    # one oracle call per process: a cache lookup here could only miss
     result = fn(
         left,
         right,
         budget=args.budget,
-        cache=not args.no_cache,
+        cache=False,
         shortcut=not args.no_shortcut,
     )
     _emit(args, _result_payload(result))
@@ -257,7 +258,7 @@ def cmd_geodesic_audit(args) -> int:
     grid = None
     if args.grid:
         grid = [parse_scalar(part, _exact(args)) for part in args.grid.split(",")]
-    audit = geodesicity_audit(corr, grid=grid, budget=args.budget, threads=args.threads)
+    audit = geodesicity_audit(corr, grid=grid, budget=args.budget)
     rows = [("s", "t", "value", "expected", "matches")]
     body = []
     for row in audit.rows:
@@ -431,14 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = gh_sub.add_parser("exact", help="exact pair distance (summed variant)")
     _common(sub, 2)
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument("--no-cache", action="store_true")
     sub.add_argument("--no-shortcut", action="store_true")
     sub.set_defaults(func=cmd_gh_exact, variant="sum")
 
     sub = gh_sub.add_parser("tilde", help="exact pair distance (max variant)")
     _common(sub, 2)
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument("--no-cache", action="store_true")
     sub.add_argument("--no-shortcut", action="store_true")
     sub.set_defaults(func=cmd_gh_exact, variant="max")
 
@@ -471,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common(sub, 1)
     sub.add_argument("--grid", default=None, help="comma-separated times")
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--strict", action="store_true", help="exit 1 on any mismatch")
     sub.set_defaults(func=cmd_geodesic_audit)
 

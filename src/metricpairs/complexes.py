@@ -17,6 +17,10 @@ from .scalars import Scalar
 from .spaces import FiniteMetricSpace, MetricPair, covering_radius, greedy_net
 
 _SLACK = Fraction(1, 2**20)
+# Relative slack on the net radius in float spaces (exact spaces use none):
+# a candidate joins the net beyond nu * (1 - slack).  This is not the
+# absolute comparison tolerance of float mode.
+_FLOAT_NET_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -24,12 +28,10 @@ class ApproxParams:
     """Scale bundle at level n: net radius 10^-n, edge cutoff 5^-n.
 
     The stretch exponent mu(n) carries a 2^-20 safety margin so strict
-    float comparisons do not sit on the boundary.  tau is the net
-    acceptance slack; by default exact inputs use 0 and floats 1e-6.
+    float comparisons do not sit on the boundary.
     """
 
     n: int
-    tau: Optional[Scalar] = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -46,11 +48,6 @@ class ApproxParams:
     @property
     def mu(self) -> float:
         return self.n - math.log2(2**self.n - 2) + 2.0**-20
-
-    def resolve_tau(self, exact: bool) -> Scalar:
-        if self.tau is not None:
-            return self.tau
-        return 0 if exact else 1e-6
 
 
 class DisconnectedComplexError(RuntimeError):
@@ -91,10 +88,10 @@ def build_complex(
     distances here, so that clause only mirrors the construction.
     """
     space = pair.space
-    tau = params.resolve_tau(space.exact)
-    sub_net = greedy_net(pair.subset_space, params.nu, tol=tau)
+    slack = 0 if space.exact else _FLOAT_NET_SLACK
+    sub_net = greedy_net(pair.subset_space, params.nu, tol=slack)
     seed = tuple(pair.subset[i] for i in sub_net.members)
-    full_net = greedy_net(space, params.nu, seed=seed, tol=tau)
+    full_net = greedy_net(space, params.nu, seed=seed, tol=slack)
     vertices = tuple(full_net.members)
     ncore = len(seed)
     flags = tuple(i < ncore for i in range(len(vertices)))

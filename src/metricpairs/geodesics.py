@@ -8,7 +8,6 @@ against the exact oracle.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -19,7 +18,7 @@ from .correspondences import (
     validate_correspondence,
 )
 from .oracle import DEFAULT_BUDGET, exact_pair_gh
-from .scalars import DEFAULT_TOLERANCE, Scalar, half, is_exact
+from .scalars import Scalar, close, half
 from .spaces import FiniteMetricSpace, MetricPair
 
 
@@ -147,17 +146,10 @@ class GeodesicityAudit:
         return all(row.matches for row in self.rows)
 
 
-def _close(a: Scalar, b: Scalar) -> bool:
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(a - b) <= DEFAULT_TOLERANCE
-
-
 def geodesicity_audit(
     corr: PairCorrespondence,
     grid: Optional[Sequence[Scalar]] = None,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> GeodesicityAudit:
     """Compare exact distances between interpolants with linear scaling.
 
@@ -175,17 +167,10 @@ def geodesicity_audit(
             raise ValueError("grid times must lie in [0, 1]")
     endpoint = exact_pair_gh(corr.left, corr.right, budget=budget).value
     samples = {t: interpolate(corr, t) for t in times}
-    tasks = [(s, t) for i, s in enumerate(times) for t in times[i + 1 :]]
-
-    def measure(st):
-        s, t = st
-        value = exact_pair_gh(samples[s], samples[t], budget=budget).value
-        expected = (t - s) * endpoint
-        return AuditRow(s, t, value, expected, _close(value, expected))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(measure, tasks))
-    else:
-        rows = tuple(measure(st) for st in tasks)
-    return GeodesicityAudit(endpoint, rows)
+    rows = []
+    for i, s in enumerate(times):
+        for t in times[i + 1 :]:
+            value = exact_pair_gh(samples[s], samples[t], budget=budget).value
+            expected = (t - s) * endpoint
+            rows.append(AuditRow(s, t, value, expected, close(value, expected)))
+    return GeodesicityAudit(endpoint, tuple(rows))

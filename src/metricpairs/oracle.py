@@ -19,7 +19,7 @@ from itertools import permutations
 from typing import Optional
 
 from .lp import LinearProgram, solve_lp
-from .scalars import DEFAULT_TOLERANCE, Scalar, format_scalar, half
+from .scalars import Scalar, close, format_scalar, half
 from .spaces import (
     CrossMetric,
     MetricPair,
@@ -299,15 +299,11 @@ class GHResult:
         cross = self.cross()
         terms = self.hausdorff_terms(cross)
         combined = sum(terms) if self.variant == "sum" else max(terms)
-        if isinstance(combined, float) or isinstance(self.value, float):
-            achieves = abs(combined - self.value) <= DEFAULT_TOLERANCE
-        else:
-            achieves = combined == self.value
         zero = tuple(
             (i, j)
             for i, row in enumerate(cross.cross)
             for j, v in enumerate(row)
-            if v == 0
+            if close(v, 0)
         )
         return {
             "violations": tuple(cross.check(require_positive=False)),
@@ -315,7 +311,7 @@ class GHResult:
             "terms": terms,
             "combined": combined,
             "value": self.value,
-            "achieves_value": achieves,
+            "achieves_value": close(combined, self.value),
         }
 
     def as_dict(self) -> dict:

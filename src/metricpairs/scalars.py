@@ -53,7 +53,15 @@ def format_scalar(value: Scalar):
 
 
 def tolerance_for(values: Iterable[Scalar]) -> Scalar:
+    """Comparison tolerance: 0 when every value is exact, else the float one."""
     return 0 if all_exact(values) else DEFAULT_TOLERANCE
+
+
+def close(a: Scalar, b: Scalar) -> bool:
+    """Equality in exact mode, agreement within the tolerance in float mode."""
+    if is_exact(a) and is_exact(b):
+        return a == b
+    return abs(a - b) <= DEFAULT_TOLERANCE
 
 
 def half(value: Scalar) -> Scalar:

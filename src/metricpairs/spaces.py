@@ -8,10 +8,10 @@ the assembled disjoint-union matrix is again a metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
-from .scalars import DEFAULT_TOLERANCE, Scalar, all_exact
+from .scalars import Scalar, all_exact, tolerance_for
 
 
 class InvalidMetricError(ValueError):
@@ -83,7 +83,7 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
         if len(row) != n:
             raise ValueError("matrix is not square")
     if tol is None:
-        tol = 0 if all_exact(_iter_entries(matrix)) else DEFAULT_TOLERANCE
+        tol = tolerance_for(_iter_entries(matrix))
     for i in range(n):
         for j in range(n):
             if matrix[i][j] < -tol:
@@ -123,8 +123,8 @@ class FiniteMetricSpace:
     dist: tuple
 
     @classmethod
-    def from_matrix(cls, matrix, labels=None, tol=None) -> "FiniteMetricSpace":
-        result = validate_metric(matrix, labels=labels, tol=tol)
+    def from_matrix(cls, matrix, labels=None) -> "FiniteMetricSpace":
+        result = validate_metric(matrix, labels=labels)
         if isinstance(result, MetricViolations):
             raise InvalidMetricError(result)
         return result
@@ -233,13 +233,11 @@ class CrossMetric:
             raise ValueError("cross block has wrong shape")
         object.__setattr__(self, "cross", rows)
 
-    def check(self, tol=None, require_positive: bool = True) -> list:
+    def check(self, require_positive: bool = True) -> list:
         """Return a list of violation records (empty when admissible)."""
         dx, dy, c = self.left.dist, self.right.dist, self.cross
         nl, nr = self.left.n, self.right.n
-        if tol is None:
-            entries = list(_iter_entries(c)) + list(_iter_entries(dx)) + list(_iter_entries(dy))
-            tol = 0 if all_exact(entries) else DEFAULT_TOLERANCE
+        tol = tolerance_for(chain(_iter_entries(c), _iter_entries(dx), _iter_entries(dy)))
         bad = []
         for i in range(nl):
             for j in range(nr):
@@ -346,7 +344,7 @@ def greedy_net(space: FiniteMetricSpace, radius: Scalar, seed=(), tol=None) -> N
     if radius <= 0:
         raise ValueError("radius must be positive")
     if tol is None:
-        tol = 0 if space.exact and (isinstance(radius, (int, Fraction))) else DEFAULT_TOLERANCE
+        tol = tolerance_for(chain((radius,), _iter_entries(space.dist)))
     seed = list(dict.fromkeys(int(i) for i in seed))
     if seed and (min(seed) < 0 or max(seed) >= space.n):
         raise ValueError("seed index out of range")

@@ -90,7 +90,7 @@ def test_variant_sandwich_holds():
     for _ in range(30):
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
-        report = variant_sandwich(left, right, cache=False)
+        report = variant_sandwich(left, right)
         assert report.lower_ok
         assert report.upper_ok
         if report.ratio is not None:
@@ -102,7 +102,7 @@ def test_variant_sandwich_ratio_two_instance():
     point pair realizes the extreme ratio sum/max = 2."""
     left = _pair([[0, 2], [2, 0]], (0,))
     right = _pair([[0]], (0,))
-    report = variant_sandwich(left, right, cache=False)
+    report = variant_sandwich(left, right)
     assert report.max_value == 1
     assert report.sum_value == 2
     assert report.ratio == 2
@@ -110,7 +110,7 @@ def test_variant_sandwich_ratio_two_instance():
 
 def test_variant_sandwich_zero_ratio_is_none():
     pair = _pair([[0, 1], [1, 0]], (0,))
-    report = variant_sandwich(pair, pair, cache=False)
+    report = variant_sandwich(pair, pair)
     assert report.max_value == 0
     assert report.ratio is None
 

@@ -39,10 +39,17 @@ def test_params_scales():
         ApproxParams(1)
 
 
-def test_params_tau_resolution():
-    assert ApproxParams(2).resolve_tau(True) == 0
-    assert ApproxParams(2).resolve_tau(False) == 1e-6
-    assert ApproxParams(2, tau=Fraction(1, 50)).resolve_tau(True) == Fraction(1, 50)
+def test_net_slack_applies_to_float_spaces_only():
+    """A distance just under nu, within the relative float slack: the far
+    point joins the net of the float space, but not of the exact one."""
+    params = ApproxParams(2)
+    d = Fraction(9999995, 10**9)
+    assert params.nu * (1 - Fraction(1, 10**6)) < d < params.nu
+    nets = [
+        build_complex(MetricPair(FiniteMetricSpace.from_matrix([[0, v], [v, 0]]), (0,)), params)
+        for v in (d, float(d))
+    ]
+    assert [cx.vertices for cx in nets] == [(0,), (0, 1)]
 
 
 def test_build_complex_nets_subset_first():

@@ -111,14 +111,6 @@ def test_audit_rows_cover_ordered_grid_pairs():
         assert row.expected == (row.t - row.s) * audit.endpoint_value
 
 
-def test_audit_threaded_rows_identical():
-    corr = _collapse_correspondence()
-    base = geodesicity_audit(corr)
-    for threads in (2, 4):
-        other = geodesicity_audit(corr, threads=threads)
-        assert other == base
-
-
 def test_audit_rejects_bad_grid():
     corr = _collapse_correspondence()
     with pytest.raises(ValueError):

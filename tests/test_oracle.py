@@ -64,6 +64,18 @@ def test_certificate_achieves_value():
             assert report["value"] == result.value
 
 
+def test_float_zero_cells_use_the_tolerance():
+    """A float pair against a copy whose distance is 0.1 + 0.2 instead of
+    0.3: the glued cells differ from 0 only by rounding, so they count
+    as zero cells just as for the identical copy."""
+    left = _pair([[0, 0.3], [0.3, 0]], (0, 1))
+    for d in (0.3, 0.1 + 0.2):
+        right = _pair([[0, d], [d, 0]], (0, 1))
+        report = exact_pair_gh(left, right, cache=False).certificate_report()
+        assert report["zero_cells"] == ((0, 0), (1, 1))
+        assert report["achieves_value"]
+
+
 def test_cross_metric_is_admissible_up_to_zero_cells():
     rng = random.Random(51)
     for _ in range(30):

@@ -6,6 +6,7 @@ import pytest
 
 from metricpairs.scalars import (
     all_exact,
+    close,
     format_scalar,
     half,
     is_exact,
@@ -68,3 +69,19 @@ def test_half_keeps_even_ints_integral():
 def test_tolerance_for_exact_inputs_is_zero():
     assert tolerance_for([1, Fraction(1, 2)]) == 0
     assert tolerance_for([1, 0.5]) > 0
+
+
+def test_close_is_equality_on_exact_values():
+    tiny = Fraction(1, 10**12)
+    assert close(Fraction(1, 3), Fraction(2, 6))
+    assert close(0, Fraction(0))
+    assert not close(Fraction(1, 3), Fraction(1, 3) + tiny)
+    assert not close(1, 1 + tiny)
+
+
+def test_close_allows_the_tolerance_on_floats():
+    assert close(0.1 + 0.2, 0.3)
+    assert close(1.0, 1.0 + 5e-10)
+    assert close(Fraction(1, 3), 1 / 3)
+    assert not close(1.0, 1.0 + 1e-8)
+    assert not close(0.0, Fraction(1, 10**6))
