@@ -59,11 +59,13 @@ def main():
     print("radii:", [format_scalar(r) for r in tup.radii])
 
     print()
-    print("== the search budget guards witness blowup ==")
+    print("== the search budget counts witness-search nodes ==")
     try:
         exact_pair_gh(big, point, budget=1, cache=False)
     except BudgetExceededError as exc:
-        print("budget 1 is refused:", exc)
+        print("a budget of 1 node is refused:", exc)
+    six = exact_pair_gh(big, point, budget=6, cache=False)
+    print("its five witness slots and one leaf fit a budget of 6:", format_scalar(six.value))
 
 
 if __name__ == "__main__":

@@ -122,7 +122,10 @@ def variant_sandwich(
     right: MetricPair,
     budget: int = DEFAULT_BUDGET,
 ) -> VariantSandwich:
-    """Certify max-variant <= sum-variant <= twice the max-variant."""
+    """Certify max-variant <= sum-variant <= twice the max-variant.
+
+    ``budget`` caps the witness-search nodes of each of the two exact solves.
+    """
     mx = exact_pair_gh_max(left, right, budget=budget).value
     sm = exact_pair_gh(left, right, budget=budget).value
     if mx == 0:

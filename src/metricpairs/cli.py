@@ -396,6 +396,9 @@ def cmd_sample(args) -> int:
 # parser assembly
 
 
+_BUDGET_HELP = "witness-search nodes each exact solve may visit (default %(default)s)"
+
+
 def _common(sub, inputs: int, variadic: bool = False):
     sub.add_argument(
         "--input",
@@ -431,19 +434,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = gh_sub.add_parser("exact", help="exact pair distance (summed variant)")
     _common(sub, 2)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     sub.add_argument("--no-shortcut", action="store_true")
     sub.set_defaults(func=cmd_gh_exact, variant="sum")
 
     sub = gh_sub.add_parser("tilde", help="exact pair distance (max variant)")
     _common(sub, 2)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     sub.add_argument("--no-shortcut", action="store_true")
     sub.set_defaults(func=cmd_gh_exact, variant="max")
 
     sub = gh_sub.add_parser("tuple", help="exact tuple distance")
     _common(sub, 2)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     sub.add_argument("--variant", choices=("sum", "max"), default="sum")
     sub.set_defaults(func=cmd_gh_tuple)
 
@@ -469,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = geo_sub.add_parser("audit", help="compare interpolant distances to scaling")
     _common(sub, 1)
     sub.add_argument("--grid", default=None, help="comma-separated times")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     sub.add_argument("--strict", action="store_true", help="exit 1 on any mismatch")
     sub.set_defaults(func=cmd_geodesic_audit)
 
@@ -491,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = apps_sub.add_parser("tilde", help="variant sandwich check")
     _common(sub, 2)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     sub.set_defaults(func=cmd_apps_tilde)
 
     sub = apps_sub.add_parser("realize", help="Hausdorff interval between realizations")

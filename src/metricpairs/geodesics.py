@@ -156,7 +156,8 @@ def geodesicity_audit(
     For every ordered grid pair s < t the exact pair distance between the
     interpolants is computed and set against |t - s| times the endpoint
     distance.  Mismatches are reported, not raised: the path is geodesic
-    for optimal correspondences, not for arbitrary ones.
+    for optimal correspondences, not for arbitrary ones.  ``budget`` caps
+    the witness-search nodes of each of these exact solves.
     """
     _require_valid(corr)
     if grid is None:

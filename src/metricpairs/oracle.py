@@ -27,18 +27,23 @@ from .spaces import (
     _cross_hausdorff,
 )
 
-DEFAULT_BUDGET = 10**6
+DEFAULT_BUDGET = 10**4
 _CACHE_SIZE_LIMIT = 6
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when the witness search would visit too many assignments."""
+    """Raised when a witness search visits more nodes than its budget.
 
-    def __init__(self, estimate, budget):
+    The budget counts the search nodes of one exact solve; a cache hit
+    visits none.  Cost is observed, not predicted: instances of one size
+    differ by orders of magnitude in the nodes they need.
+    """
+
+    def __init__(self, nodes, budget):
         super().__init__(
-            f"witness search would scan about {estimate} assignments, budget is {budget}"
+            f"witness search visited {nodes} nodes, over its budget of {budget}"
         )
-        self.estimate = estimate
+        self.nodes = nodes
         self.budget = budget
 
 
@@ -51,19 +56,6 @@ def _levels_of(obj) -> tuple:
     raise TypeError(f"expected MetricPair or MetricTuple, got {type(obj).__name__}")
 
 
-def _estimate_assignments(levels_left, levels_right) -> int:
-    total = 1
-    for ll, lr in zip(levels_left, levels_right):
-        total *= len(lr) ** len(ll) * len(ll) ** len(lr)
-    return total
-
-
-def _check_budget(levels_left, levels_right, budget) -> None:
-    estimate = _estimate_assignments(levels_left, levels_right)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
-
-
 # ---------------------------------------------------------------------------
 # reduced radius programs (all values doubled to keep integers integral)
 
@@ -71,9 +63,8 @@ def _check_budget(levels_left, levels_right, budget) -> None:
 def _cheap_value2(m) -> Scalar:
     """Doubled lower bound on the radius sum: trace and doubled off-diagonals.
 
-    Exact for one or two levels, where it also prices leaves.  For more
-    levels it is only the key the search orders children by, and stops a
-    sorted scan at; _assignment_value2 prices and prunes there.
+    The key the search orders children by and stops a sorted scan at;
+    exact for one or two levels, where it equals _assignment_value2.
     """
     nlev = len(m)
     total = m[0][0]
@@ -150,45 +141,50 @@ def radius_lp(m):
     return res.value, res.solution
 
 
-def _canonical_radii2(m):
-    """Doubled optimal radii for the sum objective, deterministic split."""
+def _value2(m, variant) -> Scalar:
+    """Doubled value of a mismatch matrix: its largest entry for the max
+    variant, the max-weight assignment for the sum."""
+    return _max_entry(m) if variant == "max" else _assignment_value2(m)
+
+
+def _radii2(m, variant, exact):
+    """Doubled certificate radii of a mismatch matrix, deterministic split.
+
+    The max variant puts its value on every level.  From three levels on
+    the sum is split by the simplex, which works in exact binary rationals
+    of float inputs, so float inputs get their radii back as floats.
+    """
     nlev = len(m)
+    if variant == "max":
+        return (_max_entry(m),) * nlev
     if nlev == 1:
-        return m[0][0], (m[0][0],)
+        return (m[0][0],)
     if nlev == 2:
-        v2 = max(m[0][0] + m[1][1], 2 * m[0][1])
-        return v2, (m[0][0], v2 - m[0][0])
-    return radius_lp(m)
+        return (m[0][0], _assignment_value2(m) - m[0][0])
+    radii2 = radius_lp(m)[1]
+    return radii2 if exact else tuple(float(r) for r in radii2)
 
 
 # ---------------------------------------------------------------------------
 # witness search
 
 
-def _patched(m, lvl, row_new):
-    p = [row[:] for row in m]
-    for j in range(len(m)):
-        p[lvl][j] = row_new[j]
-        p[j][lvl] = row_new[j]
-    return p
-
-
-def _search(space_left, space_right, levels_left, levels_right, variant):
+def _search(space_left, space_right, levels_left, levels_right, variant, budget):
     """Branch and bound over all witness assignments.
 
     Slots run innermost level first, left-side points before right-side
     ones; children are tried in order of their bound, then target index,
-    so the first optimum found is deterministic.  Summed tuples of three
-    or more levels keep that order and price leaves by the assignment
-    value, skipping a child whose assignment value already reaches the
-    incumbent: its leaves could not replace it.  Returns the doubled
-    value, the per-level entry lists and the mismatch matrix.
+    so the first optimum found is deterministic.  Leaves are priced by
+    _value2; summed tuples of three or more levels also skip a child whose
+    assignment value already reaches the incumbent: its leaves could not
+    replace it.  Raises BudgetExceededError once more than ``budget``
+    nodes are visited.  Returns the per-level entry lists and the
+    mismatch matrix.
     """
     dx, dy = space_left.dist, space_right.dist
     nlev = len(levels_left)
     bound_fn = _max_entry if variant == "max" else _cheap_value2
     priced = variant == "sum" and nlev > 2
-    leaf_fn = _assignment_value2 if priced else bound_fn
 
     slots = []
     for lvl in range(nlev - 1, -1, -1):
@@ -200,21 +196,32 @@ def _search(space_left, space_right, levels_left, levels_right, variant):
     entries = [[] for _ in range(nlev)]
     m = [[0] * nlev for _ in range(nlev)]
     best = [None, None, None]
+    nodes = 0
+
+    def place(lvl, row):
+        for j in range(nlev):
+            m[lvl][j] = row[j]
+            m[j][lvl] = row[j]
 
     def run(si):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(nodes, budget)
         if si == len(slots):
-            v2 = leaf_fn(m)
+            v2 = _value2(m, variant)
             if best[0] is None or v2 < best[0]:
                 best[0] = v2
                 best[1] = [list(lv) for lv in entries]
                 best[2] = [row[:] for row in m]
             return
         lvl, side, point, domain = slots[si]
+        saved = list(m[lvl])
         cands = []
         for tgt in domain:
             x, y = (point, tgt) if side == 0 else (tgt, point)
             dxr, dyr = dx[x], dy[y]
-            row_new = list(m[lvl])
+            row_new = list(saved)
             for m2 in range(nlev):
                 worst = row_new[m2]
                 for x2, y2 in entries[m2]:
@@ -224,28 +231,24 @@ def _search(space_left, space_right, levels_left, levels_right, variant):
                     if diff > worst:
                         worst = diff
                 row_new[m2] = worst
-            patched = _patched(m, lvl, row_new)
-            cands.append((bound_fn(patched), tgt, x, y, row_new, patched))
+            place(lvl, row_new)
+            cands.append((bound_fn(m), tgt, x, y, row_new))
         cands.sort(key=lambda c: (c[0], c[1]))
-        for b2, _tgt, x, y, row_new, patched in cands:
-            if best[0] is not None:
-                if not b2 < best[0]:
-                    break
-                if priced and not _assignment_value2(patched) < best[0]:
-                    continue
-            saved = list(m[lvl])
-            for j in range(nlev):
-                m[lvl][j] = row_new[j]
-                m[j][lvl] = row_new[j]
+        # every child rewrites row and column lvl whole, and a subtree
+        # leaves m as it found it, so one restore after the scan suffices
+        for b2, _tgt, x, y, row_new in cands:
+            if best[0] is not None and not b2 < best[0]:
+                break
+            place(lvl, row_new)
+            if priced and best[0] is not None and not _assignment_value2(m) < best[0]:
+                continue
             entries[lvl].append((x, y))
             run(si + 1)
             entries[lvl].pop()
-            for j in range(nlev):
-                m[lvl][j] = saved[j]
-                m[j][lvl] = saved[j]
+        place(lvl, saved)
 
     run(0)
-    return best[0], best[1], best[2]
+    return best[1], best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +346,30 @@ def _matrix_from_entries(levels, dx, dy):
     return m
 
 
-def _finalize(left, right, variant, v2, ents, m):
-    nlev = len(ents)
-    if variant == "max":
-        value = half(v2)
-        radii = (value,) * nlev
-    else:
-        _, radii2 = _canonical_radii2(m)
-        value = half(v2)
-        radii = tuple(half(r) for r in radii2)
-        if not (left.space.exact and right.space.exact):
-            # the simplex works in exact binary rationals of float inputs
-            radii = tuple(float(r) if isinstance(r, Fraction) else r for r in radii)
+def _finalize(left, right, variant, ents, m):
+    exact = left.space.exact and right.space.exact
     return GHResult(
         left,
         right,
         variant,
-        value,
-        radii,
+        half(_value2(m, variant)),
+        tuple(half(r) for r in _radii2(m, variant, exact)),
         tuple(tuple(sorted(lv)) for lv in ents),
         tuple(tuple(row) for row in m),
     )
+
+
+def _solve(left, right, variant, levels_l, levels_r, budget) -> GHResult:
+    """Search the given levels and certify the optimum on the operands.
+
+    A full-subset pair is searched on its one full level; its subset level
+    repeats that level's entries and mismatch.
+    """
+    ents, m = _search(left.space, right.space, levels_l, levels_r, variant, budget)
+    if len(levels_l) == 1:
+        ents = ents * 2
+        m = [[m[0][0]] * 2 for _ in range(2)]
+    return _finalize(left, right, variant, ents, m)
 
 
 # ---------------------------------------------------------------------------
@@ -435,30 +441,11 @@ def _rebuild(left, right, variant, stored, perm_l, perm_r) -> GHResult:
 
 
 def _compute_pair(left, right, variant, budget, shortcut) -> GHResult:
-    sx, sy = left.space, right.space
-    full_l = tuple(range(sx.n))
-    full_r = tuple(range(sy.n))
-    if shortcut and left.subset == full_l and right.subset == full_r:
-        _check_budget((full_l,), (full_r,), budget)
-        _, ents, m = _search(sx, sy, (full_l,), (full_r,), "sum")
-        m00 = m[0][0]
-        cells = tuple(sorted(ents[0]))
-        value = m00 if variant == "sum" else half(m00)
-        t = half(m00)
-        return GHResult(
-            left,
-            right,
-            variant,
-            value,
-            (t, t),
-            (cells, cells),
-            ((m00, m00), (m00, m00)),
-        )
     levels_l = _levels_of(left)
     levels_r = _levels_of(right)
-    _check_budget(levels_l, levels_r, budget)
-    v2, ents, m = _search(sx, sy, levels_l, levels_r, variant)
-    return _finalize(left, right, variant, v2, ents, m)
+    if shortcut and left.subset == levels_l[0] and right.subset == levels_r[0]:
+        levels_l, levels_r = levels_l[:1], levels_r[:1]
+    return _solve(left, right, variant, levels_l, levels_r, budget)
 
 
 def _pair_gh(left, right, variant, budget, cache, shortcut) -> GHResult:
@@ -517,11 +504,7 @@ def exact_tuple_gh(
         raise ValueError("tuples have different chain lengths")
     if variant not in ("sum", "max"):
         raise ValueError(f"unknown variant {variant!r}")
-    levels_l = _levels_of(left)
-    levels_r = _levels_of(right)
-    _check_budget(levels_l, levels_r, budget)
-    v2, ents, m = _search(left.space, right.space, levels_l, levels_r, variant)
-    return _finalize(left, right, variant, v2, ents, m)
+    return _solve(left, right, variant, _levels_of(left), _levels_of(right), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +539,8 @@ def witness_reduced_value(left, right, maps, variant: str = "sum"):
     """Value and radii for fixed witness maps via the reduced program."""
     levels = witness_entries(left, right, maps)
     m = _matrix_from_entries(levels, left.space.dist, right.space.dist)
-    if variant == "max":
-        v2 = _max_entry(m)
-        value = half(v2)
-        return value, (value,) * len(levels)
-    v2, radii2 = _canonical_radii2(m)
-    return half(v2), tuple(half(r) for r in radii2)
+    exact = left.space.exact and right.space.exact
+    return half(_value2(m, variant)), tuple(half(r) for r in _radii2(m, variant, exact))
 
 
 def build_witness_lp(left, right, maps) -> LinearProgram:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -288,7 +289,7 @@ def test_shortcut_agrees_with_full_search():
                 assert report["achieves_value"]
 
 
-def test_budget_exceeded_raises_with_estimate():
+def test_budget_exceeded_raises_with_node_count():
     space = [[0, 1, 1, 1, 1, 1],
              [1, 0, 1, 1, 1, 1],
              [1, 1, 0, 1, 1, 1],
@@ -296,9 +297,26 @@ def test_budget_exceeded_raises_with_estimate():
              [1, 1, 1, 1, 0, 1],
              [1, 1, 1, 1, 1, 0]]
     pair = _pair(space, tuple(range(6)))
+    # twelve witness slots and a leaf: thirteen nodes at the very least
     with pytest.raises(BudgetExceededError) as exc:
-        exact_pair_gh(pair, pair, cache=False, budget=1000)
-    assert exc.value.estimate > exc.value.budget == 1000
+        exact_pair_gh(pair, pair, cache=False, budget=10)
+    assert exc.value.nodes > exc.value.budget == 10
+    assert "budget" in str(exc.value)
+    assert exact_pair_gh(pair, pair, cache=False, budget=13).value == 0
+
+
+@pytest.mark.parametrize("n, seed", [(5, 6), (6, 3)])
+def test_default_budget_solves_larger_pairs(n, seed):
+    """A worst-case count of witness maps refused these pairs outright;
+    the search itself needs far fewer nodes than the default budget."""
+    rng = random.Random(seed)
+    left = random_pair(rng, n_range=(n, n))
+    right = random_pair(rng, n_range=(n, n))
+    assert left.subset != tuple(range(n)) and right.subset != tuple(range(n))
+    result = exact_pair_gh(left, right, cache=False)
+    report = result.certificate_report()
+    assert report["violations"] == ()
+    assert report["achieves_value"]
 
 
 def test_tuple_single_level_equals_pair():
@@ -333,7 +351,7 @@ def test_tuple_degenerate_chain_scales_single_level():
             tl = MetricTuple(left.space, (full_l,) * chain_len)
             tr = MetricTuple(right.space, (full_r,) * chain_len)
             levels = chain_len + 1
-            # five levels of 2x2 witnesses estimate 16**5, above the default
+            # five levels of 2x2 witnesses take up to 10 827 nodes, above the default
             rep = exact_tuple_gh(tl, tr, budget=10**7)
             assert rep.value == Fraction(levels, 2) * single.value
             rep_max = exact_tuple_gh(tl, tr, budget=10**7, variant="max")
@@ -410,3 +428,37 @@ def test_as_dict_serializes_scalars():
     assert payload["value"] == "2"
     assert payload["variant"] == "sum"
     assert payload["radii"] == ["1", "1"]
+
+
+def test_pair_results_match_recorded_digest():
+    """Pair witnesses, radii and JSON bytes stay as recorded.
+
+    The digest covers the as_dict JSON of 60 small pair solves, recorded
+    before full-subset pairs were certified through the general path:
+    full-subset pairs (the one-level shortcut) and proper subsets, sum and
+    max, exact and float entries, uncached, cached, and a relabelled copy
+    answered from the cache.
+    """
+    clear_cache()
+    rng = random.Random(79)
+    digest = hashlib.sha256()
+    for i in range(10):
+        values = (1, 2, 3) if i % 2 == 0 else (0.7, 1.3, 2.1)
+        full = i % 4 < 2
+        n_range = (2, 4) if full else (1, 3)
+        left = random_pair(rng, n_range=n_range, values=values)
+        right = random_pair(rng, n_range=n_range, values=values)
+        if full:
+            left = MetricPair(left.space, tuple(range(left.space.n)))
+            right = MetricPair(right.space, tuple(range(right.space.n)))
+        moved_l = random_permuted_pair(rng, left)
+        moved_r = random_permuted_pair(rng, right)
+        for compute in (exact_pair_gh, exact_pair_gh_max):
+            for lhs, rhs, cache in (
+                (left, right, False), (left, right, True), (moved_l, moved_r, True)
+            ):
+                digest.update(json.dumps(compute(lhs, rhs, cache=cache).as_dict()).encode())
+    clear_cache()
+    assert digest.hexdigest() == (
+        "98926352a31d575d1961e5561129eec0f7b6117f203cdcf1b44d9ae0bcbf50e5"
+    )

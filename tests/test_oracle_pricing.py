@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from metricpairs.generators import random_tuple
 from metricpairs.oracle import (
     _assignment_value2,
-    _estimate_assignments,
     _levels_of,
     exact_tuple_gh,
     radius_lp,
@@ -55,6 +54,18 @@ def test_assignment_value_monotone_in_every_entry(m, data):
     assert _assignment_value2(raised) >= _assignment_value2(m)
 
 
+def _map_count(left, right):
+    """Number of witness map families, prod |B|^|A| * |A|^|B| over levels.
+
+    Only filters instances to small ones; the oracle's budget counts the
+    nodes its search visits instead.
+    """
+    total = 1
+    for ll, lr in zip(_levels_of(left), _levels_of(right)):
+        total *= len(lr) ** len(ll) * len(ll) ** len(lr)
+    return total
+
+
 def _all_maps(left, right):
     """Every witness map family [(to_right, to_left), ...] over all levels."""
     per_level = []
@@ -91,7 +102,7 @@ def test_tuple_search_matches_brute_force_over_witness_maps():
         k = rng.choice((2, 3))
         left = random_tuple(rng, k, n_range=(2, 3))
         right = random_tuple(rng, k, n_range=(2, 3))
-        if _estimate_assignments(_levels_of(left), _levels_of(right)) > 1500:
+        if _map_count(left, right) > 1500:
             continue
         for variant in ("sum", "max"):
             assert exact_tuple_gh(left, right, variant=variant).value == _brute_force(
@@ -114,7 +125,7 @@ def test_tuple_witnesses_match_recorded_digest():
         k = rng.choice((2, 3))
         left = random_tuple(rng, k, n_range=(2, 3))
         right = random_tuple(rng, k, n_range=(2, 3))
-        if _estimate_assignments(_levels_of(left), _levels_of(right)) > 20000:
+        if _map_count(left, right) > 20000:
             continue
         digest.update(json.dumps(exact_tuple_gh(left, right).as_dict()).encode())
         solved += 1
@@ -123,10 +134,17 @@ def test_tuple_witnesses_match_recorded_digest():
     )
 
 
-def test_float_tuple_returns_float_value_and_radii():
-    space = [[0.0, 0.7, 1.3], [0.7, 0.0, 0.9], [1.3, 0.9, 0.0]]
-    tl = MetricTuple(FiniteMetricSpace.from_matrix(space), ((0, 1, 2), (0, 1)))
+_FLOAT_SPACE = [[0.0, 0.7, 1.3], [0.7, 0.0, 0.9], [1.3, 0.9, 0.0]]
+
+
+def _float_tuples():
+    tl = MetricTuple(FiniteMetricSpace.from_matrix(_FLOAT_SPACE), ((0, 1, 2), (0, 1)))
     tr = MetricTuple(FiniteMetricSpace.from_matrix([[0.0, 2.1], [2.1, 0.0]]), ((0, 1), (0,)))
+    return tl, tr
+
+
+def test_float_tuple_returns_float_value_and_radii():
+    tl, tr = _float_tuples()
     result = exact_tuple_gh(tl, tr)
     assert isinstance(result.value, float)
     assert all(isinstance(r, float) for r in result.radii)
@@ -135,7 +153,19 @@ def test_float_tuple_returns_float_value_and_radii():
     assert abs(sum(result.radii) - result.value) <= 1e-9
     assert result.certificate_report()["achieves_value"]
 
-    exact_l = FiniteMetricSpace.from_matrix([[Fraction(v) for v in row] for row in space])
+    exact_l = FiniteMetricSpace.from_matrix([[Fraction(v) for v in row] for row in _FLOAT_SPACE])
     exact_r = FiniteMetricSpace.from_matrix([[0, Fraction(2.1)], [Fraction(2.1), 0]])
     exact = exact_tuple_gh(MetricTuple(exact_l, tl.chain), MetricTuple(exact_r, tr.chain))
     assert abs(float(exact.value) - result.value) <= 1e-9
+
+
+def test_float_witness_value_and_radii_are_floats_at_three_levels():
+    """Fixed witnesses of float tuples price like the search: in floats."""
+    tl, tr = _float_tuples()
+    optimum = exact_tuple_gh(tl, tr).value
+    for maps in islice(_all_maps(tl, tr), 0, None, 97):
+        value, radii = witness_reduced_value(tl, tr, list(maps))
+        assert isinstance(value, float)
+        assert all(isinstance(r, float) for r in radii)
+        assert abs(sum(radii) - value) <= 1e-9
+        assert value >= optimum - 1e-9
