@@ -53,7 +53,6 @@ from .correspondences import (
     GlueReport,
     MinDistortionResult,
     PairCorrespondence,
-    SearchBudget,
     StabilityReport,
     TupleCorrespondence,
     brute_force_min_distortion,

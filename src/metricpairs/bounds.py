@@ -12,7 +12,6 @@ from typing import Optional
 from .correspondences import (
     MinDistortionResult,
     PairCorrespondence,
-    SearchBudget,
     classical_glue,
     min_distortion,
 )
@@ -43,12 +42,10 @@ class UpperBoundReport:
     optimal_relation: bool
 
 
-def correspondence_upper_bound(
-    left: MetricPair, right: MetricPair, budget: Optional[SearchBudget] = None
-) -> UpperBoundReport:
+def correspondence_upper_bound(left: MetricPair, right: MetricPair) -> UpperBoundReport:
     """Glue the relation minimizing the full sup; its Hausdorff sum bounds
     the exact value from above."""
-    res = min_distortion(left, right, budget=budget, objective="sup_full")
+    res = min_distortion(left, right, objective="sup_full")
     glue = classical_glue(res.correspondence)
     total = pair_hausdorff(glue.cross, left, right)
     return UpperBoundReport(
@@ -70,23 +67,21 @@ class BoundsInterval:
         return self.lower <= value <= self.upper
 
 
-def gh_bounds(
-    left: MetricPair, right: MetricPair, budget: Optional[SearchBudget] = None
-) -> BoundsInterval:
+def gh_bounds(left: MetricPair, right: MetricPair) -> BoundsInterval:
     """Best available certified interval without running the exact search.
 
     Half the minimal distortion only counts as a lower bound when the
     distortion search was exhaustive.
     """
     diam = diameter_lower_bound(left, right)
-    dis_res = min_distortion(left, right, budget=budget, objective="distortion")
+    dis_res = min_distortion(left, right, objective="distortion")
     half_dis: Optional[Scalar] = None
     lower, lower_source = diam, "diameter"
     if dis_res.optimal:
         half_dis = half(dis_res.breakdown.value)
         if half_dis > lower:
             lower, lower_source = half_dis, "distortion"
-    report = correspondence_upper_bound(left, right, budget=budget)
+    report = correspondence_upper_bound(left, right)
     return BoundsInterval(
         lower, report.hausdorff_sum, lower_source, "glued-correspondence",
         diam, half_dis, report,
@@ -186,19 +181,20 @@ class SandwichReport:
 def sandwich_report(
     left: MetricPair,
     right: MetricPair,
-    budget: Optional[SearchBudget] = None,
-    search_budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> SandwichReport:
     """Certify half-min-distortion <= exact value <= min full sup.
 
     Both distortion searches must be exhaustive for the flags to mean
-    anything, so oversized instances raise rather than degrade.
+    anything, so oversized instances raise rather than degrade.  ``budget``
+    caps the witness-search nodes of the exact solve, as in
+    ``exact_pair_gh``.
     """
-    dis_res = min_distortion(left, right, budget=budget, objective="distortion")
-    sup_res = min_distortion(left, right, budget=budget, objective="sup_full")
+    dis_res = min_distortion(left, right, objective="distortion")
+    sup_res = min_distortion(left, right, objective="sup_full")
     if not (dis_res.optimal and sup_res.optimal):
         raise ValueError("instance too large for an exhaustive distortion search")
-    exact = exact_pair_gh(left, right, budget=search_budget)
+    exact = exact_pair_gh(left, right, budget=budget)
     lo = half(dis_res.breakdown.value)
     hi = sup_res.breakdown.sup_full
     return SandwichReport(

@@ -3,8 +3,8 @@
 A pair correspondence projects onto both spaces and, restricted to the
 distinguished subsets, onto both of those as well.  Its distortion averages
 the full sup |dX - dY| with the per-level sups.  ``min_distortion`` searches
-the relation lattice exhaustively on small grids and falls back to a local
-search beyond the budget.
+the relation lattice exhaustively on grids of at most ``_EXHAUSTIVE_CELLS``
+cells and falls back to a local search beyond them.
 """
 from __future__ import annotations
 
@@ -25,6 +25,9 @@ from .spaces import (
 
 
 _half = half
+
+_EXHAUSTIVE_CELLS = 16
+_LOCAL_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -192,12 +195,6 @@ def distortion(corr) -> DistortionBreakdown:
     k1 = len(levels) + 1
     value = Fraction(total, k1) if is_exact(total) else total / k1
     return DistortionBreakdown(full, levels, value)
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    exhaustive_cells: int = 16
-    local_iterations: int = 200
 
 
 @dataclass(frozen=True)
@@ -382,11 +379,11 @@ def _is_valid_relation(cells, left, right) -> bool:
     return isinstance(validate_correspondence(cells, left, right), PairCorrespondence)
 
 
-def _local_search(left: MetricPair, right: MetricPair, objective, budget: SearchBudget):
+def _local_search(left: MetricPair, right: MetricPair, objective):
     cells = set(_heuristic_start(left, right))
     value, _ = _relation_value(cells, left, right, objective)
     all_cells = [(i, j) for i in range(left.space.n) for j in range(right.space.n)]
-    for _ in range(budget.local_iterations):
+    for _ in range(_LOCAL_ITERATIONS):
         improved = False
         for cell in all_cells:
             if cell in cells:
@@ -410,24 +407,23 @@ def _local_search(left: MetricPair, right: MetricPair, objective, budget: Search
 def min_distortion(
     left: MetricPair,
     right: MetricPair,
-    budget: Optional[SearchBudget] = None,
     objective: str = "distortion",
 ) -> MinDistortionResult:
     """Minimize distortion (or the full sup) over all pair correspondences.
 
-    Exhaustive branch-and-bound when |X|*|Y| fits the budget (ties broken
-    toward the lexicographically smallest relation), profile-matching plus
-    add/remove local search beyond it (optimal flag False).
+    Exhaustive branch-and-bound when |X|*|Y| is at most _EXHAUSTIVE_CELLS
+    (ties broken toward the lexicographically smallest relation),
+    profile-matching plus add/remove local search beyond it (optimal flag
+    False).
     """
     if objective not in ("distortion", "sup_full"):
         raise ValueError(f"unknown objective {objective!r}")
-    budget = budget or SearchBudget()
     ncells = left.space.n * right.space.n
-    if ncells <= budget.exhaustive_cells:
+    if ncells <= _EXHAUSTIVE_CELLS:
         pairs = _search_exhaustive(left, right, objective)
         optimal = True
     else:
-        pairs = _local_search(left, right, objective, budget)
+        pairs = _local_search(left, right, objective)
         optimal = False
     corr = validate_correspondence(pairs, left, right)
     if not isinstance(corr, PairCorrespondence):  # pragma: no cover - search invariant

@@ -19,7 +19,7 @@ from itertools import permutations
 from typing import Optional
 
 from .lp import LinearProgram, solve_lp
-from .scalars import Scalar, close, format_scalar, half
+from .scalars import Scalar, close, format_scalar, half, is_exact
 from .spaces import (
     CrossMetric,
     MetricPair,
@@ -147,12 +147,13 @@ def _value2(m, variant) -> Scalar:
     return _max_entry(m) if variant == "max" else _assignment_value2(m)
 
 
-def _radii2(m, variant, exact):
+def _radii2(m, variant):
     """Doubled certificate radii of a mismatch matrix, deterministic split.
 
     The max variant puts its value on every level.  From three levels on
     the sum is split by the simplex, which works in exact binary rationals
-    of float inputs, so float inputs get their radii back as floats.
+    of float inputs, so a matrix holding floats gets its radii back as
+    floats.
     """
     nlev = len(m)
     if variant == "max":
@@ -162,7 +163,14 @@ def _radii2(m, variant, exact):
     if nlev == 2:
         return (m[0][0], _assignment_value2(m) - m[0][0])
     radii2 = radius_lp(m)[1]
-    return radii2 if exact else tuple(float(r) for r in radii2)
+    if all(is_exact(v) for row in m for v in row):
+        return radii2
+    return tuple(float(r) for r in radii2)
+
+
+def _zero(space_left, space_right) -> Scalar:
+    """Mismatch matrix seed; a float zero keeps float results float."""
+    return 0 if space_left.exact and space_right.exact else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +202,8 @@ def _search(space_left, space_right, levels_left, levels_right, variant, budget)
             slots.append((lvl, 1, y, levels_left[lvl]))
 
     entries = [[] for _ in range(nlev)]
-    m = [[0] * nlev for _ in range(nlev)]
+    zero = _zero(space_left, space_right)
+    m = [[zero] * nlev for _ in range(nlev)]
     best = [None, None, None]
     nodes = 0
 
@@ -327,9 +336,11 @@ class GHResult:
         }
 
 
-def _matrix_from_entries(levels, dx, dy):
+def _matrix_from_entries(levels, space_left, space_right):
+    dx, dy = space_left.dist, space_right.dist
     nlev = len(levels)
-    m = [[0] * nlev for _ in range(nlev)]
+    zero = _zero(space_left, space_right)
+    m = [[zero] * nlev for _ in range(nlev)]
     for a in range(nlev):
         for b in range(a, nlev):
             worst = m[a][b]
@@ -347,13 +358,12 @@ def _matrix_from_entries(levels, dx, dy):
 
 
 def _finalize(left, right, variant, ents, m):
-    exact = left.space.exact and right.space.exact
     return GHResult(
         left,
         right,
         variant,
         half(_value2(m, variant)),
-        tuple(half(r) for r in _radii2(m, variant, exact)),
+        tuple(half(r) for r in _radii2(m, variant)),
         tuple(tuple(sorted(lv)) for lv in ents),
         tuple(tuple(row) for row in m),
     )
@@ -430,7 +440,7 @@ def _rebuild(left, right, variant, stored, perm_l, perm_r) -> GHResult:
         tuple(sorted((perm_l[xc], perm_r[yc]) for xc, yc in cells))
         for cells in canon_levels
     )
-    m = _matrix_from_entries(levels, left.space.dist, right.space.dist)
+    m = _matrix_from_entries(levels, left.space, right.space)
     return GHResult(
         left, right, variant, value, radii, levels, tuple(tuple(row) for row in m)
     )
@@ -538,9 +548,8 @@ def witness_entries(left, right, maps) -> tuple:
 def witness_reduced_value(left, right, maps, variant: str = "sum"):
     """Value and radii for fixed witness maps via the reduced program."""
     levels = witness_entries(left, right, maps)
-    m = _matrix_from_entries(levels, left.space.dist, right.space.dist)
-    exact = left.space.exact and right.space.exact
-    return half(_value2(m, variant)), tuple(half(r) for r in _radii2(m, variant, exact))
+    m = _matrix_from_entries(levels, left.space, right.space)
+    return half(_value2(m, variant)), tuple(half(r) for r in _radii2(m, variant))
 
 
 def build_witness_lp(left, right, maps) -> LinearProgram:

@@ -5,14 +5,16 @@ directed distance is exact (closed-form point-to-simplex minimization);
 the other is sampled on a power-of-two subdivision grid, so refining the
 step keeps earlier sample points and the reported lower bound can only
 grow.  The result is an interval of width equal to the sampling step.
+
+Plain Python throughout: ``EmbeddedComplex.points`` is a tuple of float
+tuples, the point-to-simplex distances are lists of floats and
+``carrier_samples`` is a list of point tuples.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,11 @@ class EmbeddedComplex:
     """
 
     def __init__(self, points, simplices: Sequence, depths: Optional[Sequence] = None):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
+        try:
+            pts = tuple(tuple(float(v) for v in row) for row in points)
+        except TypeError:
+            raise ValueError("points must be a nonempty 2d array") from None
+        if not pts or len({len(p) for p in pts}) != 1:
             raise ValueError("points must be a nonempty 2d array")
         simp = []
         for s in simplices:
@@ -53,7 +58,7 @@ class EmbeddedComplex:
                 raise ValueError("simplices must have one to three vertices")
             if len(set(s)) != len(s):
                 raise ValueError(f"repeated vertex in simplex {s}")
-            if any(not 0 <= v < pts.shape[0] for v in s):
+            if any(not 0 <= v < len(pts) for v in s):
                 raise ValueError(f"vertex out of range in simplex {s}")
             simp.append(s)
         if not simp:
@@ -84,101 +89,92 @@ def level_complex(cx: EmbeddedComplex, level: int) -> EmbeddedComplex:
 # exact point-to-simplex distances
 
 
-def point_segment_distance(points, a, b) -> np.ndarray:
-    """Distances from each row of points to the segment [a, b]."""
-    p = np.asarray(points, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom == 0.0:
-        return np.linalg.norm(p - a, axis=1)
-    t = np.clip((p - a) @ ab / denom, 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return np.linalg.norm(p - closest, axis=1)
+def _sub(p, q) -> tuple:
+    return tuple(x - y for x, y in zip(p, q))
 
 
-def point_triangle_distance(points, a, b, c) -> np.ndarray:
-    """Distances from each row of points to the filled triangle a, b, c.
+def _dot(u, v) -> float:
+    # left to right, not sum(): Python 3.12 sums floats with compensation
+    total = 0.0
+    for x, y in zip(u, v):
+        total += x * y
+    return total
+
+
+def _along(a, t, d) -> tuple:
+    """The point a + t*d."""
+    return tuple(x + t * y for x, y in zip(a, d))
+
+
+def _norm(d) -> float:
+    return math.sqrt(_dot(d, d))
+
+
+def point_segment_distance(points, a, b) -> list:
+    """Distances from each point to the segment [a, b]; a == b is a point."""
+    ab = _sub(b, a)
+    denom = _dot(ab, ab) or 1.0
+    out = []
+    for p in points:
+        t = min(max(_dot(_sub(p, a), ab) / denom, 0.0), 1.0)
+        out.append(_norm(_sub(p, _along(a, t, ab))))
+    return out
+
+
+def _triangle_closest(p, a, b, c, ab, ac):
+    """Closest point of the filled triangle: the first Voronoi region that
+    holds p, vertices first, then edges, then the face."""
+    ap = _sub(p, a)
+    d1 = _dot(ap, ab)
+    d2 = _dot(ap, ac)
+    if d1 <= 0 and d2 <= 0:
+        return a
+    bp = _sub(p, b)
+    d3 = _dot(bp, ab)
+    d4 = _dot(bp, ac)
+    if d3 >= 0 and d4 <= d3:
+        return b
+    cp = _sub(p, c)
+    d5 = _dot(cp, ab)
+    d6 = _dot(cp, ac)
+    if d6 >= 0 and d5 <= d6:
+        return c
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0 and d1 >= 0 and d3 <= 0:
+        return _along(a, d1 / ((d1 - d3) or 1.0), ab)
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0 and d2 >= 0 and d6 <= 0:
+        return _along(a, d2 / ((d2 - d6) or 1.0), ac)
+    va = d3 * d6 - d5 * d4
+    if va <= 0 and d4 - d3 >= 0 and d5 - d6 >= 0:
+        return _along(b, (d4 - d3) / (((d4 - d3) + (d5 - d6)) or 1.0), _sub(c, b))
+    denom = (va + vb + vc) or 1.0
+    return _along(_along(a, vb / denom, ab), vc / denom, ac)
+
+
+def point_triangle_distance(points, a, b, c) -> list:
+    """Distances from each point to the filled triangle a, b, c.
 
     Region-by-region closest-point computation; works in any ambient
-    dimension.
+    dimension.  A triangle of zero area is the union of its edges; the
+    regions assume positive area, so it is measured edge by edge.
     """
-    p = np.asarray(points, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    ab = b - a
-    ac = c - a
-    ap = p - a
-    d1 = ap @ ab
-    d2 = ap @ ac
-    bp = p - b
-    d3 = bp @ ab
-    d4 = bp @ ac
-    cp = p - c
-    d5 = cp @ ab
-    d6 = cp @ ac
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
-
-    closest = np.empty_like(p)
-    done = np.zeros(len(p), dtype=bool)
-
-    def settle(mask, value):
-        mask = mask & ~done
-        if np.any(mask):
-            closest[mask] = value if value.ndim == 2 else np.broadcast_to(value, closest[mask].shape)
-            done[mask] = True
-
-    settle((d1 <= 0) & (d2 <= 0), a)
-    settle((d3 >= 0) & (d4 <= d3), b)
-    settle((d6 >= 0) & (d5 <= d6), c)
-
-    mask = (vc <= 0) & (d1 >= 0) & (d3 <= 0) & ~done
-    if np.any(mask):
-        denom = d1[mask] - d3[mask]
-        denom = np.where(denom == 0, 1.0, denom)
-        t = d1[mask] / denom
-        closest[mask] = a + t[:, None] * ab
-        done[mask] = True
-    mask = (vb <= 0) & (d2 >= 0) & (d6 <= 0) & ~done
-    if np.any(mask):
-        denom = d2[mask] - d6[mask]
-        denom = np.where(denom == 0, 1.0, denom)
-        t = d2[mask] / denom
-        closest[mask] = a + t[:, None] * ac
-        done[mask] = True
-    mask = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0) & ~done
-    if np.any(mask):
-        seg = (d4[mask] - d3[mask]) + (d5[mask] - d6[mask])
-        seg = np.where(seg == 0, 1.0, seg)
-        t = (d4[mask] - d3[mask]) / seg
-        closest[mask] = b + t[:, None] * (c - b)
-        done[mask] = True
-    mask = ~done
-    if np.any(mask):
-        denom = va[mask] + vb[mask] + vc[mask]
-        denom = np.where(denom == 0, 1.0, denom)
-        v = vb[mask] / denom
-        w = vc[mask] / denom
-        closest[mask] = a + v[:, None] * ab + w[:, None] * ac
-    return np.linalg.norm(p - closest, axis=1)
+    ab, ac = _sub(b, a), _sub(c, a)
+    if _dot(ab, ab) * _dot(ac, ac) - _dot(ab, ac) ** 2 == 0:
+        edges = (point_segment_distance(points, *e) for e in ((a, b), (a, c), (b, c)))
+        return [min(d) for d in zip(*edges)]
+    return [_norm(_sub(p, _triangle_closest(p, a, b, c, ab, ac))) for p in points]
 
 
-def _min_distance_to_carrier(points, cx: EmbeddedComplex) -> np.ndarray:
-    best = np.full(len(points), np.inf)
+def _min_distance_to_carrier(points, cx: EmbeddedComplex) -> list:
+    best = [math.inf] * len(points)
     for s in cx.simplices:
-        if len(s) == 1:
-            d = np.linalg.norm(points - cx.points[s[0]], axis=1)
-        elif len(s) == 2:
-            d = point_segment_distance(points, cx.points[s[0]], cx.points[s[1]])
+        corners = [cx.points[v] for v in s]
+        if len(s) == 3:
+            d = point_triangle_distance(points, *corners)
         else:
-            d = point_triangle_distance(
-                points, cx.points[s[0]], cx.points[s[1]], cx.points[s[2]]
-            )
-        np.minimum(best, d, out=best)
+            d = point_segment_distance(points, corners[0], corners[-1])
+        best = [min(x, y) for x, y in zip(best, d)]
     return best
 
 
@@ -192,35 +188,31 @@ def _subdivisions(length: float, h: float) -> int:
     return 2 ** int(math.ceil(math.log2(length / h)))
 
 
-def _simplex_samples(cx: EmbeddedComplex, s, h: float) -> np.ndarray:
+def _simplex_samples(cx: EmbeddedComplex, s, h: float) -> list:
     pts = cx.points
     if len(s) == 1:
-        return pts[s[0]][None, :]
+        return [pts[s[0]]]
     if len(s) == 2:
         a, b = pts[s[0]], pts[s[1]]
-        m = _subdivisions(float(np.linalg.norm(b - a)), h)
-        t = np.arange(m + 1) / m
-        return a + t[:, None] * (b - a)
+        ab = _sub(b, a)
+        m = _subdivisions(_norm(ab), h)
+        return [_along(a, i / m, ab) for i in range(m + 1)]
     a, b, c = pts[s[0]], pts[s[1]], pts[s[2]]
-    longest = max(
-        float(np.linalg.norm(b - a)),
-        float(np.linalg.norm(c - a)),
-        float(np.linalg.norm(c - b)),
-    )
-    m = _subdivisions(longest, h)
-    out = []
-    for u in range(m + 1):
-        for v in range(m + 1 - u):
-            out.append(a + (u / m) * (b - a) + (v / m) * (c - a))
-    return np.array(out)
+    ab, ac = _sub(b, a), _sub(c, a)
+    m = _subdivisions(max(_norm(ab), _norm(ac), _norm(_sub(c, b))), h)
+    return [
+        _along(_along(a, u / m, ab), v / m, ac)
+        for u in range(m + 1)
+        for v in range(m + 1 - u)
+    ]
 
 
-def carrier_samples(cx: EmbeddedComplex, h: float) -> np.ndarray:
+def carrier_samples(cx: EmbeddedComplex, h: float) -> list:
     """Sample points with spacing at most h; refining h by powers of two
     only adds points."""
     if h <= 0:
         raise ValueError("h must be positive")
-    return np.concatenate([_simplex_samples(cx, s, h) for s in cx.simplices])
+    return [q for s in cx.simplices for q in _simplex_samples(cx, s, h)]
 
 
 def realization_hausdorff(a: EmbeddedComplex, b: EmbeddedComplex, h: float) -> Interval:
@@ -231,8 +223,8 @@ def realization_hausdorff(a: EmbeddedComplex, b: EmbeddedComplex, h: float) -> I
     """
     sa = carrier_samples(a, h)
     sb = carrier_samples(b, h)
-    forward = float(np.max(_min_distance_to_carrier(sa, b)))
-    backward = float(np.max(_min_distance_to_carrier(sb, a)))
+    forward = max(_min_distance_to_carrier(sa, b))
+    backward = max(_min_distance_to_carrier(sb, a))
     lower = max(forward, backward)
     return Interval(lower, lower + float(h))
 

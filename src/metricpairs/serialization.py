@@ -86,7 +86,7 @@ def embedded_from_dict(data: dict) -> EmbeddedComplex:
     if "points" not in data or "simplices" not in data:
         raise ValueError("complex documents need 'points' and 'simplices'")
     return EmbeddedComplex(
-        [[float(v) for v in row] for row in data["points"]],
+        data["points"],
         data["simplices"],
         data.get("depths"),
     )

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from metricpairs import correspondences
 from metricpairs.bounds import (
     correspondence_upper_bound,
     diameter_lower_bound,
@@ -12,7 +13,6 @@ from metricpairs.bounds import (
     matched_net_bound,
     sandwich_report,
 )
-from metricpairs.correspondences import SearchBudget
 from metricpairs.generators import random_pair
 from metricpairs.oracle import exact_pair_gh
 from metricpairs.spaces import FiniteMetricSpace, MetricPair
@@ -100,11 +100,12 @@ def test_gh_bounds_identity_is_tight_at_zero():
         assert interval.lower == 0
 
 
-def test_gh_bounds_nonexhaustive_drops_distortion_lower():
+def test_gh_bounds_nonexhaustive_drops_distortion_lower(monkeypatch):
+    monkeypatch.setattr(correspondences, "_EXHAUSTIVE_CELLS", 4)
     rng = random.Random(74)
     left = random_pair(rng, n_range=(3, 3))
     right = random_pair(rng, n_range=(3, 3))
-    interval = gh_bounds(left, right, budget=SearchBudget(exhaustive_cells=4))
+    interval = gh_bounds(left, right)
     assert interval.half_distortion is None
     assert interval.lower_source == "diameter"
 
@@ -194,9 +195,10 @@ def test_sandwich_report_frozen_probe():
     assert report.min_sup_full == 2
 
 
-def test_sandwich_report_rejects_oversized_instances():
+def test_sandwich_report_rejects_oversized_instances(monkeypatch):
+    monkeypatch.setattr(correspondences, "_EXHAUSTIVE_CELLS", 4)
     rng = random.Random(77)
     left = random_pair(rng, n_range=(3, 3))
     right = random_pair(rng, n_range=(3, 3))
     with pytest.raises(ValueError):
-        sandwich_report(left, right, budget=SearchBudget(exhaustive_cells=4))
+        sandwich_report(left, right)

@@ -6,8 +6,10 @@ into tmp_path for each test.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -387,3 +389,21 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert "distances" in json.loads(result.stdout)
+
+
+def test_import_pulls_in_no_numpy():
+    """The package and its CLI import with no third-party module: numpy
+    in particular stays out of a fresh interpreter's sys.modules."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, metricpairs, metricpairs.cli; print('numpy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from metricpairs import correspondences
 from metricpairs.correspondences import (
     CorrespondenceViolations,
     PairCorrespondence,
-    SearchBudget,
     TupleCorrespondence,
     brute_force_min_distortion,
     classical_glue,
@@ -141,11 +141,12 @@ def test_min_distortion_exhaustive_matches_brute_force():
                 assert fast.breakdown.sup_full == slow.breakdown.sup_full
 
 
-def test_min_distortion_heuristic_flags_nonoptimal():
+def test_min_distortion_heuristic_flags_nonoptimal(monkeypatch):
+    monkeypatch.setattr(correspondences, "_EXHAUSTIVE_CELLS", 4)
     rng = random.Random(32)
     left = random_pair(rng, n_range=(3, 3))
     right = random_pair(rng, n_range=(3, 3))
-    result = min_distortion(left, right, budget=SearchBudget(exhaustive_cells=4))
+    result = min_distortion(left, right)
     assert not result.optimal
     # The heuristic still returns a valid correspondence with a value no
     # better than the true optimum.

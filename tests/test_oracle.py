@@ -77,6 +77,36 @@ def test_float_zero_cells_use_the_tolerance():
         assert report["achieves_value"]
 
 
+def _has_exact_string(payload) -> bool:
+    if isinstance(payload, dict):
+        return any(_has_exact_string(v) for v in payload.values())
+    if isinstance(payload, list):
+        return any(_has_exact_string(v) for v in payload)
+    return isinstance(payload, str) and payload not in ("sum", "max")
+
+
+def test_float_zero_results_stay_floats():
+    """A float operand against itself has value zero; it must print as the
+    float 0.0, not as the exact string "0", in pairs, tuples and fixed
+    witnesses alike."""
+    pair = _pair([[0.0, 1.3], [1.3, 0.0]], (0,))
+    result = exact_pair_gh(pair, pair, cache=False)
+    assert isinstance(result.value, float) and result.value == 0.0
+    assert not _has_exact_string(result.as_dict())
+
+    space = FiniteMetricSpace.from_matrix([[0.0, 0.7, 1.3], [0.7, 0.0, 0.9], [1.3, 0.9, 0.0]])
+    tup = MetricTuple(space, ((0, 1, 2), (0, 1), (0,)))
+    result = exact_tuple_gh(tup, tup)
+    assert len(result.radii) == 4
+    assert isinstance(result.value, float) and result.value == 0.0
+    assert not _has_exact_string(result.as_dict())
+
+    ident = {0: 0, 1: 1, 2: 2}
+    maps = [(ident, ident)] * 2 + [({0: 0, 1: 1}, {0: 0, 1: 1}), ({0: 0}, {0: 0})]
+    value, radii = witness_reduced_value(tup, tup, maps)
+    assert all(isinstance(v, float) and v == 0.0 for v in (value, *radii))
+
+
 def test_cross_metric_is_admissible_up_to_zero_cells():
     rng = random.Random(51)
     for _ in range(30):
@@ -437,7 +467,9 @@ def test_pair_results_match_recorded_digest():
     before full-subset pairs were certified through the general path:
     full-subset pairs (the one-level shortcut) and proper subsets, sum and
     max, exact and float entries, uncached, cached, and a relabelled copy
-    answered from the cache.
+    answered from the cache.  Re-recorded once when float mismatch matrices
+    began to start from 0.0: the six solves of case 7 then print zero
+    entries as 0.0 instead of "0", and the other 54 kept their bytes.
     """
     clear_cache()
     rng = random.Random(79)
@@ -460,5 +492,5 @@ def test_pair_results_match_recorded_digest():
                 digest.update(json.dumps(compute(lhs, rhs, cache=cache).as_dict()).encode())
     clear_cache()
     assert digest.hexdigest() == (
-        "98926352a31d575d1961e5561129eec0f7b6117f203cdcf1b44d9ae0bcbf50e5"
+        "dc15c039b7b746213d5cc21735b9649ddfea4f167621c2cf1002418dec06e2b8"
     )

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricpairs.realization import (
     EmbeddedComplex,
@@ -41,6 +45,21 @@ def test_embedded_complex_validation():
         EmbeddedComplex([[0.0, 0.0]], [(0, 1)])
     with pytest.raises(ValueError):
         EmbeddedComplex([[0.0, 0.0], [1.0, 0.0]], [(0, 1)], depths=[0, 1])
+    for points in ([], [[0.0, 0.0], [1.0]], [0.0, 1.0], [[[0.0]]]):
+        with pytest.raises(ValueError):
+            EmbeddedComplex(points, [(0,)])
+
+
+def test_embedded_complex_holds_float_tuples():
+    cx = EmbeddedComplex([[0, 1], (2.5, "3")], [(0, 1)])
+    assert cx.points == ((0.0, 1.0), (2.5, 3.0))
+    assert all(isinstance(v, float) for p in cx.points for v in p)
+    samples = carrier_samples(cx, 4.0)
+    assert samples == [(0.0, 1.0), (2.5, 3.0)]
+    d = point_segment_distance([(0.0, 0.0)], *cx.points)
+    assert isinstance(d, list) and d == [1.0]
+    d = point_triangle_distance([(0.0, 0.0)], (0.0, 1.0), (1.0, 1.0), (0.0, 2.0))
+    assert isinstance(d, list) and d == [1.0]
 
 
 def test_point_segment_distance_values():
@@ -71,6 +90,16 @@ def test_point_triangle_distance_above_plane():
     a, b, c = [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
     d = point_triangle_distance([[0.2, 0.2, 2.0]], a, b, c)
     assert np.allclose(d, [2.0])
+
+
+def test_point_triangle_distance_degenerate_triangles():
+    """Zero-area triangles, with a repeated corner or three collinear
+    ones, are measured as the union of their edges."""
+    a, c = [0.125, 0.0, 0.125], [0.0, 0.0, 0.0]
+    d = point_triangle_distance([[0.0, 0.0, 0.125]], a, a, c)
+    assert d == [math.sqrt(0.0078125)]
+    d = point_triangle_distance([[1.0, 1.0], [3.0, 0.0]], [0.0, 0.0], [2.0, 0.0], [1.0, 0.0])
+    assert d == [1.0, 1.0]
 
 
 def test_carrier_samples_nested_refinement():
@@ -147,3 +176,74 @@ def test_filtration_distance_sums_levels():
     c = EmbeddedComplex([[0.0, 0.0], [1.0, 0.0]], [(0, 1)])
     with pytest.raises(ValueError):
         filtration_distance(a, c, 0.125)
+
+
+# bounded and reproducible: a fixed example count, no example database
+_BOUNDED = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _dyadic_simplex_and_points(draw):
+    """A segment or triangle with dyadic corners (multiples of 1/8, possibly
+    coinciding) in 2 or 3 dimensions, and a few dyadic query points."""
+    dim = draw(st.sampled_from((2, 3)))
+    coord = st.integers(min_value=-24, max_value=24).map(lambda k: k / 8)
+    point = st.tuples(*[coord] * dim)
+    corners = draw(st.lists(point, min_size=2, max_size=3))
+    queries = draw(st.lists(point, min_size=1, max_size=4))
+    return corners, queries
+
+
+def _grid_minimum(p, corners, n):
+    """Smallest distance from p to the points of the n-step barycentric
+    grid on the simplex spanned by corners."""
+    a, b = corners[0], corners[1]
+    c = corners[2] if len(corners) == 3 else b
+    best = math.inf
+    for u in range(n + 1):
+        for v in range(n + 1 - u):
+            q = [a[k] + u / n * (b[k] - a[k]) + v / n * (c[k] - a[k]) for k in range(len(p))]
+            best = min(best, math.sqrt(sum((p[k] - q[k]) ** 2 for k in range(len(p)))))
+    return best
+
+
+@_BOUNDED
+@given(_dyadic_simplex_and_points())
+def test_simplex_distance_matches_barycentric_grid(case):
+    """The exact distance d satisfies d <= grid minimum <= d + longest/n:
+    grid points lie on the simplex, and every point of the simplex is within
+    longest/n of one of them."""
+    corners, queries = case
+    n = 16
+    if len(corners) == 2:
+        got = point_segment_distance(queries, *corners)
+    else:
+        got = point_triangle_distance(queries, *corners)
+    longest = max(math.dist(p, q) for p in corners for q in corners)
+    for p, d in zip(queries, got):
+        g = _grid_minimum(p, corners, n)
+        assert d - 1e-12 <= g <= d + longest / n + 1e-12
+
+
+def _random_complex(rng, dim):
+    npts = rng.randint(3, 6)
+    points = [[rng.randint(-16, 16) / 8 for _ in range(dim)] for _ in range(npts)]
+    simplices = [tuple(sorted(rng.sample(range(npts), 3)))]
+    for _ in range(rng.randint(0, 3)):
+        simplices.append(tuple(sorted(rng.sample(range(npts), rng.randint(1, 3)))))
+    return EmbeddedComplex(points, simplices)
+
+
+def test_realization_lower_bounds_match_recorded_digest():
+    """Lower bounds of 20 seeded dyadic complexes with triangles, 2-D and
+    3-D, keep the exact bits recorded from the earlier numpy version."""
+    rng = random.Random(83)
+    digest = hashlib.sha256()
+    for i in range(20):
+        dim = 2 + i % 2
+        a, b = _random_complex(rng, dim), _random_complex(rng, dim)
+        h = 2.0 ** -rng.randint(2, 4)
+        digest.update(realization_hausdorff(a, b, h).lower.hex().encode())
+    assert digest.hexdigest() == (
+        "84b1c33bbd3b65521e1f99b17b218ec1e1db3d0a9762ede515d8780bf14a6d39"
+    )

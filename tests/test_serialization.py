@@ -116,7 +116,7 @@ def test_embedded_from_dict():
         "depths": [0, 1],
     }
     cx = embedded_from_dict(doc)
-    assert cx.points.shape == (3, 2)
+    assert cx.points == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     assert cx.simplices == ((0, 1, 2), (0, 1))
     assert cx.depths == (0, 1)
     no_depths = embedded_from_dict(
