@@ -5,6 +5,8 @@ directed distance is exact (closed-form point-to-simplex minimization);
 the other is sampled on a power-of-two subdivision grid, so refining the
 step keeps earlier sample points and the reported lower bound can only
 grow.  The result is an interval of width equal to the sampling step.
+The largest sampled distance is found by branch and bound over the grid,
+so a finer step measures few more samples than a coarse one.
 
 Plain Python throughout: ``EmbeddedComplex.points`` is a tuple of float
 tuples, the point-to-simplex distances are lists of floats and
@@ -12,6 +14,8 @@ tuples, the point-to-simplex distances are lists of floats and
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -46,11 +50,16 @@ class EmbeddedComplex:
 
     def __init__(self, points, simplices: Sequence, depths: Optional[Sequence] = None):
         try:
-            pts = tuple(tuple(float(v) for v in row) for row in points)
+            rows = list(points)
+            if any(isinstance(row, (str, bytes, bytearray)) for row in rows):
+                raise TypeError
+            pts = tuple(tuple(float(v) for v in row) for row in rows)
         except TypeError:
             raise ValueError("points must be a nonempty 2d array") from None
         if not pts or len({len(p) for p in pts}) != 1:
             raise ValueError("points must be a nonempty 2d array")
+        if not all(math.isfinite(v) for p in pts for v in p):
+            raise ValueError("point coordinates must be finite")
         simp = []
         for s in simplices:
             s = tuple(int(v) for v in s)
@@ -110,15 +119,17 @@ def _norm(d) -> float:
     return math.sqrt(_dot(d, d))
 
 
-def point_segment_distance(points, a, b) -> list:
-    """Distances from each point to the segment [a, b]; a == b is a point."""
+def _segment_metric(a, b):
+    """The function p -> distance from p to the segment [a, b]; a == b is
+    a point."""
     ab = _sub(b, a)
     denom = _dot(ab, ab) or 1.0
-    out = []
-    for p in points:
+
+    def dist(p) -> float:
         t = min(max(_dot(_sub(p, a), ab) / denom, 0.0), 1.0)
-        out.append(_norm(_sub(p, _along(a, t, ab))))
-    return out
+        return _norm(_sub(p, _along(a, t, ab)))
+
+    return dist
 
 
 def _triangle_closest(p, a, b, c, ab, ac):
@@ -152,30 +163,55 @@ def _triangle_closest(p, a, b, c, ab, ac):
     return _along(_along(a, vb / denom, ab), vc / denom, ac)
 
 
-def point_triangle_distance(points, a, b, c) -> list:
-    """Distances from each point to the filled triangle a, b, c.
+def _triangle_metric(a, b, c):
+    """The function p -> distance from p to the filled triangle a, b, c.
 
-    Region-by-region closest-point computation; works in any ambient
-    dimension.  A triangle of zero area is the union of its edges; the
-    regions assume positive area, so it is measured edge by edge.
+    A triangle of zero area is the union of its edges; the regions assume
+    positive area, so it is measured edge by edge.
     """
     ab, ac = _sub(b, a), _sub(c, a)
     if _dot(ab, ab) * _dot(ac, ac) - _dot(ab, ac) ** 2 == 0:
-        edges = (point_segment_distance(points, *e) for e in ((a, b), (a, c), (b, c)))
-        return [min(d) for d in zip(*edges)]
-    return [_norm(_sub(p, _triangle_closest(p, a, b, c, ab, ac))) for p in points]
+        edges = [_segment_metric(*e) for e in ((a, b), (a, c), (b, c))]
+        return lambda p: min(e(p) for e in edges)
+    return lambda p: _norm(_sub(p, _triangle_closest(p, a, b, c, ab, ac)))
 
 
-def _min_distance_to_carrier(points, cx: EmbeddedComplex) -> list:
-    best = [math.inf] * len(points)
+def point_segment_distance(points, a, b) -> list:
+    """Distances from each point to the segment [a, b]; a == b is a point."""
+    return list(map(_segment_metric(a, b), points))
+
+
+def point_triangle_distance(points, a, b, c) -> list:
+    """Distances from each point to the filled triangle a, b, c, by the
+    closest point region by region; works in any ambient dimension."""
+    return list(map(_triangle_metric(a, b, c), points))
+
+
+def _carrier_metric(cx: EmbeddedComplex):
+    """The function (p, floor) -> distance from p to the carrier of cx.
+
+    It stops at the first simplex closer than floor and returns that
+    distance, which is then all a caller needs to know.  That simplex moves
+    to the front, so the next, nearby point usually needs only one.
+    """
+    parts = []
     for s in cx.simplices:
         corners = [cx.points[v] for v in s]
         if len(s) == 3:
-            d = point_triangle_distance(points, *corners)
+            parts.append(_triangle_metric(*corners))
         else:
-            d = point_segment_distance(points, corners[0], corners[-1])
-        best = [min(x, y) for x, y in zip(best, d)]
-    return best
+            parts.append(_segment_metric(corners[0], corners[-1]))
+
+    def dist(p, floor: float) -> float:
+        best = math.inf
+        for i, part in enumerate(parts):
+            best = min(best, part(p))
+            if best <= floor:
+                parts.insert(0, parts.pop(i))
+                break
+        return best
+
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +224,25 @@ def _subdivisions(length: float, h: float) -> int:
     return 2 ** int(math.ceil(math.log2(length / h)))
 
 
-def _simplex_samples(cx: EmbeddedComplex, s, h: float) -> list:
-    pts = cx.points
+def _grid(cx: EmbeddedComplex, s, h: float):
+    """The sampling grid of simplex s as (m, point, spread).
+
+    point(u, v) for integers u, v >= 0 with u + v <= m is a sample; v is
+    always 0 on a segment and m is 0 on a vertex.  Two samples whose
+    indices differ by at most i in u and in v are within i * spread.
+    """
+    a = cx.points[s[0]]
     if len(s) == 1:
-        return [pts[s[0]]]
+        return 0, lambda u, v: a, 0.0
+    ab = _sub(cx.points[s[1]], a)
     if len(s) == 2:
-        a, b = pts[s[0]], pts[s[1]]
-        ab = _sub(b, a)
         m = _subdivisions(_norm(ab), h)
-        return [_along(a, i / m, ab) for i in range(m + 1)]
-    a, b, c = pts[s[0]], pts[s[1]], pts[s[2]]
-    ab, ac = _sub(b, a), _sub(c, a)
-    m = _subdivisions(max(_norm(ab), _norm(ac), _norm(_sub(c, b))), h)
-    return [
-        _along(_along(a, u / m, ab), v / m, ac)
-        for u in range(m + 1)
-        for v in range(m + 1 - u)
-    ]
+        return m, lambda u, v: _along(a, u / m, ab), _norm(ab) / m
+    c = cx.points[s[2]]
+    ac = _sub(c, a)
+    m = _subdivisions(max(_norm(ab), _norm(ac), _norm(_sub(c, cx.points[s[1]]))), h)
+    spread = (_norm(ab) + _norm(ac)) / m
+    return m, lambda u, v: _along(_along(a, u / m, ab), v / m, ac), spread
 
 
 def carrier_samples(cx: EmbeddedComplex, h: float) -> list:
@@ -212,19 +250,68 @@ def carrier_samples(cx: EmbeddedComplex, h: float) -> list:
     only adds points."""
     if h <= 0:
         raise ValueError("h must be positive")
-    return [q for s in cx.simplices for q in _simplex_samples(cx, s, h)]
+    out = []
+    for s in cx.simplices:
+        m, point, _ = _grid(cx, s, h)
+        for u in range(m + 1):
+            out.extend(point(u, v) for v in range(m + 1 - u if len(s) == 3 else 1))
+    return out
+
+
+def _farthest_sample(cx: EmbeddedComplex, dist, h: float, slack: float) -> float:
+    """max(dist(q, -inf) for q in carrier_samples(cx, h)), by branch and
+    bound over the sampling grids.
+
+    A block is a half-open square [u, u + k) x [v, v + k) of grid indices.
+    dist is 1-Lipschitz, so no sample of a block lies above the distance
+    of its centre plus radius.  Blocks open largest bound first; one whose
+    bound is at most the best sample so far minus slack, a margin far above
+    the rounding error of dist, is dropped.  The samples that attain the
+    maximum are never dropped, so the result is the full scan's, bit for
+    bit, while most samples away from the maximum are never measured.
+    """
+    best = -math.inf
+    order = itertools.count()
+    heap = []
+    for s in cx.simplices:
+        m, point, spread = _grid(cx, s, h)
+        grid = (m, point, spread, len(s) == 3)
+        heap.append((-math.inf, next(order), grid, 0, 0, 2 * m or 1))
+    while heap:
+        bound, _, grid, u, v, k = heapq.heappop(heap)
+        if -bound <= best - slack:
+            break
+        m, point, spread, tri = grid
+        if k <= 4:
+            for i in range(u, min(u + k - 1, m) + 1):
+                for j in range(v, min(v + k - 1, m - i) + 1) if tri else (0,):
+                    best = max(best, dist(point(i, j), best))
+            continue
+        half = k // 2
+        radius = half // 2 * spread
+        for i, j in ((u, v), (u + half, v), (u, v + half), (u + half, v + half)):
+            if i + j > m or (j > v and not tri):
+                continue
+            ci, cj = i + half // 2, (j + half // 2 if tri else 0)
+            value = dist(point(ci, cj), best - slack - radius)
+            if ci + cj <= m:
+                best = max(best, value)
+            if value + radius > best - slack:
+                heapq.heappush(heap, (-(value + radius), next(order), grid, i, j, half))
+    return best
 
 
 def realization_hausdorff(a: EmbeddedComplex, b: EmbeddedComplex, h: float) -> Interval:
     """Two-sided Hausdorff interval [sampled sup, sampled sup + h].
 
-    The inf side is exact, the sup side runs over carrier samples, so the
-    true distance lies in the returned interval.
+    The inf side is exact, the sup side is the largest distance over the
+    carrier samples, so the true distance lies in the returned interval.
     """
-    sa = carrier_samples(a, h)
-    sb = carrier_samples(b, h)
-    forward = max(_min_distance_to_carrier(sa, b))
-    backward = max(_min_distance_to_carrier(sb, a))
+    if h <= 0:
+        raise ValueError("h must be positive")
+    slack = 1e-9 * (1.0 + max(abs(x) for cx in (a, b) for p in cx.points for x in p))
+    forward = _farthest_sample(a, _carrier_metric(b), h, slack)
+    backward = _farthest_sample(b, _carrier_metric(a), h, slack)
     lower = max(forward, backward)
     return Interval(lower, lower + float(h))
 

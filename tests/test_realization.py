@@ -45,7 +45,8 @@ def test_embedded_complex_validation():
         EmbeddedComplex([[0.0, 0.0]], [(0, 1)])
     with pytest.raises(ValueError):
         EmbeddedComplex([[0.0, 0.0], [1.0, 0.0]], [(0, 1)], depths=[0, 1])
-    for points in ([], [[0.0, 0.0], [1.0]], [0.0, 1.0], [[[0.0]]]):
+    bad = ([], [[0.0, 0.0], [1.0]], [0.0, 1.0], [[[0.0]]], ["12", "34"], [b"12", b"34"])
+    for points in bad + ([[math.nan, 0.0]], [[0.0, math.inf]]):
         with pytest.raises(ValueError):
             EmbeddedComplex(points, [(0,)])
 
@@ -232,6 +233,43 @@ def _random_complex(rng, dim):
     for _ in range(rng.randint(0, 3)):
         simplices.append(tuple(sorted(rng.sample(range(npts), rng.randint(1, 3)))))
     return EmbeddedComplex(points, simplices)
+
+
+def _full_scan(a, b, h):
+    """Largest distance from a sample of a to the carrier of b, measured
+    at every sample."""
+    dists = []
+    for s in b.simplices:
+        corners = [b.points[v] for v in s]
+        if len(s) == 3:
+            dists.append(point_triangle_distance(carrier_samples(a, h), *corners))
+        else:
+            dists.append(point_segment_distance(carrier_samples(a, h), corners[0], corners[-1]))
+    return max(min(d) for d in zip(*dists))
+
+
+def test_realization_lower_bound_equals_full_scan():
+    """The branch and bound finds the full scan's maximum bit for bit: on
+    non-dyadic 2-D/3-D complexes of several scales, with thin triangles,
+    on steps that are not powers of two, and on carriers at a constant
+    distance over whole triangles (shifted and identical copies), where
+    nothing can be pruned."""
+    rng = random.Random(29)
+    cases = []
+    for i in range(24):
+        dim, scale = 2 + i % 2, (1e-3, 1.0, 1e3)[i % 3]
+        pair = []
+        for _ in range(2):
+            pts = [[rng.uniform(-scale, scale) for _ in range(dim)] for _ in range(5)]
+            pts[4] = [x + 1e-7 * scale * rng.random() for x in pts[0]]  # thin triangle 0, 1, 4
+            pair.append(EmbeddedComplex(pts, [(0, 1, 4), (1, 2, 3), (2, 3), (3,)]))
+        cases.append((pair[0], pair[1], scale * rng.choice((0.3, 0.125, 0.1))))
+    tri = EmbeddedComplex([[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 1]], [(0, 1, 2), (1, 2, 3)])
+    shifted = EmbeddedComplex([[x, y, z + 0.3] for x, y, z in tri.points], tri.simplices)
+    cases += [(tri, shifted, 0.25), (tri, tri, 0.25)]
+    for a, b, h in cases:
+        expected = max(_full_scan(a, b, h), _full_scan(b, a, h))
+        assert realization_hausdorff(a, b, h).lower == expected
 
 
 def test_realization_lower_bounds_match_recorded_digest():
