@@ -43,17 +43,20 @@ from .serialization import (
     format_csv,
     load_document,
     pair_from_dict,
+    pair_on_space,
     pair_to_dict,
     space_from_csv,
     space_from_dict,
     space_to_dict,
     tuple_from_dict,
+    tuple_on_space,
     tuple_to_dict,
 )
 from .spaces import (
     InvalidMetricError,
     MetricPair,
     MetricTuple,
+    MetricViolations,
     hausdorff,
     validate_metric,
 )
@@ -154,16 +157,17 @@ def cmd_validate(args) -> int:
                 ],
                 tol=args.tol,
             )
-            if hasattr(checked, "ok") and not checked.ok:
+            if isinstance(checked, MetricViolations):
                 ok = False
                 payload["report"] = checked.as_dict()
             else:
                 payload["report"] = {}
+                # the subset or chain goes on the space checked at --tol
                 if kind == "pair":
-                    pair_from_dict(data, _exact(args))
+                    pair_on_space(checked, data)
                 elif kind == "tuple":
-                    tuple_from_dict(data, _exact(args))
-        except (ValueError, InvalidMetricError) as exc:
+                    tuple_on_space(checked, data)
+        except ValueError as exc:
             ok = False
             payload["report"] = {"error": str(exc)}
     payload["ok"] = ok

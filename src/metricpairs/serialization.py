@@ -58,14 +58,22 @@ def space_from_dict(data: dict, exact: bool = True) -> FiniteMetricSpace:
 
 
 def pair_from_dict(data: dict, exact: bool = True) -> MetricPair:
-    space = space_from_dict(data, exact)
+    return pair_on_space(space_from_dict(data, exact), data)
+
+
+def pair_on_space(space: FiniteMetricSpace, data: dict) -> MetricPair:
+    """The pair that the document's 'subset' marks on an already built space."""
     if "subset" not in data:
         raise ValueError("missing 'subset'")
     return MetricPair(space, tuple(int(i) for i in data["subset"]))
 
 
 def tuple_from_dict(data: dict, exact: bool = True) -> MetricTuple:
-    space = space_from_dict(data, exact)
+    return tuple_on_space(space_from_dict(data, exact), data)
+
+
+def tuple_on_space(space: FiniteMetricSpace, data: dict) -> MetricTuple:
+    """The tuple that the document's 'chain' marks on an already built space."""
     if "chain" not in data:
         raise ValueError("missing 'chain'")
     chain = tuple(tuple(int(i) for i in level) for level in data["chain"])

@@ -7,11 +7,12 @@ the assembled disjoint-union matrix is again a metric.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from .scalars import Scalar, all_exact, tolerance_for
+from .scalars import Scalar, all_exact, is_exact, tolerance_for
 
 
 class InvalidMetricError(ValueError):
@@ -69,6 +70,28 @@ def _iter_entries(matrix):
             yield v
 
 
+def _on_integer_scale(tol, *matrices):
+    """``(tol, *matrices)`` multiplied by one common denominator when exact.
+
+    When the tolerance and every entry are int or Fraction, each value v
+    becomes the integer v * L, with L the least common multiple of all
+    their denominators; every sum-against-sum comparison then runs on ints
+    with the outcome it has on the rationals.  Anything else comes back
+    untouched, so float comparisons keep their operands and rounding.
+    """
+    values = [v for m in matrices for row in m for v in row]
+    if not (is_exact(tol) and all_exact(values)):
+        return (tol, *matrices)
+    scale = math.lcm(tol.denominator, *{v.denominator for v in values})
+    return (
+        tol.numerator * (scale // tol.denominator),
+        *(
+            [[v.numerator * (scale // v.denominator) for v in row] for row in m]
+            for m in matrices
+        ),
+    )
+
+
 def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
     """Validate a square matrix as a finite metric.
 
@@ -84,29 +107,32 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
             raise ValueError("matrix is not square")
     if tol is None:
         tol = tolerance_for(_iter_entries(matrix))
+    tol, d = _on_integer_scale(tol, matrix)
     for i in range(n):
         for j in range(n):
-            if matrix[i][j] < -tol:
+            if d[i][j] < -tol:
                 raise ValueError(f"negative entry at ({i}, {j})")
 
     asymmetric = tuple(
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if abs(matrix[i][j] - matrix[j][i]) > tol
+        if abs(d[i][j] - d[j][i]) > tol
     )
-    diagonal = tuple(i for i in range(n) if abs(matrix[i][i]) > tol)
+    diagonal = tuple(i for i in range(n) if abs(d[i][i]) > tol)
     nonpositive = tuple(
-        (i, j) for i in range(n) for j in range(n) if i != j and matrix[i][j] <= tol
+        (i, j) for i in range(n) for j in range(n) if i != j and d[i][j] <= tol
     )
+    columns = list(zip(*d))
     triangles = []
-    for i in range(n):
+    for i, row in enumerate(d):
         for k in range(i + 1, n):
-            for j in range(n):
-                if j == i or j == k:
-                    continue
-                if matrix[i][k] > matrix[i][j] + matrix[j][k] + tol:
-                    triangles.append((i, j, k))
+            dik = row[k]
+            triangles.extend(
+                (i, j, k)
+                for j, dij, djk in zip(range(n), row, columns[k])
+                if dik > dij + djk + tol and j != i and j != k
+            )
     report = MetricViolations(n, asymmetric, diagonal, nonpositive, tuple(triangles))
     if not report.ok:
         return report
@@ -238,6 +264,7 @@ class CrossMetric:
         dx, dy, c = self.left.dist, self.right.dist, self.cross
         nl, nr = self.left.n, self.right.n
         tol = tolerance_for(chain(_iter_entries(c), _iter_entries(dx), _iter_entries(dy)))
+        tol, c, dx, dy = _on_integer_scale(tol, c, dx, dy)
         bad = []
         for i in range(nl):
             for j in range(nr):

@@ -5,6 +5,7 @@ and the exit code can all be checked.  The documents are written fresh
 into tmp_path for each test.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -78,6 +79,28 @@ def test_validate_flags_triangle_violation(tmp_path, capsys):
     assert code == 1
     assert payload["ok"] is False
     assert payload["report"]
+
+
+@pytest.mark.parametrize(
+    "extra", [{}, {"subset": [0, 1]}, {"chain": [[0, 1], [0]]}]
+)
+def test_validate_tol_applies_to_pair_and_tuple_documents(tmp_path, capsys, extra):
+    # d(0,1) = 5/2 exceeds d(0,2) + d(2,1) = 2 by less than the tolerance
+    doc = {"distances": [[0, "5/2", 1], ["5/2", 0, 1], [1, 1, 0]], **extra}
+    path = _write(tmp_path, "loose.json", doc)
+    code, out, _ = _run(capsys, ["validate", "--input", path, "--tol", "0.75"])
+    assert code == 0
+    assert json.loads(out)["report"] == {}
+    code, out, _ = _run(capsys, ["validate", "--input", path])
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
+def test_validate_reports_a_bad_subset(tmp_path, capsys):
+    path = _write(tmp_path, "pair.json", {**PATH3, "subset": [0, 7]})
+    code, out, _ = _run(capsys, ["validate", "--input", path, "--tol", "0.75"])
+    assert code == 1
+    assert json.loads(out)["report"] == {"error": "subset index out of range"}
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
@@ -288,6 +311,34 @@ def test_cassorla_csv_header(tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "n,mu,gh_bound,net_estimate"
+
+
+@pytest.mark.parametrize(
+    "subset, digest",
+    [
+        (
+            tuple(range(0, 32, 4)),
+            "b25700da5bddfe5bf226f02b0cf4a34e012ce915b58e547849b2911f6c857235",
+        ),
+        (
+            (3, 7, 11, 30),
+            "9580fbda898820ca23a2dfca84b68f7fdfd5f157c6f184131a90286f11053080",
+        ),
+    ],
+)
+def test_cassorla_run_matches_recorded_digest(tmp_path, capsys, subset, digest):
+    """Byte-for-byte stdout of `cassorla run` at its default levels on a
+    32-point circle pair, as recorded before the metric checks moved to
+    integer arithmetic."""
+    from metricpairs.generators import circle_space
+    from metricpairs.serialization import pair_to_dict
+    from metricpairs.spaces import MetricPair
+
+    doc = pair_to_dict(MetricPair(circle_space(32), subset))
+    path = _write(tmp_path, "circle.json", doc)
+    code, out, _ = _run(capsys, ["cassorla", "run", "--input", path])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_apps_hypernet_reports_the_distortion_check(tmp_path, capsys):

@@ -14,7 +14,7 @@ from metricpairs.geodesics import (
     geodesicity_audit,
     interpolate,
 )
-from metricpairs.oracle import exact_pair_gh
+from metricpairs.oracle import cache_size, clear_cache, exact_pair_gh
 from metricpairs.spaces import FiniteMetricSpace, MetricPair
 
 
@@ -109,6 +109,14 @@ def test_audit_rows_cover_ordered_grid_pairs():
     ]
     for row in audit.rows:
         assert row.expected == (row.t - row.s) * audit.endpoint_value
+
+
+def test_audit_leaves_the_cache_empty():
+    clear_cache()
+    audit = geodesicity_audit(_collapse_correspondence())
+    assert cache_size() == 0
+    (row,) = [row for row in audit.rows if (row.s, row.t) == (0, 1)]
+    assert row.value == audit.endpoint_value
 
 
 def test_audit_rejects_bad_grid():

@@ -21,8 +21,7 @@ from metricpairs.oracle import (
 )
 from metricpairs.spaces import FiniteMetricSpace, MetricTuple
 
-# bounded and reproducible: a fixed example count, no example database
-_BOUNDED = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+_BOUNDED = settings(settings.get_profile("bounded"), max_examples=120)
 
 _ENTRY = st.fractions(min_value=0, max_value=6, max_denominator=6)
 

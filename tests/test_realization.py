@@ -179,8 +179,7 @@ def test_filtration_distance_sums_levels():
         filtration_distance(a, c, 0.125)
 
 
-# bounded and reproducible: a fixed example count, no example database
-_BOUNDED = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_BOUNDED = settings(settings.get_profile("bounded"), max_examples=150)
 
 
 @st.composite
