@@ -42,10 +42,10 @@ from .serialization import (
     embedded_from_dict,
     format_csv,
     load_document,
+    matrix_from_csv,
     pair_from_dict,
     pair_on_space,
     pair_to_dict,
-    space_from_csv,
     space_from_dict,
     space_to_dict,
     tuple_from_dict,
@@ -82,9 +82,15 @@ def _exact(args) -> bool:
 
 
 def _load(args, path: str) -> dict:
+    """The document at ``path``; a CSV file is read as a space document
+    whose matrix is checked where it is used, so ``validate --tol`` sees
+    it raw."""
     if path.endswith(".csv"):
-        space = space_from_csv(path, _exact(args))
-        return {"labels": list(space.labels), "distances": space.dist}
+        matrix, labels = matrix_from_csv(path, _exact(args))
+        data = {"distances": matrix}
+        if labels is not None:
+            data["labels"] = list(labels)
+        return data
     return load_document(path, _exact(args))
 
 

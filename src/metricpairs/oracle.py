@@ -8,14 +8,17 @@ duality, is a max-weight assignment of levels to levels: in closed form
 for up to two levels and a subset dynamic program for more.  The outer
 search over witness maps is a depth-first branch and bound; the reduced
 value only grows as entries accumulate, so it prunes against the
-incumbent safely.  The simplex runs once per solve, to split the optimal
-value into certificate radii.
+incumbent safely, both on the slot being filled and, looking ahead, on
+the least entry every unplaced slot must still add.  Exact distances are
+searched on one integer scale (``spaces._on_integer_scale``) and the
+optimum mapped back.  The simplex runs once per solve, to split the
+optimal value into certificate radii.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Optional
 
 from .lp import LinearProgram, solve_lp
@@ -25,6 +28,7 @@ from .spaces import (
     MetricPair,
     MetricTuple,
     _cross_hausdorff,
+    _on_integer_scale,
 )
 
 DEFAULT_BUDGET = 10**4
@@ -177,7 +181,7 @@ def _zero(space_left, space_right) -> Scalar:
 # witness search
 
 
-def _search(space_left, space_right, levels_left, levels_right, variant, budget):
+def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     """Branch and bound over all witness assignments.
 
     Slots run innermost level first, left-side points before right-side
@@ -185,14 +189,25 @@ def _search(space_left, space_right, levels_left, levels_right, variant, budget)
     so the first optimum found is deterministic.  Leaves are priced by
     _value2; summed tuples of three or more levels also skip a child whose
     assignment value already reaches the incumbent: its leaves could not
-    replace it.  Raises BudgetExceededError once more than ``budget``
-    nodes are visited.  Returns the per-level entry lists and the
-    mismatch matrix.
+    replace it.
+
+    Every candidate entry of an unplaced slot keeps its row: its worst
+    mismatch against the entries placed so far, per level, raised as
+    entries are placed and lowered back as they are popped.  A child's
+    row is read from it, and once there is an incumbent each node looks
+    ahead: m with every unplaced slot's level raised by the least row
+    among its candidates bounds every leaf below, since m only grows,
+    so the node is cut when that bound reaches the incumbent.  A leaf
+    replaces the incumbent only when strictly better, so the cuts never
+    change which optimum is found first.  ``dx`` and ``dy`` are distance
+    matrices, ideally on one integer scale, and ``zero`` seeds m.  Raises
+    BudgetExceededError once more than ``budget`` nodes are visited.
+    Returns the per-level entry lists and the mismatch matrix.
     """
-    dx, dy = space_left.dist, space_right.dist
     nlev = len(levels_left)
     bound_fn = _max_entry if variant == "max" else _cheap_value2
     priced = variant == "sum" and nlev > 2
+    look_fn = _assignment_value2 if priced else bound_fn
 
     slots = []
     for lvl in range(nlev - 1, -1, -1):
@@ -200,9 +215,20 @@ def _search(space_left, space_right, levels_left, levels_right, variant, budget)
             slots.append((lvl, 0, x, levels_right[lvl]))
         for y in levels_right[lvl]:
             slots.append((lvl, 1, y, levels_left[lvl]))
+    nslots = len(slots)
+    # per slot: its candidates (target, x, y, dx[x], dy[y], row), and the
+    # least row entry per level over them
+    cands = []
+    for _lvl, side, point, domain in slots:
+        options = []
+        for tgt in domain:
+            x, y = (point, tgt) if side == 0 else (tgt, point)
+            options.append((tgt, x, y, dx[x], dy[y], [zero] * nlev))
+        cands.append(options)
+    lows =[[zero] * nlev for _ in range(nslots)]
+    undo = []
 
     entries = [[] for _ in range(nlev)]
-    zero = _zero(space_left, space_right)
     m = [[zero] * nlev for _ in range(nlev)]
     best = [None, None, None]
     nodes = 0
@@ -212,47 +238,75 @@ def _search(space_left, space_right, levels_left, levels_right, variant, budget)
             m[lvl][j] = row[j]
             m[j][lvl] = row[j]
 
+    def raise_rows(si, lvl, x, y):
+        """Fold the entry (x, y), placed at level lvl, into the rows of
+        every slot after si."""
+        for s in range(si + 1, nslots):
+            low = None
+            for c in cands[s]:
+                diff = c[3][x] - c[4][y]
+                if diff < 0:
+                    diff = -diff
+                row = c[5]
+                if diff > row[lvl]:
+                    undo.append((row, lvl, row[lvl]))
+                    row[lvl] = diff
+                if low is None or row[lvl] < low:
+                    low = row[lvl]
+            slot_low = lows[s]
+            if low > slot_low[lvl]:
+                undo.append((slot_low, lvl, slot_low[lvl]))
+                slot_low[lvl] = low
+
+    def look_ahead(si):
+        bound = [row[:] for row in m]
+        for s in range(si, nslots):
+            lvl = slots[s][0]
+            target = bound[lvl]
+            for j, low in enumerate(lows[s]):
+                if low > target[j]:
+                    target[j] = low
+                    bound[j][lvl] = low
+        return look_fn(bound)
+
     def run(si):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(nodes, budget)
-        if si == len(slots):
+        if si == nslots:
             v2 = _value2(m, variant)
             if best[0] is None or v2 < best[0]:
                 best[0] = v2
                 best[1] = [list(lv) for lv in entries]
                 best[2] = [row[:] for row in m]
             return
-        lvl, side, point, domain = slots[si]
+        if best[0] is not None and not look_ahead(si) < best[0]:
+            return
+        lvl = slots[si][0]
         saved = list(m[lvl])
-        cands = []
-        for tgt in domain:
-            x, y = (point, tgt) if side == 0 else (tgt, point)
-            dxr, dyr = dx[x], dy[y]
-            row_new = list(saved)
-            for m2 in range(nlev):
-                worst = row_new[m2]
-                for x2, y2 in entries[m2]:
-                    diff = dxr[x2] - dyr[y2]
-                    if diff < 0:
-                        diff = -diff
-                    if diff > worst:
-                        worst = diff
-                row_new[m2] = worst
+        children = []
+        for tgt, x, y, _dxr, _dyr, row in cands[si]:
+            # on a tie the saved entry stays
+            row_new = [r if r > s else s for r, s in zip(row, saved)]
             place(lvl, row_new)
-            cands.append((bound_fn(m), tgt, x, y, row_new))
-        cands.sort(key=lambda c: (c[0], c[1]))
+            children.append((bound_fn(m), tgt, x, y, row_new))
+        children.sort(key=lambda c: (c[0], c[1]))
         # every child rewrites row and column lvl whole, and a subtree
         # leaves m as it found it, so one restore after the scan suffices
-        for b2, _tgt, x, y, row_new in cands:
+        for b2, _tgt, x, y, row_new in children:
             if best[0] is not None and not b2 < best[0]:
                 break
             place(lvl, row_new)
             if priced and best[0] is not None and not _assignment_value2(m) < best[0]:
                 continue
             entries[lvl].append((x, y))
+            mark = len(undo)
+            raise_rows(si, lvl, x, y)
             run(si + 1)
+            while len(undo) > mark:
+                row, j, old = undo.pop()
+                row[j] = old
             entries[lvl].pop()
         place(lvl, saved)
 
@@ -373,9 +427,14 @@ def _solve(left, right, variant, levels_l, levels_r, budget) -> GHResult:
     """Search the given levels and certify the optimum on the operands.
 
     A full-subset pair is searched on its one full level; its subset level
-    repeats that level's entries and mismatch.
+    repeats that level's entries and mismatch.  Exact distances are
+    searched on one integer scale and the mismatch is mapped back.
     """
-    ents, m = _search(left.space, right.space, levels_l, levels_r, variant, budget)
+    scale, _, dx, dy = _on_integer_scale(0, left.space.dist, right.space.dist)
+    zero = 0.0 if scale is None else 0
+    ents, m = _search(dx, dy, zero, levels_l, levels_r, variant, budget)
+    if scale is not None and scale > 1:
+        m = [[Fraction(v, scale) for v in row] for row in m]
     if len(levels_l) == 1:
         ents = ents * 2
         m = [[m[0][0]] * 2 for _ in range(2)]
@@ -401,17 +460,21 @@ def canonical_pair_key(pair: MetricPair):
     """Relabel-minimal encoding of a pair plus the minimizing permutation.
 
     The permutation maps canonical indices to original ones.  Returns None
-    when the space is too large to canonicalize cheaply.
+    when the space is too large to canonicalize cheaply.  Only the
+    permutations that put the points outside the subset first can have
+    the least flags, so only they are scanned, in lexicographic order.
     """
     n = pair.space.n
     if n > _CACHE_SIZE_LIMIT:
         return None
-    subset = set(pair.subset)
+    inside = pair.subset
+    outside = tuple(i for i in range(n) if i not in inside)
+    flags = (0,) * len(outside) + (1,) * len(inside)
     dist = pair.space.dist
     best = None
-    for perm in permutations(range(n)):
-        flags = tuple(1 if perm[i] in subset else 0 for i in range(n))
-        rows = tuple(tuple(dist[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+    for head, tail in product(permutations(outside), permutations(inside)):
+        perm = head + tail
+        rows = tuple(tuple(map(dist[i].__getitem__, perm)) for i in perm)
         enc = (n, flags, rows)
         if best is None or enc < best[0]:
             best = (enc, perm)

@@ -71,19 +71,22 @@ def _iter_entries(matrix):
 
 
 def _on_integer_scale(tol, *matrices):
-    """``(tol, *matrices)`` multiplied by one common denominator when exact.
+    """``(scale, tol, *matrices)``, multiplied by one common denominator
+    when exact.
 
     When the tolerance and every entry are int or Fraction, each value v
-    becomes the integer v * L, with L the least common multiple of all
-    their denominators; every sum-against-sum comparison then runs on ints
-    with the outcome it has on the rationals.  Anything else comes back
-    untouched, so float comparisons keep their operands and rounding.
+    becomes the integer v * scale, with scale the least common multiple
+    of all their denominators; every sum-against-sum comparison then runs
+    on ints with the outcome it has on the rationals, and ``Fraction(w,
+    scale)`` maps a result w back.  Anything else comes back untouched
+    with scale None, so float comparisons keep their operands and rounding.
     """
     values = [v for m in matrices for row in m for v in row]
     if not (is_exact(tol) and all_exact(values)):
-        return (tol, *matrices)
+        return (None, tol, *matrices)
     scale = math.lcm(tol.denominator, *{v.denominator for v in values})
     return (
+        scale,
         tol.numerator * (scale // tol.denominator),
         *(
             [[v.numerator * (scale // v.denominator) for v in row] for row in m]
@@ -107,7 +110,7 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
             raise ValueError("matrix is not square")
     if tol is None:
         tol = tolerance_for(_iter_entries(matrix))
-    tol, d = _on_integer_scale(tol, matrix)
+    _, tol, d = _on_integer_scale(tol, matrix)
     for i in range(n):
         for j in range(n):
             if d[i][j] < -tol:
@@ -264,7 +267,7 @@ class CrossMetric:
         dx, dy, c = self.left.dist, self.right.dist, self.cross
         nl, nr = self.left.n, self.right.n
         tol = tolerance_for(chain(_iter_entries(c), _iter_entries(dx), _iter_entries(dy)))
-        tol, c, dx, dy = _on_integer_scale(tol, c, dx, dy)
+        _, tol, c, dx, dy = _on_integer_scale(tol, c, dx, dy)
         bad = []
         for i in range(nl):
             for j in range(nr):

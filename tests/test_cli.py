@@ -96,6 +96,24 @@ def test_validate_tol_applies_to_pair_and_tuple_documents(tmp_path, capsys, extr
     assert json.loads(out)["ok"] is False
 
 
+def test_validate_tol_applies_to_csv_input(tmp_path, capsys):
+    # the matrix of the test above: a CSV space is checked at --tol too
+    path = tmp_path / "loose.csv"
+    path.write_text("0,5/2,1\n5/2,0,1\n1,1,0\n")
+    code, out, _ = _run(capsys, ["validate", "--input", str(path), "--tol", "0.75"])
+    assert code == 0
+    assert json.loads(out) == {"kind": "space", "ok": True, "report": {}}
+    code, out, _ = _run(capsys, ["validate", "--input", str(path)])
+    assert code == 1
+    assert json.loads(out)["report"]["triangles"] == [[0, 2, 1]]
+    # commands other than validate still refuse the matrix on loading
+    code, _, err = _run(
+        capsys, ["hausdorff", "--input", str(path), "--left", "0", "--right", "1"]
+    )
+    assert code == 2
+    assert "invalid metric in input" in err
+
+
 def test_validate_reports_a_bad_subset(tmp_path, capsys):
     path = _write(tmp_path, "pair.json", {**PATH3, "subset": [0, 7]})
     code, out, _ = _run(capsys, ["validate", "--input", path, "--tol", "0.75"])

@@ -4,10 +4,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from metricpairs.correspondences import brute_force_min_distortion
+from metricpairs.families import enumerate_family
 from metricpairs.generators import random_pair, random_permuted_pair
 from metricpairs.lp import solve_lp
 from metricpairs.oracle import (
@@ -381,10 +383,11 @@ def test_tuple_degenerate_chain_scales_single_level():
             tl = MetricTuple(left.space, (full_l,) * chain_len)
             tr = MetricTuple(right.space, (full_r,) * chain_len)
             levels = chain_len + 1
-            # five levels of 2x2 witnesses take up to 10 827 nodes, above the default
-            rep = exact_tuple_gh(tl, tr, budget=10**7)
+            # five levels of 2x2 witnesses once took up to 10 827 nodes;
+            # the lookahead brings them well inside the default budget
+            rep = exact_tuple_gh(tl, tr)
             assert rep.value == Fraction(levels, 2) * single.value
-            rep_max = exact_tuple_gh(tl, tr, budget=10**7, variant="max")
+            rep_max = exact_tuple_gh(tl, tr, variant="max")
             assert 2 * rep_max.value == single.value
 
 
@@ -449,6 +452,39 @@ def test_canonical_pair_key_invariant_under_relabeling():
         assert enc_a == enc_b
     big = random_pair(rng, n_range=(7, 7))
     assert canonical_pair_key(big) is None
+
+
+def _full_scan_key(pair):
+    """Relabel-minimal encoding over all n! permutations, in order."""
+    n = pair.space.n
+    subset = set(pair.subset)
+    dist = pair.space.dist
+    best = None
+    for perm in permutations(range(n)):
+        flags = tuple(1 if perm[i] in subset else 0 for i in range(n))
+        rows = tuple(tuple(dist[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+        enc = (n, flags, rows)
+        if best is None or enc < best[0]:
+            best = (enc, perm)
+    return best
+
+
+def test_canonical_pair_key_matches_the_full_scan():
+    """Scanning only the flag-minimal permutations finds the same
+    encoding and the same first minimizing permutation."""
+    for pair in enumerate_family():
+        assert canonical_pair_key(pair) == _full_scan_key(pair)
+    rng = random.Random(65)
+    for n in (5, 5, 5, 6, 6):
+        pair = random_pair(rng, n_range=(n, n), values=(1, 2))
+        assert canonical_pair_key(pair) == _full_scan_key(pair)
+    for n in (5, 6):
+        # a symmetric space: many permutations tie on the encoding
+        space = FiniteMetricSpace.from_matrix(
+            [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+        )
+        pair = MetricPair(space, (1, 3))
+        assert canonical_pair_key(pair) == _full_scan_key(pair)
 
 
 def test_as_dict_serializes_scalars():

@@ -1,0 +1,183 @@
+"""The witness search against a reference copy of its plain form.
+
+The reference below is the search as it was before candidate rows were
+kept incrementally and nodes looked ahead: every child rescans the placed
+entries and only the slot being filled prunes.  Both must find the same
+first optimum, so every result must serialize to the same bytes, and the
+search must never need more nodes than the reference.
+"""
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metricpairs.oracle import (
+    BudgetExceededError,
+    _assignment_value2,
+    _cheap_value2,
+    _finalize,
+    _levels_of,
+    _max_entry,
+    _solve,
+    _value2,
+)
+from metricpairs.spaces import FiniteMetricSpace, MetricPair, MetricTuple
+
+_BOUNDED = settings(settings.get_profile("bounded"), max_examples=150)
+
+
+def _reference_search(space_left, space_right, levels_left, levels_right, variant, budget):
+    """The plain branch and bound; returns entries, mismatch and nodes."""
+    dx, dy = space_left.dist, space_right.dist
+    nlev = len(levels_left)
+    bound_fn = _max_entry if variant == "max" else _cheap_value2
+    priced = variant == "sum" and nlev > 2
+
+    slots = []
+    for lvl in range(nlev - 1, -1, -1):
+        for x in levels_left[lvl]:
+            slots.append((lvl, 0, x, levels_right[lvl]))
+        for y in levels_right[lvl]:
+            slots.append((lvl, 1, y, levels_left[lvl]))
+
+    entries = [[] for _ in range(nlev)]
+    zero = 0 if space_left.exact and space_right.exact else 0.0
+    m = [[zero] * nlev for _ in range(nlev)]
+    best = [None, None, None]
+    nodes = 0
+
+    def place(lvl, row):
+        for j in range(nlev):
+            m[lvl][j] = row[j]
+            m[j][lvl] = row[j]
+
+    def run(si):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(nodes, budget)
+        if si == len(slots):
+            v2 = _value2(m, variant)
+            if best[0] is None or v2 < best[0]:
+                best[0] = v2
+                best[1] = [list(lv) for lv in entries]
+                best[2] = [row[:] for row in m]
+            return
+        lvl, side, point, domain = slots[si]
+        saved = list(m[lvl])
+        cands = []
+        for tgt in domain:
+            x, y = (point, tgt) if side == 0 else (tgt, point)
+            dxr, dyr = dx[x], dy[y]
+            row_new = list(saved)
+            for m2 in range(nlev):
+                worst = row_new[m2]
+                for x2, y2 in entries[m2]:
+                    diff = dxr[x2] - dyr[y2]
+                    if diff < 0:
+                        diff = -diff
+                    if diff > worst:
+                        worst = diff
+                row_new[m2] = worst
+            place(lvl, row_new)
+            cands.append((bound_fn(m), tgt, x, y, row_new))
+        cands.sort(key=lambda c: (c[0], c[1]))
+        for b2, _tgt, x, y, row_new in cands:
+            if best[0] is not None and not b2 < best[0]:
+                break
+            place(lvl, row_new)
+            if priced and best[0] is not None and not _assignment_value2(m) < best[0]:
+                continue
+            entries[lvl].append((x, y))
+            run(si + 1)
+            entries[lvl].pop()
+        place(lvl, saved)
+
+    run(0)
+    return best[1], best[2], nodes
+
+
+def _reference_solve(left, right, variant, levels_l, levels_r):
+    ents, m, nodes = _reference_search(
+        left.space, right.space, levels_l, levels_r, variant, 10**9
+    )
+    if len(levels_l) == 1:
+        ents = ents * 2
+        m = [[m[0][0]] * 2 for _ in range(2)]
+    return _finalize(left, right, variant, ents, m), nodes
+
+
+_KINDS = {
+    "int": (1, 2, 3),
+    "fraction": (Fraction(1, 2), Fraction(2, 3), 1, Fraction(5, 4), Fraction(7, 3)),
+    "float": (0.7, 0.9, 1.3, 2.1),
+}
+
+
+@st.composite
+def _space(draw, kind, n):
+    values = _KINDS[kind]
+    mat = [[0.0 if kind == "float" else 0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = draw(st.sampled_from(values))
+    for mid in range(n):
+        for i in range(n):
+            for j in range(n):
+                if mat[i][mid] + mat[mid][j] < mat[i][j]:
+                    mat[i][j] = mat[i][mid] + mat[mid][j]
+    return FiniteMetricSpace.from_matrix(mat)
+
+
+@st.composite
+def _chain(draw, n, links):
+    """Nested nonempty index sets, largest first, one per link."""
+    chain = []
+    current = list(range(n))
+    for _ in range(links):
+        size = draw(st.integers(min_value=1, max_value=len(current)))
+        current = sorted(draw(st.permutations(current))[:size])
+        chain.append(tuple(current))
+    return tuple(chain)
+
+
+@st.composite
+def _operands(draw):
+    """(left, right, levels_l, levels_r): pairs with the one-level
+    shortcut on or off, or tuples of one to three links."""
+    kind_l = draw(st.sampled_from(sorted(_KINDS)))
+    kind_r = draw(st.sampled_from((kind_l, "int")))
+    links = draw(st.integers(min_value=1, max_value=3))
+    # four points only for integer pairs: the reference is slow on the rest
+    top = 4 if links == 1 and kind_l == kind_r == "int" else 3
+    sides = []
+    for kind in (kind_l, kind_r):
+        n = draw(st.integers(min_value=1, max_value=top))
+        space = draw(_space(kind, n))
+        chain = draw(_chain(n, links))
+        if links == 1 and draw(st.booleans()):
+            sides.append(MetricPair(space, chain[0]))
+        else:
+            sides.append(MetricTuple(space, chain))
+    left, right = sides
+    if isinstance(left, MetricPair) != isinstance(right, MetricPair):
+        left, right = (
+            side.as_tuple() if isinstance(side, MetricPair) else side for side in sides
+        )
+    levels_l, levels_r = _levels_of(left), _levels_of(right)
+    full = levels_l[1] == levels_l[0] and levels_r[1] == levels_r[0]
+    if isinstance(left, MetricPair) and full and draw(st.booleans()):
+        levels_l, levels_r = levels_l[:1], levels_r[:1]
+    return left, right, levels_l, levels_r
+
+
+@_BOUNDED
+@given(_operands(), st.sampled_from(("sum", "max")))
+def test_search_finds_the_reference_witness_within_its_nodes(operands, variant):
+    left, right, levels_l, levels_r = operands
+    want, nodes = _reference_solve(left, right, variant, levels_l, levels_r)
+    got = _solve(left, right, variant, levels_l, levels_r, budget=nodes)
+    assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
