@@ -200,7 +200,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     so the node is cut when that bound reaches the incumbent.  A leaf
     replaces the incumbent only when strictly better, so the cuts never
     change which optimum is found first.  ``dx`` and ``dy`` are distance
-    matrices, ideally on one integer scale, and ``zero`` seeds m.  Raises
+    matrices, on one integer scale when exact, and ``zero`` seeds m.  Raises
     BudgetExceededError once more than ``budget`` nodes are visited.
     Returns the per-level entry lists and the mismatch matrix.
     """
@@ -225,7 +225,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             x, y = (point, tgt) if side == 0 else (tgt, point)
             options.append((tgt, x, y, dx[x], dy[y], [zero] * nlev))
         cands.append(options)
-    lows =[[zero] * nlev for _ in range(nslots)]
+    lows = [[zero] * nlev for _ in range(nslots)]
     undo = []
 
     entries = [[] for _ in range(nlev)]

@@ -157,8 +157,3 @@ def matrix_from_csv(path: str, exact: bool = True):
         rows = rows[1:]
     matrix = [[parse_scalar(cell, exact) for cell in row] for row in rows]
     return matrix, labels
-
-
-def space_from_csv(path: str, exact: bool = True) -> FiniteMetricSpace:
-    matrix, labels = matrix_from_csv(path, exact)
-    return FiniteMetricSpace.from_matrix(matrix, labels)

@@ -19,7 +19,6 @@ from metricpairs.serialization import (
     matrix_from_csv,
     pair_from_dict,
     pair_to_dict,
-    space_from_csv,
     space_from_dict,
     space_to_dict,
     tuple_from_dict,
@@ -139,7 +138,7 @@ def test_load_document_and_csv(tmp_path):
     matrix, labels = matrix_from_csv(str(csv_path))
     assert labels == ("u", "v")
     assert matrix[0][1] == Fraction(3, 2)
-    assert space_from_csv(str(csv_path)) == space
+    assert FiniteMetricSpace.from_matrix(matrix, labels) == space
 
 
 def test_matrix_from_csv_without_labels(tmp_path):
