@@ -431,7 +431,7 @@ def _solve(left, right, variant, levels_l, levels_r, budget) -> GHResult:
     searched on one integer scale and the mismatch is mapped back.
     """
     scale, _, dx, dy = _on_integer_scale(0, left.space.dist, right.space.dist)
-    zero = 0.0 if scale is None else 0
+    zero = _zero(left.space, right.space)
     ents, m = _search(dx, dy, zero, levels_l, levels_r, variant, budget)
     if scale is not None and scale > 1:
         m = [[Fraction(v, scale) for v in row] for row in m]
