@@ -7,17 +7,20 @@ nets.  ``sandwich_report`` evaluates the full chain on one instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+from . import DEFAULT_BUDGET
 from .correspondences import (
     MinDistortionResult,
     PairCorrespondence,
     classical_glue,
     min_distortion,
 )
-from .oracle import DEFAULT_BUDGET, GHResult, exact_pair_gh
 from .scalars import Scalar, half
 from .spaces import MetricPair, pair_hausdorff
+
+if TYPE_CHECKING:
+    from .oracle import GHResult
 
 
 def diameter_lower_bound(left: MetricPair, right: MetricPair) -> Scalar:
@@ -190,6 +193,8 @@ def sandwich_report(
     caps the witness-search nodes of the exact solve, as in
     ``exact_pair_gh``.
     """
+    from .oracle import exact_pair_gh
+
     dis_res = min_distortion(left, right, objective="distortion")
     sup_res = min_distortion(left, right, objective="sup_full")
     if not (dis_res.optimal and sup_res.optimal):

@@ -10,56 +10,67 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
-from fractions import Fraction
+from importlib import import_module
 
-from .applications import (
-    hypernet_distortion,
-    rational_densify,
-    rational_densify_pair,
-    variant_sandwich,
-)
-from .bounds import gh_bounds
-from .complexes import DisconnectedComplexError, approximation_pipeline
-from .correspondences import distortion, min_distortion
-from .generators import random_correspondence, random_pair, random_space, random_tuple
-from .geodesics import geodesicity_audit, interpolate
-from .oracle import (
-    BudgetExceededError,
-    DEFAULT_BUDGET,
-    exact_pair_gh,
-    exact_pair_gh_max,
-    exact_tuple_gh,
-)
-from .realization import realization_hausdorff
-from .scalars import format_scalar, parse_scalar
-from .serialization import (
-    correspondence_from_dict,
-    correspondence_to_dict,
-    document_kind,
-    dump_json,
-    embedded_from_dict,
-    format_csv,
-    load_document,
-    matrix_from_csv,
-    pair_from_dict,
-    pair_on_space,
-    pair_to_dict,
-    space_from_dict,
-    space_to_dict,
-    tuple_from_dict,
-    tuple_on_space,
-    tuple_to_dict,
-)
-from .spaces import (
-    InvalidMetricError,
-    MetricPair,
-    MetricTuple,
-    MetricViolations,
-    hausdorff,
-    validate_metric,
-)
+from . import DEFAULT_BUDGET
+
+# The library names the handlers call, by the module that defines them.  A
+# command imports only the modules it runs (``_need``), so the parser and
+# --help load none.  Once imported, a name stays in this module's globals,
+# where replacing ``metricpairs.cli.<name>`` reroutes the handlers' calls.
+_LIBRARY = {
+    "applications": (
+        "hypernet_distortion", "rational_densify", "rational_densify_pair",
+        "variant_sandwich",
+    ),
+    "bounds": ("gh_bounds",),
+    "complexes": ("approximation_pipeline",),
+    "correspondences": ("distortion", "min_distortion"),
+    "generators": ("random_correspondence", "random_pair", "random_space", "random_tuple"),
+    "geodesics": ("geodesicity_audit", "interpolate"),
+    "oracle": ("exact_pair_gh", "exact_pair_gh_max", "exact_tuple_gh"),
+    "realization": ("realization_hausdorff",),
+    "scalars": ("format_scalar", "parse_scalar"),
+    "serialization": (
+        "correspondence_from_dict", "correspondence_to_dict", "document_kind",
+        "dump_json", "embedded_from_dict", "format_csv", "load_document",
+        "matrix_from_csv", "pair_from_dict", "pair_on_space", "pair_to_dict",
+        "space_from_dict", "space_to_dict", "tuple_from_dict", "tuple_on_space",
+        "tuple_to_dict",
+    ),
+    "spaces": ("MetricPair", "MetricTuple", "MetricViolations", "hausdorff", "validate_metric"),
+}
+# every command reads or writes a document
+_DOCUMENTS = ("scalars", "serialization", "spaces")
+
+
+def _need(*modules: str) -> None:
+    """Import the document modules and ``modules``, and bind the names
+    listed for them that are not bound yet (a replaced one stays)."""
+    bound = globals()
+    for module in _DOCUMENTS + modules:
+        source = import_module(f"{__package__}.{module}")
+        for name in _LIBRARY[module]:
+            bound.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LIBRARY.items():
+        if name in names:
+            _need(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _raised_by(module: str, name: str):
+    """The exception class ``name`` of ``module`` if that module has been
+    imported, else ``()``, which no ``except`` clause matches: a module
+    never imported cannot have raised."""
+    source = sys.modules.get(f"{__package__}.{module}")
+    return () if source is None else getattr(source, name)
 
 
 def _emit(args, payload: dict, rows=None) -> None:
@@ -143,6 +154,7 @@ def _result_payload(result) -> dict:
 
 
 def cmd_validate(args) -> int:
+    _need()
     data = _load(args, args.input[0])
     kind = document_kind(data)
     payload: dict = {"kind": kind}
@@ -182,6 +194,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_hausdorff(args) -> int:
+    _need()
     data = _load(args, args.input[0])
     space = space_from_dict(data, _exact(args))
     left = _indices(args.left)
@@ -192,6 +205,7 @@ def cmd_hausdorff(args) -> int:
 
 
 def cmd_gh_exact(args) -> int:
+    _need("oracle")
     left = _load_pair(args, args.input[0])
     right = _load_pair(args, args.input[1])
     fn = exact_pair_gh_max if args.variant == "max" else exact_pair_gh
@@ -208,6 +222,7 @@ def cmd_gh_exact(args) -> int:
 
 
 def cmd_gh_tuple(args) -> int:
+    _need("oracle")
     left = _load_tuple(args, args.input[0])
     right = _load_tuple(args, args.input[1])
     result = exact_tuple_gh(left, right, budget=args.budget, variant=args.variant)
@@ -216,6 +231,7 @@ def cmd_gh_tuple(args) -> int:
 
 
 def cmd_gh_corr(args) -> int:
+    _need("correspondences")
     if len(args.input) == 1:
         corr = _load_corr(args, args.input[0])
         payload = {
@@ -236,6 +252,7 @@ def cmd_gh_corr(args) -> int:
 
 
 def cmd_gh_bounds(args) -> int:
+    _need("bounds")
     left = _load_pair(args, args.input[0])
     right = _load_pair(args, args.input[1])
     interval = gh_bounds(left, right)
@@ -256,6 +273,7 @@ def cmd_gh_bounds(args) -> int:
 
 
 def cmd_geodesic_sample(args) -> int:
+    _need("geodesics")
     corr = _load_corr(args, args.input[0])
     t = parse_scalar(args.t, _exact(args))
     pair = interpolate(corr, t)
@@ -264,6 +282,7 @@ def cmd_geodesic_sample(args) -> int:
 
 
 def cmd_geodesic_audit(args) -> int:
+    _need("geodesics")
     corr = _load_corr(args, args.input[0])
     grid = None
     if args.grid:
@@ -294,6 +313,7 @@ def cmd_geodesic_audit(args) -> int:
 
 
 def cmd_cassorla_run(args) -> int:
+    _need("complexes")
     pair = _load_pair(args, args.input[0])
     result = approximation_pipeline(
         pair, levels=args.levels, saturate=not args.no_saturate
@@ -322,6 +342,7 @@ def cmd_cassorla_run(args) -> int:
 
 
 def cmd_apps_hypernet(args) -> int:
+    _need("applications")
     corr = _load_corr(args, args.input[0])
     report = hypernet_distortion(corr)
     _emit(
@@ -337,6 +358,7 @@ def cmd_apps_hypernet(args) -> int:
 
 
 def cmd_apps_tilde(args) -> int:
+    _need("applications")
     left = _load_pair(args, args.input[0])
     right = _load_pair(args, args.input[1])
     report = variant_sandwich(left, right, budget=args.budget)
@@ -354,6 +376,7 @@ def cmd_apps_tilde(args) -> int:
 
 
 def cmd_apps_realize(args) -> int:
+    _need("realization")
     a = embedded_from_dict(_load(args, args.input[0]))
     b = embedded_from_dict(_load(args, args.input[1]))
     interval = realization_hausdorff(a, b, args.step)
@@ -369,6 +392,7 @@ def cmd_apps_realize(args) -> int:
 
 
 def cmd_apps_densify(args) -> int:
+    _need("applications")
     data = _load(args, args.input[0])
     kind = document_kind(data)
     if kind == "pair":
@@ -385,6 +409,7 @@ def cmd_apps_densify(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _need("generators")
     rng = random.Random(args.seed)
     values = tuple(int(v) for v in args.values.split(","))
     n_range = (args.min_points, args.max_points)
@@ -409,6 +434,18 @@ def cmd_sample(args) -> int:
 _BUDGET_HELP = "witness-search nodes each exact solve may visit (default %(default)s)"
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite number >= 0.  nan and inf would switch the
+    checks off, and a negative value would fail every space."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _common(sub, inputs: int, variadic: bool = False):
     sub.add_argument(
         "--input",
@@ -430,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("validate", help="check a document's metric axioms")
     _common(sub, 1)
-    sub.add_argument("--tol", type=float, default=None)
+    sub.add_argument("--tol", type=_tolerance, default=None)
     sub.set_defaults(func=cmd_validate)
 
     sub = commands.add_parser("hausdorff", help="Hausdorff distance between subsets")
@@ -535,16 +572,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except _raised_by("oracle", "BudgetExceededError") as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except DisconnectedComplexError as exc:
+    except _raised_by("complexes", "DisconnectedComplexError") as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except InvalidMetricError as exc:
+    except _raised_by("spaces", "InvalidMetricError") as exc:
         sys.stderr.write(f"error: invalid metric in input: {exc}\n")
         return 2
-    except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

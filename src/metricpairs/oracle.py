@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Optional
 
+from . import DEFAULT_BUDGET
 from .lp import LinearProgram, solve_lp
 from .scalars import Scalar, close, format_scalar, half, is_exact
 from .spaces import (
@@ -31,7 +32,6 @@ from .spaces import (
     _on_integer_scale,
 )
 
-DEFAULT_BUDGET = 10**4
 _CACHE_SIZE_LIMIT = 6
 
 

@@ -6,6 +6,7 @@ one matrix demotes the computation to float mode.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -28,21 +29,30 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
 
     Strings may be "p/q" or decimal ("0.25", "1e-3"); both parse exactly.
     In exact mode floats are converted to their exact binary rational, so
-    no information is lost either way.
+    no information is lost either way.  NaN, infinities and, in float
+    mode, values beyond the float range raise ValueError.
     """
     if isinstance(value, bool):
         raise TypeError("boolean is not a scalar")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value) if exact else float(value)
     if isinstance(value, float):
+        if not math.isfinite(value):  # JSON NaN and Infinity
+            raise ValueError(f"cannot parse scalar {value!r}")
         return Fraction(value) if exact else value
     if isinstance(value, str):
         try:
             parsed = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse scalar {value!r}") from exc
-        return parsed if exact else float(parsed)
-    raise TypeError(f"cannot parse scalar of type {type(value).__name__}")
+    elif isinstance(value, (int, Fraction)):
+        parsed = Fraction(value)
+    else:
+        raise TypeError(f"cannot parse scalar of type {type(value).__name__}")
+    if exact:
+        return parsed
+    try:
+        return float(parsed)
+    except OverflowError as exc:
+        raise ValueError(f"scalar {value!r} is out of float range") from exc
 
 
 def format_scalar(value: Scalar):

@@ -11,12 +11,14 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .correspondences import PairCorrespondence, validate_correspondence
-from .realization import EmbeddedComplex
 from .scalars import format_scalar, parse_scalar
 from .spaces import FiniteMetricSpace, MetricPair, MetricTuple
+
+if TYPE_CHECKING:
+    from .correspondences import PairCorrespondence
+    from .realization import EmbeddedComplex
 
 
 def load_document(path: str, exact: bool = True) -> dict:
@@ -81,6 +83,10 @@ def tuple_on_space(space: FiniteMetricSpace, data: dict) -> MetricTuple:
 
 
 def correspondence_from_dict(data: dict, exact: bool = True) -> PairCorrespondence:
+    # imported here, like realization below, so a command reading other
+    # documents does not load it
+    from .correspondences import PairCorrespondence, validate_correspondence
+
     left = pair_from_dict(data["left"], exact)
     right = pair_from_dict(data["right"], exact)
     cells = [(int(i), int(j)) for i, j in data["pairs"]]
@@ -91,6 +97,8 @@ def correspondence_from_dict(data: dict, exact: bool = True) -> PairCorresponden
 
 
 def embedded_from_dict(data: dict) -> EmbeddedComplex:
+    from .realization import EmbeddedComplex
+
     if "points" not in data or "simplices" not in data:
         raise ValueError("complex documents need 'points' and 'simplices'")
     return EmbeddedComplex(

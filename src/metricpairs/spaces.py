@@ -99,9 +99,12 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
     """Validate a square matrix as a finite metric.
 
     Returns the space when every axiom holds, otherwise a MetricViolations
-    report listing each failure.  Non-square input and negative entries
+    report listing each failure.  Non-square input, negative or
+    non-finite entries and a ``tol`` that is not a finite number >= 0
     raise ValueError.
     """
+    if tol is not None and not (tol >= 0 and (is_exact(tol) or math.isfinite(tol))):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
@@ -110,10 +113,14 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
             raise ValueError("matrix is not square")
     if tol is None:
         tol = tolerance_for(_iter_entries(matrix))
-    _, tol, d = _on_integer_scale(tol, matrix)
+    scale, tol, d = _on_integer_scale(tol, matrix)
     for i in range(n):
         for j in range(n):
-            if d[i][j] < -tol:
+            v = d[i][j]
+            # a finite metric has finite entries; nan would pass every check below
+            if scale is None and isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"non-finite entry at ({i}, {j})")
+            if v < -tol:
                 raise ValueError(f"negative entry at ({i}, {j})")
 
     asymmetric = tuple(

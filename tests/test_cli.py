@@ -17,6 +17,9 @@ import pytest
 from metricpairs.cli import main
 from metricpairs.oracle import clear_cache
 
+# a child interpreter finds the package in this checkout
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
 
 PATH3 = {
     "labels": ["a", "b", "c"],
@@ -455,24 +458,64 @@ def test_module_entry_point_runs(tmp_path):
         [sys.executable, "-m", "metricpairs", "sample", "space", "--seed", "5"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert "distances" in json.loads(result.stdout)
 
 
-def test_import_pulls_in_no_numpy():
-    """The package and its CLI import with no third-party module: numpy
-    in particular stays out of a fresh interpreter's sys.modules."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, metricpairs, metricpairs.cli; print('numpy' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+# run in a fresh interpreter: what importing the package loads, then the
+# command's exit code and every module loaded by the end
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import metricpairs
+package = sorted(m for m in sys.modules if m.startswith("metricpairs."))
+from metricpairs.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([package, code, sorted(sys.modules)]))
+"""
+
+_ORACLE_ONLY = ("correspondences", "complexes", "realization", "bounds", "geodesics", "applications")
+
+# argv -> modules of the package the command must not load
+_IMPORT_TABLE = [
+    (["--help"], ("serialization", "spaces", "oracle", "lp")),
+    (["validate", "--input", "SPACE"], ("oracle", "lp", "correspondences", "complexes", "realization")),
+    (["gh", "exact", "--input", "PAIR", "PAIR"], _ORACLE_ONLY),
+    (["gh", "tuple", "--input", "TUPLE", "TUPLE"], _ORACLE_ONLY),
+    (["gh", "bounds", "--input", "PAIR", "PAIR"], ("oracle", "lp")),
+    (["cassorla", "run", "--input", "PAIR"], ("oracle", "lp", "correspondences", "realization")),
+    (["apps", "realize", "--input", "LOW", "HIGH"], ("oracle", "lp", "correspondences", "complexes")),
+    (["sample", "pair"], ("oracle", "lp", "complexes", "realization")),
+]
+
+
+def test_each_command_imports_only_its_modules(tmp_path):
+    """``import metricpairs`` loads no module of the package, each command
+    loads only the modules it runs, and none loads numpy: the library
+    needs no third-party module."""
+    docs = {
+        "SPACE": _write(tmp_path, "space.json", PATH3),
+        "PAIR": _write(tmp_path, "pair.json", PAIR_BIG),
+        "TUPLE": _write(tmp_path, "tuple.json", TUPLE_BIG),
+        "LOW": _write(tmp_path, "low.json", SEGMENT_LOW),
+        "HIGH": _write(tmp_path, "high.json", SEGMENT_HIGH),
+    }
+    for argv, forbidden in _IMPORT_TABLE:
+        result = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *(docs.get(a, a) for a in argv)],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert result.returncode == 0, result.stderr
+        package, code, modules = json.loads(result.stdout)
+        assert package == []
+        assert code == 0, argv
+        loaded = {m for m in modules if m.startswith("metricpairs.")}
+        assert not loaded & {f"metricpairs.{m}" for m in forbidden}, (argv, sorted(loaded))
+        assert "numpy" not in modules, argv

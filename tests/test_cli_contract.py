@@ -1,0 +1,267 @@
+"""The CLI's exit-code contract on malformed input.
+
+Every command, given a broken document or argument, exits 0, 1 or 2 and
+never prints a traceback.  Most runs go through ``main`` in process; a
+few run as fresh ``python -m metricpairs`` processes, where the error
+classes ``main`` maps to exit 2 come from modules loaded on demand.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from metricpairs.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+GOOD_PAIR = {"distances": [[0, 2, 1], [2, 0, 1], [1, 1, 0]], "subset": [0, 2]}
+GOOD_TUPLE = {"distances": [[0, 2], [2, 0]], "chain": [[0, 1], [0]]}
+GOOD_CORR = {"left": GOOD_PAIR, "right": GOOD_PAIR, "pairs": [[0, 0], [1, 1], [2, 2]]}
+GOOD_COMPLEX = {"points": [[0.0, 0.0], [1.0, 0.0]], "simplices": [[0, 1]]}
+
+
+def _space(rows, **extra):
+    return {"distances": rows, **extra}
+
+
+# name -> document text; JSON unless the name ends in .csv
+BROKEN = {
+    "not_json": "{not json",
+    "empty_file": "",
+    "top_level_list": "[[0, 1], [1, 0]]",
+    "empty_object": "{}",
+    "empty_matrix": _space([]),
+    "distances_not_list": _space(5),
+    "ragged": _space([[0, 1], [1]]),
+    "row_not_list": _space([0, 1]),
+    "non_numeric": _space([["0", "x"], ["x", "0"]]),
+    "bool_entry": _space([[0, True], [True, 0]]),
+    "null_entry": _space([[0, None], [None, 0]]),
+    "nan_string": _space([["0", "nan"], ["nan", "0"]]),
+    "inf_string": _space([["0", "inf"], ["inf", "0"]]),
+    "nan_literal": '{"distances": [[0, NaN], [NaN, 0]], "subset": [0]}',
+    "infinity_literal": '{"distances": [[0, Infinity], [Infinity, 0]], "subset": [0]}',
+    "zero_denominator": _space([["0", "1/0"], ["1/0", "0"]]),
+    "huge_string": _space([["0", "1e400"], ["1e400", "0"]], subset=[0]),
+    "huge_literal": '{"distances": [[0, 1e400], [1e400, 0]], "subset": [0]}',
+    "negative": _space([[0, -1], [-1, 0]]),
+    "asymmetric": _space([[0, 1], [2, 0]]),
+    "zero_off_diagonal": _space([[0, 0], [0, 0]]),
+    "triangle": _space([[0, 5, 1], [5, 0, 1], [1, 1, 0]]),
+    "subset_out_of_range": _space([[0, 1], [1, 0]], subset=[0, 7]),
+    "subset_negative": _space([[0, 1], [1, 0]], subset=[-1]),
+    "subset_empty": _space([[0, 1], [1, 0]], subset=[]),
+    "subset_duplicate": _space([[0, 1], [1, 0]], subset=[0, 0]),
+    "subset_not_int": _space([[0, 1], [1, 0]], subset=["a"]),
+    "subset_not_list": _space([[0, 1], [1, 0]], subset=3),
+    "chain_empty": _space([[0, 1], [1, 0]], chain=[]),
+    "chain_not_nested": _space([[0, 1], [1, 0]], chain=[[0], [0, 1]]),
+    "chain_out_of_range": _space([[0, 1], [1, 0]], chain=[[0, 5]]),
+    "chain_empty_level": _space([[0, 1], [1, 0]], chain=[[0], []]),
+    "corr_not_covering": {**GOOD_CORR, "pairs": [[0, 0]]},
+    "corr_out_of_range": {**GOOD_CORR, "pairs": [[0, 0], [1, 1], [2, 2], [9, 0]]},
+    "corr_bad_cell": {**GOOD_CORR, "pairs": [[0], [1, 1]]},
+    "corr_broken_side": {**GOOD_CORR, "left": _space([[0, 1], [2, 0]], subset=[0])},
+    "corr_side_not_pair": {**GOOD_CORR, "right": _space([[0, 1], [1, 0]])},
+    "complex_no_simplices": {"points": [[0.0, 0.0]]},
+    "complex_empty": {"points": [], "simplices": []},
+    "complex_ragged": {"points": [[0.0, 0.0], [1.0]], "simplices": [[0, 1]]},
+    "complex_string_points": {"points": ["12", "34"], "simplices": [[0, 1]]},
+    "complex_nan": {"points": [[0.0, "nan"], [1.0, 0.0]], "simplices": [[0, 1]]},
+    "complex_index": {"points": [[0.0, 0.0], [1.0, 0.0]], "simplices": [[0, 5]]},
+    "complex_big_simplex": {
+        "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        "simplices": [[0, 1, 2, 3]],
+    },
+    "ragged.csv": "0,1\n1\n",
+    "non_numeric.csv": "a,b\n0,x\nx,0\n",
+    "empty.csv": "",
+    "labels_only.csv": "a,b\n",
+}
+
+# argv templates: DOC is the broken document, the GOOD_* names are
+# well-formed partners, so the broken one is the only fault
+COMMANDS = {
+    "validate": ["validate", "--input", "DOC"],
+    "hausdorff": ["hausdorff", "--input", "DOC", "--left", "0", "--right", "1"],
+    "gh_exact": ["gh", "exact", "--input", "DOC", "GOOD_PAIR"],
+    "gh_exact_right": ["gh", "exact", "--input", "GOOD_PAIR", "DOC"],
+    "gh_tilde": ["gh", "tilde", "--input", "DOC", "GOOD_PAIR"],
+    "gh_tuple": ["gh", "tuple", "--input", "DOC", "GOOD_TUPLE"],
+    "gh_corr_one": ["gh", "corr", "--input", "DOC"],
+    "gh_corr_two": ["gh", "corr", "--input", "DOC", "GOOD_PAIR"],
+    "gh_bounds": ["gh", "bounds", "--input", "DOC", "GOOD_PAIR"],
+    "geodesic_sample": ["geodesic", "sample", "--input", "DOC", "--t", "1/2"],
+    "geodesic_audit": ["geodesic", "audit", "--input", "DOC", "--grid", "0,1/2"],
+    "cassorla_run": ["cassorla", "run", "--input", "DOC", "--levels", "2"],
+    "apps_hypernet": ["apps", "hypernet", "--input", "DOC"],
+    "apps_tilde": ["apps", "tilde", "--input", "DOC", "GOOD_PAIR"],
+    "apps_realize": ["apps", "realize", "--input", "DOC", "GOOD_COMPLEX"],
+    "apps_densify": ["apps", "densify", "--input", "DOC", "--q", "2"],
+}
+
+# well-formed documents with a broken argument
+BAD_ARGUMENTS = [
+    ["hausdorff", "--input", "GOOD_PAIR", "--left", "a", "--right", "1"],
+    ["hausdorff", "--input", "GOOD_PAIR", "--left", "9", "--right", "1"],
+    ["hausdorff", "--input", "GOOD_PAIR", "--left", "", "--right", "1"],
+    ["hausdorff", "--input", "GOOD_PAIR", "--left", "0,0", "--right", "-1"],
+    ["gh", "exact", "--input", "GOOD_PAIR"],
+    ["gh", "exact", "--input", "GOOD_PAIR", "GOOD_PAIR", "--budget", "x"],
+    ["gh", "exact", "--input", "GOOD_PAIR", "GOOD_PAIR", "--budget", "-1"],
+    ["gh", "tuple", "--input", "GOOD_PAIR", "GOOD_TUPLE"],
+    ["gh", "tuple", "--input", "GOOD_TUPLE", "GOOD_TUPLE", "--variant", "min"],
+    ["gh", "corr", "--input", "GOOD_PAIR", "GOOD_PAIR", "GOOD_PAIR"],
+    ["gh", "bounds", "--input", "GOOD_CORR", "GOOD_PAIR"],
+    ["geodesic", "sample", "--input", "GOOD_CORR", "--t", "x"],
+    ["geodesic", "sample", "--input", "GOOD_CORR", "--t", "2"],
+    ["geodesic", "sample", "--input", "GOOD_CORR", "--t", "-1/2"],
+    ["geodesic", "sample", "--input", "GOOD_CORR", "--t", "1/0"],
+    ["geodesic", "audit", "--input", "GOOD_CORR", "--grid", "x"],
+    ["geodesic", "audit", "--input", "GOOD_CORR", "--grid", "3"],
+    ["geodesic", "audit", "--input", "GOOD_CORR", "--grid", ""],
+    ["geodesic", "audit", "--input", "GOOD_CORR", "--budget", "0"],
+    ["geodesic", "sample", "--input", "GOOD_PAIR", "--t", "1/2"],
+    ["cassorla", "run", "--input", "GOOD_PAIR", "--levels", "0"],
+    ["cassorla", "run", "--input", "GOOD_PAIR", "--levels", "-2"],
+    ["cassorla", "run", "--input", "GOOD_PAIR", "--levels", "x"],
+    ["cassorla", "run", "--input", "GOOD_CORR"],
+    ["apps", "realize", "--input", "GOOD_COMPLEX", "GOOD_COMPLEX", "--step", "0"],
+    ["apps", "realize", "--input", "GOOD_COMPLEX", "GOOD_COMPLEX", "--step", "-1"],
+    ["apps", "realize", "--input", "GOOD_COMPLEX", "GOOD_COMPLEX", "--step", "nan"],
+    ["apps", "realize", "--input", "GOOD_COMPLEX", "GOOD_COMPLEX", "--step", "inf"],
+    ["apps", "realize", "--input", "GOOD_PAIR", "GOOD_COMPLEX"],
+    ["apps", "densify", "--input", "GOOD_PAIR", "--q", "0"],
+    ["apps", "densify", "--input", "GOOD_PAIR", "--q", "-3"],
+    ["apps", "densify", "--input", "GOOD_CORR", "--q", "2"],
+    ["apps", "hypernet", "--input", "GOOD_PAIR"],
+    ["apps", "tilde", "--input", "GOOD_PAIR", "GOOD_PAIR", "--budget", "0"],
+    ["validate", "--input", "GOOD_PAIR", "--tol", "x"],
+    ["validate", "--input", "GOOD_PAIR", "--tol", "nan"],
+    ["validate", "--input", "GOOD_PAIR", "--mode", "approximate"],
+    ["validate", "--input", "GOOD_PAIR", "--out", "csv"],
+    ["validate", "--input", "MISSING"],
+    ["sample", "pair", "--min-points", "0"],
+    ["sample", "pair", "--min-points", "3", "--max-points", "2"],
+    ["sample", "pair", "--values", ""],
+    ["sample", "pair", "--values", "a,b"],
+    ["sample", "tuple", "--k", "0"],
+    ["sample", "corr", "--values", "-1"],
+    ["sample", "graph"],
+    ["gh"],
+    ["nonsense"],
+    [],
+]
+
+
+def _circle(n: int) -> dict:
+    """n points at integer arc length on a circle; every point a subset
+    member.  Without saturation its level-2 complex is disconnected."""
+    rows = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
+    return {"distances": rows, "subset": list(range(n))}
+
+
+def _path_pair(n: int) -> dict:
+    rows = [[abs(i - j) for j in range(n)] for i in range(n)]
+    return {"distances": rows, "subset": [0, n - 1]}
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    """Path of every document, broken and good, by name."""
+    root = tmp_path_factory.mktemp("contract")
+    paths = {}
+    good = {
+        "GOOD_PAIR": GOOD_PAIR,
+        "GOOD_TUPLE": GOOD_TUPLE,
+        "GOOD_CORR": GOOD_CORR,
+        "GOOD_COMPLEX": GOOD_COMPLEX,
+        "CIRCLE6": _circle(6),
+        "CIRCLE12": _circle(12),
+        "PATH6": _path_pair(6),
+    }
+    for name, doc in {**BROKEN, **good}.items():
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        path = root / (name if name.endswith(".csv") else f"{name}.json")
+        path.write_text(text)
+        paths[name] = str(path)
+    paths["MISSING"] = str(root / "missing.json")
+    return paths
+
+
+def _contract(capsys, argv) -> int:
+    """Exit code of ``main(argv)``; fails on a code outside 0-2 or an
+    exception that escapes ``main``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in out + err, argv
+    if code == 2:
+        assert err.strip(), argv
+    return code
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_survives_every_broken_document(docs, capsys, command, mode):
+    codes = set()
+    for name in BROKEN:
+        argv = [docs.get(arg, arg) for arg in COMMANDS[command]]
+        argv[argv.index("DOC")] = docs[name]
+        codes.add(_contract(capsys, argv + ["--mode", mode]))
+    # every document is broken somewhere, so some runs must say so
+    assert 2 in codes
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=lambda argv: " ".join(argv) or "none")
+def test_broken_arguments_exit_cleanly(docs, capsys, argv):
+    _contract(capsys, [docs.get(arg, arg) for arg in argv])
+
+
+def test_validate_rejects_a_tolerance_that_switches_checks_off(docs, capsys):
+    for tol in ("nan", "-1", "inf", "-inf"):
+        argv = ["validate", "--input", docs["triangle"], "--tol", tol]
+        assert _contract(capsys, argv) == 2, tol
+
+
+# argv with document names, and what stderr must say
+FRESH = [
+    (["gh", "exact", "--input", "CIRCLE6", "PATH6", "--budget", "1"],
+     "error: witness search visited"),
+    (["cassorla", "run", "--input", "CIRCLE12", "--levels", "2", "--no-saturate"],
+     "vertex pairs are disconnected"),
+    (["hausdorff", "--input", "triangle", "--left", "0", "--right", "1"],
+     "error: invalid metric in input: not a metric"),
+    (["validate", "--input", "MISSING"], "error: "),
+    (["gh", "bounds", "--input", "not_json", "not_json"], "error: "),
+    (["validate", "--input", "GOOD_PAIR", "--tol", "nan"], "argument --tol"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    FRESH,
+    ids=["budget", "disconnected", "invalid_metric", "missing_file", "broken_json", "usage"],
+)
+def test_fresh_process_maps_errors_to_exit_2(docs, argv, message):
+    """In a fresh process each error class is raised by a module that
+    only the failing command loaded; ``main`` must still map it."""
+    done = subprocess.run(
+        [sys.executable, "-m", "metricpairs", *(docs.get(arg, arg) for arg in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr

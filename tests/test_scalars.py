@@ -49,6 +49,20 @@ def test_parse_scalar_rejects_garbage():
         parse_scalar("not a number")
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_parse_scalar_rejects_non_finite_and_overflowing_values(exact):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            parse_scalar(value, exact)
+    if exact:
+        assert parse_scalar("1e400") == 10**400
+    else:
+        with pytest.raises(ValueError, match="float range"):
+            parse_scalar("1e400", exact)
+        with pytest.raises(ValueError, match="float range"):
+            parse_scalar(10**400, exact)
+
+
 def test_format_scalar_round_trip():
     for value in (3, Fraction(5, 7), Fraction(-1, 3), 0):
         assert parse_scalar(format_scalar(value)) == value

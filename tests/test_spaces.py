@@ -64,6 +64,22 @@ def test_validate_metric_rejects_bad_shapes():
         validate_metric([[0, -1], [-1, 0]])
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1])
+def test_validate_metric_rejects_a_tolerance_that_switches_checks_off(tol):
+    # nan passed the triangle violation below, inf flagged every
+    # off-diagonal entry, -1 called the zero diagonal negative
+    with pytest.raises(ValueError, match="tolerance"):
+        validate_metric([[0, 5, 1], [5, 0, 1], [1, 1, 0]], tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        validate_metric([[0, 1], [1, 0]], tol=tol)
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_validate_metric_rejects_non_finite_entries(entry):
+    with pytest.raises(ValueError, match="non-finite entry at \\(0, 1\\)"):
+        validate_metric([[0.0, entry], [entry, 0.0]])
+
+
 def test_from_matrix_raises_with_report():
     with pytest.raises(InvalidMetricError) as exc:
         FiniteMetricSpace.from_matrix([[0, 1, 9], [1, 0, 1], [9, 1, 0]])
