@@ -49,7 +49,12 @@ _DOCUMENTS = ("scalars", "serialization", "spaces")
 
 def _need(*modules: str) -> None:
     """Import the document modules and ``modules``, and bind the names
-    listed for them that are not bound yet (a replaced one stays)."""
+    listed for them that are not bound yet (a replaced one stays).
+
+    The first binding in a process wins: a name is taken from its module
+    as that module holds it at the first lookup, and is never taken again.
+    So resolve the names (``getattr(cli, name)``) before patching a
+    library module, or ``cli`` keeps the patch after it is undone."""
     bound = globals()
     for module in _DOCUMENTS + modules:
         source = import_module(f"{__package__}.{module}")

@@ -113,12 +113,12 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
             raise ValueError("matrix is not square")
     if tol is None:
         tol = tolerance_for(_iter_entries(matrix))
-    scale, tol, d = _on_integer_scale(tol, matrix)
+    _, tol, d = _on_integer_scale(tol, matrix)
     for i in range(n):
         for j in range(n):
             v = d[i][j]
             # a finite metric has finite entries; nan would pass every check below
-            if scale is None and isinstance(v, float) and not math.isfinite(v):
+            if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"non-finite entry at ({i}, {j})")
             if v < -tol:
                 raise ValueError(f"negative entry at ({i}, {j})")
