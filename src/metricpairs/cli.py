@@ -166,7 +166,7 @@ def cmd_validate(args) -> int:
     ok = True
     if kind == "correspondence":
         try:
-            _load_corr(args, args.input[0])
+            correspondence_from_dict(data, _exact(args))
             payload["report"] = {}
         except ValueError as exc:
             ok = False

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -206,8 +207,18 @@ def stretch_report(cx: WeightedComplex, graph: Optional[FiniteMetricSpace] = Non
 
 
 def approximation_bound(params: ApproxParams, diameter: Scalar) -> float:
-    """Closed-form distance bound for the complex at this scale."""
-    return (2.0**params.mu - 1.0) * float(diameter) + float(params.theta)
+    """Closed-form distance bound for the complex at this scale.
+
+    The bound is a float, so an exact diameter past the float range
+    raises ValueError.
+    """
+    try:
+        scaled = float(diameter)
+    except OverflowError as exc:
+        raise ValueError(
+            f"diameter exceeds the float range (at most {sys.float_info.max:.3g})"
+        ) from exc
+    return (2.0**params.mu - 1.0) * scaled + float(params.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Small exact linear programming over rationals.
 
-Dense two-phase simplex with Bland's rule, all arithmetic in Fraction.
-Intended for the small programs that arise from witness reductions; no
-attempt is made at sparse or revised formulations.
+Dense two-phase simplex with Bland's rule on a fraction-free tableau:
+the constraint data is scaled to integers by one common multiple, and
+the tableau holds integers over one common denominator, the last pivot,
+so every pivot is an exact integer division (integer-preserving
+elimination, Edmonds 1967, Bareiss 1968).  Only the answer is built in
+Fraction.  Intended for the small programs that arise from witness
+reductions; no attempt is made at sparse or revised formulations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -53,52 +58,61 @@ class LPResult:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    inv = _ONE / piv
-    tableau[row] = [v * inv for v in tableau[row]]
+def _pivot(tableau, basis, den, row, col):
+    """Pivot on (row, col) and return the new common denominator.
+
+    ``tableau`` holds integers whose true values are each entry over
+    ``den``, the previous pivot (1 at the start).  Every entry is a minor
+    of the starting integer tableau, so each division is exact (Edmonds,
+    Bareiss); the pivot row keeps its integers and the new denominator
+    is its pivot entry.
+    """
     prow = tableau[row]
+    piv = prow[col]
     for r, line in enumerate(tableau):
         if r == row:
             continue
         factor = line[col]
-        if factor != 0:
-            tableau[r] = [a - factor * b for a, b in zip(line, prow)]
+        tableau[r] = [(piv * a - factor * b) // den for a, b in zip(line, prow)]
     basis[row] = col
+    return piv
 
 
-def _simplex(tableau, basis, ncols):
+def _simplex(tableau, basis, den, ncols):
     """Run Bland-rule pivots until optimal or unbounded.
 
     The last tableau row holds reduced costs; the last column holds the
     right-hand sides (and, in the cost row, minus the objective value).
+    Signs are read on the true values: an entry's sign flips when ``den``
+    is negative.  Two ratios of entries with one sign compare as their
+    cross products.  Returns the status and the final denominator.
     """
     m = len(tableau) - 1
-    cost = tableau[m]
     while True:
+        cost = tableau[m]
         col = -1
         for j in range(ncols):
-            if cost[j] < 0:
+            if cost[j] * den < 0:
                 col = j
                 break
         if col < 0:
-            return "optimal"
+            return "optimal", den
         row = -1
-        best = None
         for i in range(m):
             a = tableau[i][col]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    best = ratio
+            if a * den > 0:
+                if row < 0:
+                    row = i
+                    continue
+                lhs = tableau[i][-1] * tableau[row][col]
+                rhs = tableau[row][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
                     row = i
         if row < 0:
-            return "unbounded"
-        _pivot(tableau, basis, row, col)
-        cost = tableau[m]
+            return "unbounded", den
+        den = _pivot(tableau, basis, den, row, col)
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
@@ -115,6 +129,10 @@ def solve_lp(lp: LinearProgram) -> LPResult:
             sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
         rows.append((coeffs, rhs))
         senses.append(sense)
+    # One common multiple clears every denominator of the constraint data.
+    # It scales the slack and artificial variables, not x, and Bland's
+    # rule reads only signs and ratio order, so the pivots are the same.
+    scale = math.lcm(*(v.denominator for coeffs, rhs in rows for v in (*coeffs, rhs)))
     m = len(rows)
     nslack = sum(1 for s in senses if s in ("<=", ">="))
     nart = sum(1 for s in senses if s in (">=", "=="))
@@ -125,20 +143,21 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     si = n
     ai = n + nslack
     for i, ((coeffs, rhs), sense) in enumerate(zip(rows, senses)):
-        line = [Fraction(c) for c in coeffs] + [_ZERO] * (nslack + nart) + [rhs]
+        line = [c.numerator * (scale // c.denominator) for c in coeffs]
+        line += [0] * (nslack + nart) + [rhs.numerator * (scale // rhs.denominator)]
         if sense == "<=":
-            line[si] = _ONE
+            line[si] = 1
             basis[i] = si
             si += 1
         elif sense == ">=":
-            line[si] = -_ONE
+            line[si] = -1
             si += 1
-            line[ai] = _ONE
+            line[ai] = 1
             basis[i] = ai
             art_cols.append(ai)
             ai += 1
         else:
-            line[ai] = _ONE
+            line[ai] = 1
             basis[i] = ai
             art_cols.append(ai)
             ai += 1
@@ -146,18 +165,18 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
     # phase 1: minimize the artificial sum
     art_set = set(art_cols)
-    cost = [_ZERO] * (total + 1)
+    cost = [0] * (total + 1)
     for j in art_cols:
-        cost[j] = _ONE
+        cost[j] = 1
     tableau.append(cost)
     for i in range(m):
         if basis[i] in art_set:
             line = tableau[i]
             tableau[m] = [a - b for a, b in zip(tableau[m], line)]
-    status = _simplex(tableau, basis, total)
+    status, den = _simplex(tableau, basis, 1, total)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         return LPResult("infeasible", None, None)
-    if -tableau[m][-1] > 0:
+    if tableau[m][-1] * den < 0:
         return LPResult("infeasible", None, None)
     # drive leftover artificials out of the basis where possible
     drop_rows = []
@@ -169,7 +188,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
                     col = j
                     break
             if col >= 0:
-                _pivot(tableau, basis, i, col)
+                den = _pivot(tableau, basis, den, i, col)
             else:
                 drop_rows.append(i)
     if drop_rows:
@@ -177,27 +196,32 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         basis = [b for i, b in enumerate(basis) if i not in drop_rows]
         m = len(basis)
 
-    # phase 2: real costs, artificial columns disabled
+    # phase 2: real costs, artificial columns disabled; the cost row is
+    # kept over cost_scale * den, so it starts on integers
     keep = [j for j in range(total) if j not in art_set]
     tableau = [[line[j] for j in keep] + [line[-1]] for line in tableau[:m]]
-    cost = [_ZERO] * (len(keep) + 1)
+    cost_scale = math.lcm(*(c.denominator for c in lp.objective))
+    cost = [0] * (len(keep) + 1)
     for j, col in enumerate(keep):
         if col < n:
-            cost[j] = lp.objective[col]
+            c = lp.objective[col]
+            cost[j] = c.numerator * (cost_scale // c.denominator) * den
     tableau.append(cost)
     remap = {col: j for j, col in enumerate(keep)}
     basis = [remap[b] for b in basis]
     for i in range(m):
         cj = tableau[m][basis[i]]
         if cj != 0:
-            tableau[m] = [a - cj * b for a, b in zip(tableau[m], tableau[i])]
-    status = _simplex(tableau, basis, len(keep))
+            # cj is cost_scale * den * c, a multiple of den
+            factor = cj // den
+            tableau[m] = [a - factor * b for a, b in zip(tableau[m], tableau[i])]
+    status, den = _simplex(tableau, basis, den, len(keep))
     if status == "unbounded":
         return LPResult("unbounded", None, None)
     solution = [_ZERO] * n
     for i in range(m):
         col = keep[basis[i]]
         if col < n:
-            solution[col] = tableau[i][-1]
+            solution[col] = Fraction(tableau[i][-1], den)
     value = sum((c * x for c, x in zip(lp.objective, solution)), _ZERO)
     return LPResult("optimal", value, tuple(solution))

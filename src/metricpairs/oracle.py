@@ -11,8 +11,11 @@ value only grows as entries accumulate, so it prunes against the
 incumbent safely, both on the slot being filled and, looking ahead, on
 the least entry every unplaced slot must still add.  Exact distances are
 searched on one integer scale (``spaces._on_integer_scale``) and the
-optimum mapped back.  The simplex runs once per solve, to split the
-optimal value into certificate radii.
+optimum mapped back.  The simplex (``lp``, on a fraction-free integer
+tableau) runs once per summed solve of three or more levels, to split
+the optimal value into certificate radii.  The certificate's cross
+metric is a min-plus product through the witness cells, built and
+checked on the integer scale as well.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from .spaces import (
     MetricPair,
     MetricTuple,
     _cross_hausdorff,
+    _cross_violations,
     _on_integer_scale,
 )
 
@@ -335,44 +339,66 @@ class GHResult:
     levels: tuple
     mismatch: tuple
 
-    def cross(self) -> CrossMetric:
-        sx = self.left.space
-        sy = self.right.space
-        flat = [
-            (self.radii[lvl], x, y)
-            for lvl, cells in enumerate(self.levels)
-            for x, y in cells
-        ]
-        rows = tuple(
-            tuple(
-                min(sx.dist[i][x] + t + sy.dist[y][j] for t, x, y in flat)
-                for j in range(sy.n)
-            )
-            for i in range(sx.n)
+    def _block(self):
+        """``(scale, dx, dy, block)``: the cross block with its factor
+        matrices, on one integer scale when exact (scale None otherwise).
+
+        Each witness cell takes its least radius over the levels, and the
+        cheapest pass dx[i][x] + t(x, y) + dy[y][j] is a min-plus product
+        in two stages, over x and then over y.  Float input keeps the
+        association (dx + t) + dy, and float rounding is monotone, so each
+        stage's minimum is the flat minimum's bits.
+        """
+        scale, _, dx, dy, (radii,) = _on_integer_scale(
+            0, self.left.space.dist, self.right.space.dist, (self.radii,)
         )
-        return CrossMetric(sx, sy, rows)
+        least = {}
+        for t, cells in zip(radii, self.levels):
+            for cell in cells:
+                if cell not in least or t < least[cell]:
+                    least[cell] = t
+        sources = {}
+        for (x, y), t in least.items():
+            sources.setdefault(y, []).append((x, t))
+        columns = range(len(dy))
+        block = []
+        for dxi in dx:
+            via = [(min(dxi[x] + t for x, t in xs), dy[y]) for y, xs in sources.items()]
+            block.append([min(a + dyr[j] for a, dyr in via) for j in columns])
+        return scale, dx, dy, block
+
+    def cross(self) -> CrossMetric:
+        scale, _, _, block = self._block()
+        if scale is not None and scale > 1:
+            block = [[Fraction(w, scale) for w in row] for row in block]
+        return CrossMetric(self.left.space, self.right.space, block)
+
+    def _terms(self, block) -> tuple:
+        lv_l = _levels_of(self.left)
+        lv_r = _levels_of(self.right)
+        return tuple(_cross_hausdorff(block, ll, lr) for ll, lr in zip(lv_l, lv_r))
 
     def hausdorff_terms(self, cross: Optional[CrossMetric] = None) -> tuple:
         if cross is None:
             cross = self.cross()
-        lv_l = _levels_of(self.left)
-        lv_r = _levels_of(self.right)
-        return tuple(
-            _cross_hausdorff(cross.cross, ll, lr) for ll, lr in zip(lv_l, lv_r)
-        )
+        return self._terms(cross.cross)
 
     def certificate_report(self) -> dict:
-        cross = self.cross()
-        terms = self.hausdorff_terms(cross)
+        """Admissibility, zero cells and Hausdorff terms of the cross
+        metric, all read off one block on the integer scale."""
+        scale, dx, dy, block = self._block()
+        terms = self._terms(block)
+        if scale is not None and scale > 1:
+            terms = tuple(Fraction(w, scale) for w in terms)
         combined = sum(terms) if self.variant == "sum" else max(terms)
         zero = tuple(
             (i, j)
-            for i, row in enumerate(cross.cross)
+            for i, row in enumerate(block)
             for j, v in enumerate(row)
             if close(v, 0)
         )
         return {
-            "violations": tuple(cross.check(require_positive=False)),
+            "violations": tuple(_cross_violations(dx, dy, block, require_positive=False)),
             "zero_cells": zero,
             "terms": terms,
             "combined": combined,

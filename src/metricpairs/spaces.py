@@ -251,6 +251,42 @@ def hausdorff(space: FiniteMetricSpace, s_set, t_set) -> Scalar:
     return max(forward, backward)
 
 
+def _cross_violations(dx, dy, c, require_positive: bool = True) -> list:
+    """Violation records of the cross block ``c`` between the factor
+    matrices ``dx`` and ``dy``.  The caller puts exact input on one
+    integer scale first (``_on_integer_scale``), where the tolerance is 0."""
+    tol = tolerance_for(chain(_iter_entries(c), _iter_entries(dx), _iter_entries(dy)))
+    nl, nr = len(dx), len(dy)
+    bad = []
+    for i in range(nl):
+        for j in range(nr):
+            if c[i][j] < -tol or (require_positive and c[i][j] <= tol):
+                bad.append(("positivity", i, j))
+    for i in range(nl):
+        for i2 in range(nl):
+            if i == i2:
+                continue
+            for j in range(nr):
+                if c[i][j] > dx[i][i2] + c[i2][j] + tol:
+                    bad.append(("left-cross", i, i2, j))
+        for i2 in range(i + 1, nl):
+            for j in range(nr):
+                if dx[i][i2] > c[i][j] + c[i2][j] + tol:
+                    bad.append(("left-lower", i, i2, j))
+    for j in range(nr):
+        for j2 in range(nr):
+            if j == j2:
+                continue
+            for i in range(nl):
+                if c[i][j] > dy[j][j2] + c[i][j2] + tol:
+                    bad.append(("right-cross", i, j, j2))
+        for j2 in range(j + 1, nr):
+            for i in range(nl):
+                if dy[j][j2] > c[i][j] + c[i][j2] + tol:
+                    bad.append(("right-lower", i, j, j2))
+    return bad
+
+
 @dataclass(frozen=True)
 class CrossMetric:
     """Two factor metrics plus a cross-distance block delta[i][j].
@@ -271,38 +307,8 @@ class CrossMetric:
 
     def check(self, require_positive: bool = True) -> list:
         """Return a list of violation records (empty when admissible)."""
-        dx, dy, c = self.left.dist, self.right.dist, self.cross
-        nl, nr = self.left.n, self.right.n
-        tol = tolerance_for(chain(_iter_entries(c), _iter_entries(dx), _iter_entries(dy)))
-        _, tol, c, dx, dy = _on_integer_scale(tol, c, dx, dy)
-        bad = []
-        for i in range(nl):
-            for j in range(nr):
-                if c[i][j] < -tol or (require_positive and c[i][j] <= tol):
-                    bad.append(("positivity", i, j))
-        for i in range(nl):
-            for i2 in range(nl):
-                if i == i2:
-                    continue
-                for j in range(nr):
-                    if c[i][j] > dx[i][i2] + c[i2][j] + tol:
-                        bad.append(("left-cross", i, i2, j))
-            for i2 in range(i + 1, nl):
-                for j in range(nr):
-                    if dx[i][i2] > c[i][j] + c[i2][j] + tol:
-                        bad.append(("left-lower", i, i2, j))
-        for j in range(nr):
-            for j2 in range(nr):
-                if j == j2:
-                    continue
-                for i in range(nl):
-                    if c[i][j] > dy[j][j2] + c[i][j2] + tol:
-                        bad.append(("right-cross", i, j, j2))
-            for j2 in range(j + 1, nr):
-                for i in range(nl):
-                    if dy[j][j2] > c[i][j] + c[i][j2] + tol:
-                        bad.append(("right-lower", i, j, j2))
-        return bad
+        _, _, c, dx, dy = _on_integer_scale(0, self.cross, self.left.dist, self.right.dist)
+        return _cross_violations(dx, dy, c, require_positive)
 
     def assemble(self) -> FiniteMetricSpace:
         """Full disjoint-union matrix (left block first)."""

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from metricpairs import cli
 from metricpairs.cli import main
 from metricpairs.oracle import clear_cache
 
@@ -122,6 +123,37 @@ def test_validate_reports_a_bad_subset(tmp_path, capsys):
     code, out, _ = _run(capsys, ["validate", "--input", path, "--tol", "0.75"])
     assert code == 1
     assert json.loads(out)["report"] == {"error": "subset index out of range"}
+
+
+@pytest.mark.parametrize(
+    "doc, code, report",
+    [
+        (CORR_IDENTITY, 0, {}),
+        (
+            {**CORR_IDENTITY, "pairs": [[0, 0]]},
+            1,
+            {
+                "error": "relation does not cover the pairs: {'uncovered_left': [1], "
+                "'uncovered_right': [1], 'uncovered_subset_left': [1], "
+                "'uncovered_subset_right': [1], 'ok': False}"
+            },
+        ),
+    ],
+)
+def test_validate_reads_a_correspondence_once(tmp_path, capsys, monkeypatch, doc, code, report):
+    loaded = []
+    original = cli.load_document
+
+    def counting(*args, **kwargs):
+        loaded.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_document", counting)
+    path = _write(tmp_path, "corr.json", doc)
+    got, out, _ = _run(capsys, ["validate", "--input", path])
+    assert loaded == [path]
+    assert got == code
+    assert json.loads(out) == {"kind": "correspondence", "ok": code == 0, "report": report}
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):

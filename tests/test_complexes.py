@@ -173,3 +173,15 @@ def test_pipeline_estimate_bounds_exact_distance():
     cp = complex_pair(cx)
     exact = exact_pair_gh(pair, cp, cache=False, budget=10**8).value
     assert exact <= row.net_estimate
+
+
+def test_bound_past_the_float_range_is_a_value_error():
+    """An exact diameter too large for a float is refused with a
+    ValueError that names the float range, not a bare OverflowError."""
+    with pytest.raises(ValueError, match="float range"):
+        approximation_bound(ApproxParams(2), Fraction(10**400, 3))
+    huge = MetricPair(
+        FiniteMetricSpace.from_matrix([[0, 10**400], [10**400, 0]]), (0,)
+    )
+    with pytest.raises(ValueError, match="float range"):
+        approximation_pipeline(huge, levels=(2,))

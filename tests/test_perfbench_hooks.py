@@ -1,0 +1,39 @@
+"""The library names the benchmark's tracer wraps still exist.
+
+``perfbench/spans.py`` replaces module attributes by dotted path; a
+rename in the library would otherwise fail only in a traced benchmark
+run.  Resolving them here is quick.
+"""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from metricpairs import oracle
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves():
+    spans = _spans()
+    missing = []
+    for module, path, _name, _hooks in spans.TARGETS:
+        try:
+            owner, attr = spans.resolve(module, path)
+            if not callable(getattr(owner, attr)):
+                missing.append(f"{module}.{path} is not callable")
+        except (AttributeError, ImportError) as exc:
+            missing.append(f"{module}.{path}: {exc}")
+    assert missing == []
+
+
+def test_cache_hooks_exist():
+    oracle.clear_cache()
+    assert oracle.cache_size() == 0
