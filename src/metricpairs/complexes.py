@@ -7,7 +7,6 @@ as the scale parameter grows.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -15,7 +14,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalars import Scalar
-from .spaces import FiniteMetricSpace, MetricPair, covering_radius, greedy_net
+from .spaces import (
+    FiniteMetricSpace,
+    MetricPair,
+    _shortest_paths,
+    _sup_abs_diff,
+    covering_radius,
+    greedy_net,
+)
 
 _SLACK = Fraction(1, 2**20)
 # Relative slack on the net radius in float spaces (exact spaces use none):
@@ -116,27 +122,13 @@ def build_complex(
 
 
 def _graph_apsp(nvert: int, edges, labels) -> FiniteMetricSpace:
-    adj = [[] for _ in range(nvert)]
-    for i, j, w in edges:
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-    rows = []
-    missing = []
-    for src in range(nvert):
-        dist = [None] * nvert
-        heap = [(0, src)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if dist[node] is not None:
-                continue
-            dist[node] = d
-            for nxt, w in adj[node]:
-                if dist[nxt] is None:
-                    heapq.heappush(heap, (d + w, nxt))
-        for tgt in range(nvert):
-            if dist[tgt] is None:
-                missing.append((src, tgt))
-        rows.append(dist)
+    rows = _shortest_paths(nvert, edges)
+    missing = [
+        (src, tgt)
+        for src, dist in enumerate(rows)
+        for tgt in range(nvert)
+        if dist[tgt] is None
+    ]
     if missing:
         raise DisconnectedComplexError(missing)
     return FiniteMetricSpace.from_matrix(rows, labels)
@@ -299,14 +291,9 @@ def approximation_pipeline(
             cx = base
             saturated = False
         graph = graph_metric(cx)
-        mismatch: Scalar = 0
-        for i in range(len(cx.vertices)):
-            for j in range(i + 1, len(cx.vertices)):
-                diff = graph.dist[i][j] - pair.space.dist[cx.vertices[i]][cx.vertices[j]]
-                if diff < 0:
-                    diff = -diff
-                if diff > mismatch:
-                    mismatch = diff
+        mismatch = _sup_abs_diff(
+            tuple(enumerate(cx.vertices)), graph.dist, pair.space.dist
+        )
         cov_full = covering_radius(pair.space, cx.vertices)
         core_pts = [cx.vertices[i] for i, f in enumerate(cx.flags) if f]
         cov_sub = covering_radius(pair.space, core_pts, over=pair.subset)

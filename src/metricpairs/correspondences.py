@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .scalars import Scalar, half, is_exact
 from .spaces import (
@@ -18,13 +18,11 @@ from .spaces import (
     FiniteMetricSpace,
     MetricPair,
     MetricTuple,
+    _sup_abs_diff,
     hausdorff,
     pair_hausdorff,
     product_max_metric,
 )
-
-
-_half = half
 
 _EXHAUSTIVE_CELLS = 16
 _LOCAL_ITERATIONS = 200
@@ -162,22 +160,6 @@ class DistortionBreakdown:
         }
 
 
-def _sup_abs_diff(pairs, dx, dy) -> Scalar:
-    best: Scalar = 0
-    m = len(pairs)
-    for s in range(m):
-        i, j = pairs[s]
-        dxi, dyj = dx[i], dy[j]
-        for t in range(s + 1, m):
-            i2, j2 = pairs[t]
-            diff = dxi[i2] - dyj[j2]
-            if diff < 0:
-                diff = -diff
-            if diff > best:
-                best = diff
-    return best
-
-
 def distortion(corr) -> DistortionBreakdown:
     """Distortion breakdown: full sup, per-level sups, averaged value."""
     dx = corr.left.space.dist
@@ -242,6 +224,20 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
 
     best_value: list = [None, None]  # value, cells tuple
 
+    def fold(cell, included, s_full, s_sub):
+        # raise the two sups by the mismatches of ``cell`` against ``included``
+        i, j = divmod(cell, ny)
+        for c2 in included:
+            i2, j2 = divmod(c2, ny)
+            diff = dx[i][i2] - dy[j][j2]
+            if diff < 0:
+                diff = -diff
+            if diff > s_full:
+                s_full = diff
+            if restricted[cell] and restricted[c2] and diff > s_sub:
+                s_sub = diff
+        return s_full, s_sub
+
     def run(pos, status, group_in, group_avail, included, s_full, s_sub):
         # propagate forced inclusions and detect dead requirements
         while True:
@@ -261,16 +257,7 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
             if forced is None:
                 break
             status[forced] = 1
-            i, j = divmod(forced, ny)
-            for c2 in included:
-                i2, j2 = divmod(c2, ny)
-                diff = dx[i][i2] - dy[j][j2]
-                if diff < 0:
-                    diff = -diff
-                if diff > s_full:
-                    s_full = diff
-                if restricted[forced] and restricted[c2] and diff > s_sub:
-                    s_sub = diff
+            s_full, s_sub = fold(forced, included, s_full, s_sub)
             included.append(forced)
             for gi in cell_groups[forced]:
                 group_in[gi] += 1
@@ -284,17 +271,7 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
             best_value[1] = tuple(sorted(included))
             return
         # include branch
-        i, j = divmod(pos, ny)
-        nf, ns = s_full, s_sub
-        for c2 in included:
-            i2, j2 = divmod(c2, ny)
-            diff = dx[i][i2] - dy[j][j2]
-            if diff < 0:
-                diff = -diff
-            if diff > nf:
-                nf = diff
-            if restricted[pos] and restricted[c2] and diff > ns:
-                ns = diff
+        nf, ns = fold(pos, included, s_full, s_sub)
         st = list(status)
         st[pos] = 1
         gin = list(group_in)
@@ -466,8 +443,20 @@ class GlueReport:
     pair_sum: Optional[Scalar]
 
 
-def _min_through(pairs, dx_row, dy_col):
-    return min(dx_row[i] + dy_col[j] for i, j in pairs)
+def _glued(corr: PairCorrespondence, shift: Scalar) -> CrossMetric:
+    """Cross block shift + min over R of dX(x,x') + dY(y',y)."""
+    sx, sy = corr.left.space, corr.right.space
+    pairs = corr.pairs
+    rows = []
+    for x in range(sx.n):
+        dx_row = sx.dist[x]
+        rows.append(
+            tuple(
+                shift + min(dx_row[i] + dy_col[j] for i, j in pairs)
+                for dy_col in sy.dist
+            )
+        )
+    return CrossMetric(sx, sy, tuple(rows))
 
 
 def tight_glue(corr: PairCorrespondence, r: Scalar) -> GlueReport:
@@ -479,16 +468,7 @@ def tight_glue(corr: PairCorrespondence, r: Scalar) -> GlueReport:
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    sx, sy = corr.left.space, corr.right.space
-    shift = _half(r)
-    rows = tuple(
-        tuple(
-            shift + _min_through(corr.pairs, sx.dist[x], sy.dist[y])
-            for y in range(sy.n)
-        )
-        for x in range(sx.n)
-    )
-    cross = CrossMetric(sx, sy, rows)
+    cross = _glued(corr, half(r))
     violations = tuple(cross.check())
     valid = not violations
     total = pair_hausdorff(cross, corr.left, corr.right) if valid else None
@@ -505,7 +485,7 @@ def default_glue_shift(corr: PairCorrespondence) -> Scalar:
     """Smallest usable eta: half the full sup, or a tiny positive fallback."""
     s = distortion(corr).sup_full
     if s > 0:
-        return _half(s)
+        return half(s)
     floor = Fraction(1, 2**20)
     mp = []
     for sp in (corr.left.space, corr.right.space):
@@ -522,24 +502,16 @@ def classical_glue(corr: PairCorrespondence, eta: Optional[Scalar] = None) -> Cl
     """Standard gluing delta(x,y) = min over R of dX(x,x') + eta + dY(y',y).
 
     Requires eta > 0 and 2*eta >= sup_full; the result always satisfies the
-    cross-metric conditions and pair_hausdorff is at most 2*eta.
+    cross-metric conditions and pair_hausdorff is at most 2*eta.  Only a
+    given eta is checked: the default shift meets both conditions.
     """
-    s = distortion(corr).sup_full
     if eta is None:
         eta = default_glue_shift(corr)
-    if eta <= 0:
+    elif eta <= 0:
         raise ValueError("eta must be positive")
-    if 2 * eta < s:
+    elif 2 * eta < distortion(corr).sup_full:
         raise ValueError("eta must be at least half the full sup")
-    sx, sy = corr.left.space, corr.right.space
-    rows = tuple(
-        tuple(
-            eta + _min_through(corr.pairs, sx.dist[x], sy.dist[y])
-            for y in range(sy.n)
-        )
-        for x in range(sx.n)
-    )
-    return ClassicalGlue(CrossMetric(sx, sy, rows), eta)
+    return ClassicalGlue(_glued(corr, eta), eta)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,12 @@ rather than rejection, which keeps generation deterministic and total.
 """
 from __future__ import annotations
 
-import heapq
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .correspondences import PairCorrespondence, validate_correspondence
-from .spaces import FiniteMetricSpace, MetricPair, MetricTuple
+from .spaces import FiniteMetricSpace, MetricPair, MetricTuple, _shortest_paths
 
 
 def circle_space(n: int, circumference=None) -> FiniteMetricSpace:
@@ -62,7 +61,7 @@ def graph_space(n: int, edges: Sequence, labels=None) -> FiniteMetricSpace:
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    adj = [[] for _ in range(n)]
+    weighted = []
     for edge in edges:
         if len(edge) == 2:
             u, v = edge
@@ -74,24 +73,13 @@ def graph_space(n: int, edges: Sequence, labels=None) -> FiniteMetricSpace:
             raise ValueError(f"bad edge ({u}, {v})")
         if w <= 0:
             raise ValueError("edge weights must be positive")
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    rows = []
-    for src in range(n):
-        dist = [None] * n
-        heap = [(0, src)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if dist[node] is not None:
-                continue
-            dist[node] = d
-            for nxt, w in adj[node]:
-                if dist[nxt] is None:
-                    heapq.heappush(heap, (d + w, nxt))
-        missing = [v for v in range(n) if dist[v] is None]
-        if missing:
-            raise ValueError(f"graph is disconnected: {src} cannot reach {missing[0]}")
-        rows.append(dist)
+        weighted.append((u, v, w))
+    rows = _shortest_paths(n, weighted)
+    for src, dist in enumerate(rows):
+        if None in dist:
+            raise ValueError(
+                f"graph is disconnected: {src} cannot reach {dist.index(None)}"
+            )
     if labels is None:
         labels = tuple(f"v{i}" for i in range(n))
     return FiniteMetricSpace.from_matrix(rows, labels)

@@ -19,7 +19,7 @@ from .correspondences import (
 )
 from .oracle import DEFAULT_BUDGET, exact_pair_gh
 from .scalars import Scalar, close, half
-from .spaces import FiniteMetricSpace, MetricPair
+from .spaces import FiniteMetricSpace, MetricPair, _sup_abs_diff
 
 
 def _require_valid(corr: PairCorrespondence) -> None:
@@ -63,29 +63,6 @@ def interpolate(corr: PairCorrespondence, t: Scalar) -> MetricPair:
     return MetricPair(space, subset)
 
 
-def _sup_between(ma, mb, indices) -> Scalar:
-    best: Scalar = 0
-    for s, i in enumerate(indices):
-        for j in indices[s + 1 :]:
-            diff = ma[i][j] - mb[i][j]
-            if diff < 0:
-                diff = -diff
-            if diff > best:
-                best = diff
-    return best
-
-
-def _breakdown_between(corr, ma, mb) -> DistortionBreakdown:
-    every = tuple(range(len(corr.pairs)))
-    restricted = set(corr.restricted())
-    sub = tuple(i for i, cell in enumerate(corr.pairs) if cell in restricted)
-    s_full = _sup_between(ma, mb, every)
-    s_sub = _sup_between(ma, mb, sub)
-    total = s_full + s_sub
-    value = half(total)
-    return DistortionBreakdown(s_full, (s_sub,), value)
-
-
 def diagonal_distortion(corr: PairCorrespondence, s: Scalar, t: Scalar) -> DistortionBreakdown:
     """Distortion of the cell-by-cell identification of two interpolants.
 
@@ -96,7 +73,13 @@ def diagonal_distortion(corr: PairCorrespondence, s: Scalar, t: Scalar) -> Disto
     for v in (s, t):
         if v < 0 or v > 1:
             raise ValueError("times must lie in [0, 1]")
-    return _breakdown_between(corr, _cell_matrix(corr, s), _cell_matrix(corr, t))
+    ma, mb = _cell_matrix(corr, s), _cell_matrix(corr, t)
+    restricted = set(corr.restricted())
+    every = tuple((i, i) for i in range(len(corr.pairs)))
+    sub = tuple((i, i) for i, cell in enumerate(corr.pairs) if cell in restricted)
+    s_full = _sup_abs_diff(every, ma, mb)
+    s_sub = _sup_abs_diff(sub, ma, mb)
+    return DistortionBreakdown(s_full, (s_sub,), half(s_full + s_sub))
 
 
 def endpoint_distortion(corr: PairCorrespondence, t: Scalar, side: str = "left") -> DistortionBreakdown:
@@ -110,12 +93,7 @@ def endpoint_distortion(corr: PairCorrespondence, t: Scalar, side: str = "left")
         raise ValueError("t must lie in [0, 1]")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    mt = _cell_matrix(corr, t)
-    if side == "left":
-        other = _cell_matrix(corr, 0)
-    else:
-        other = _cell_matrix(corr, 1)
-    return _breakdown_between(corr, other, mt)
+    return diagonal_distortion(corr, 0 if side == "left" else 1, t)
 
 
 DEFAULT_GRID = (

@@ -245,10 +245,7 @@ def hausdorff(space: FiniteMetricSpace, s_set, t_set) -> Scalar:
     """Hausdorff distance between two nonempty subsets of one space."""
     s = _normalize_subset(s_set, space.n)
     t = _normalize_subset(t_set, space.n)
-    d = space.dist
-    forward = max(min(d[i][j] for j in t) for i in s)
-    backward = max(min(d[i][j] for i in s) for j in t)
-    return max(forward, backward)
+    return _cross_hausdorff(space.dist, s, t)
 
 
 def _cross_violations(dx, dy, c, require_positive: bool = True) -> list:
@@ -331,6 +328,8 @@ class CrossMetric:
 
 
 def _cross_hausdorff(cross, s_left, s_right) -> Scalar:
+    """Hausdorff distance between ``s_left`` (rows) and ``s_right``
+    (columns) under the block ``cross``."""
     forward = max(min(cross[i][j] for j in s_right) for i in s_left)
     backward = max(min(cross[i][j] for i in s_left) for j in s_right)
     return max(forward, backward)
@@ -355,6 +354,50 @@ def tuple_hausdorff(delta: CrossMetric, tp: MetricTuple, tq: MetricTuple) -> Sca
     for sx, sy in zip(tp.chain, tq.chain):
         total = total + _cross_hausdorff(delta.cross, sx, sy)
     return total
+
+
+def _sup_abs_diff(cells, dx, dy) -> Scalar:
+    """Largest |dx[i][i2] - dy[j][j2]| over pairs of cells (i, j), (i2, j2),
+    the earlier cell first; 0 for fewer than two cells."""
+    best: Scalar = 0
+    m = len(cells)
+    for s in range(m):
+        i, j = cells[s]
+        dxi, dyj = dx[i], dy[j]
+        for t in range(s + 1, m):
+            i2, j2 = cells[t]
+            diff = dxi[i2] - dyj[j2]
+            if diff < 0:
+                diff = -diff
+            if diff > best:
+                best = diff
+    return best
+
+
+def _shortest_paths(n: int, edges) -> list:
+    """Dijkstra from every vertex of the undirected graph with weighted
+    edges (u, v, w); row u holds the distances from u, None where a
+    vertex is unreachable."""
+    import heapq
+
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    rows = []
+    for src in range(n):
+        dist = [None] * n
+        heap = [(0, src)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if dist[node] is not None:
+                continue
+            dist[node] = d
+            for nxt, w in adj[node]:
+                if dist[nxt] is None:
+                    heapq.heappush(heap, (d + w, nxt))
+        rows.append(dist)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,23 @@ def test_grid_graph_space_taxicab():
 def test_graph_space_shortest_paths():
     space = graph_space(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 10)])
     assert space.dist[0][3] == 3
-    with pytest.raises(ValueError):
-        graph_space(3, [(0, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (1, 1)], "bad edge (1, 1)"),
+        ([(0, 1), (1, 3)], "bad edge (1, 3)"),
+        ([(0, 1), (-1, 2)], "bad edge (-1, 2)"),
+        ([(0, 1, 0), (1, 2)], "edge weights must be positive"),
+        ([(0, 1), (1, 2, Fraction(-1, 2))], "edge weights must be positive"),
+        ([(0, 1)], "graph is disconnected: 0 cannot reach 2"),
+    ],
+)
+def test_graph_space_rejections(edges, message):
+    with pytest.raises(ValueError) as info:
+        graph_space(3, edges)
+    assert str(info.value) == message
 
 
 def test_random_space_is_metric():
