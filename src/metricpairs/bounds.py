@@ -13,25 +13,24 @@ from . import DEFAULT_BUDGET
 from .correspondences import (
     MinDistortionResult,
     PairCorrespondence,
+    _exhaustive,
     classical_glue,
     min_distortion,
 )
 from .scalars import Scalar, half
-from .spaces import MetricPair, pair_hausdorff
+from .spaces import MetricPair, _level_pairs, pair_hausdorff
 
 if TYPE_CHECKING:
     from .oracle import GHResult
 
 
 def diameter_lower_bound(left: MetricPair, right: MetricPair) -> Scalar:
-    """Half the diameter gap, taken over the full spaces and the subsets."""
-    full = left.space.diameter() - right.space.diameter()
-    if full < 0:
-        full = -full
-    sub = left.space.diameter(left.subset) - right.space.diameter(right.subset)
-    if sub < 0:
-        sub = -sub
-    return max(half(full), half(sub))
+    """Half the largest diameter gap over the levels, full spaces first."""
+    gaps = (
+        left.space.diameter(ll) - right.space.diameter(lr)
+        for ll, lr in _level_pairs(left, right)
+    )
+    return max(half(g if g >= 0 else -g) for g in gaps)
 
 
 @dataclass(frozen=True)
@@ -74,14 +73,13 @@ def gh_bounds(left: MetricPair, right: MetricPair) -> BoundsInterval:
     """Best available certified interval without running the exact search.
 
     Half the minimal distortion only counts as a lower bound when the
-    distortion search was exhaustive.
+    distortion search is exhaustive, so it is computed only then.
     """
     diam = diameter_lower_bound(left, right)
-    dis_res = min_distortion(left, right, objective="distortion")
     half_dis: Optional[Scalar] = None
     lower, lower_source = diam, "diameter"
-    if dis_res.optimal:
-        half_dis = half(dis_res.breakdown.value)
+    if _exhaustive(left, right):
+        half_dis = half(min_distortion(left, right, objective="distortion").breakdown.value)
         if half_dis > lower:
             lower, lower_source = half_dis, "distortion"
     report = correspondence_upper_bound(left, right)

@@ -1,10 +1,12 @@
 """Correspondences between metric pairs/tuples and their distortion.
 
-A pair correspondence projects onto both spaces and, restricted to the
-distinguished subsets, onto both of those as well.  Its distortion averages
-the full sup |dX - dY| with the per-level sups.  ``min_distortion`` searches
-the relation lattice exhaustively on grids of at most ``_EXHAUSTIVE_CELLS``
-cells and falls back to a local search beyond them.
+A pair is a tuple with one subset level.  A correspondence projects onto
+both spaces and, restricted to each pair of levels, onto both of those as
+well; the types check this coverage when they are built.  Its distortion
+averages the sup |dX - dY| over the levels, the full spaces first.
+``min_distortion`` searches the relation lattice exhaustively on grids of
+at most ``_EXHAUSTIVE_CELLS`` cells and falls back to a local search
+beyond them.
 """
 from __future__ import annotations
 
@@ -12,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import Scalar, half, is_exact
+from .scalars import Scalar, format_scalar, half, is_exact
 from .spaces import (
     CrossMetric,
-    FiniteMetricSpace,
     MetricPair,
     MetricTuple,
+    _level_pairs,
     _sup_abs_diff,
     hausdorff,
     pair_hausdorff,
@@ -30,7 +32,11 @@ _LOCAL_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class CorrespondenceViolations:
-    """Which surjectivity conditions fail, with the uncovered witnesses."""
+    """Which surjectivity conditions fail, with the uncovered witnesses.
+
+    A pair lists the uncovered subset points; a tuple lists them as
+    (chain level, point).
+    """
 
     uncovered_left: tuple
     uncovered_right: tuple
@@ -56,6 +62,18 @@ class CorrespondenceViolations:
         }
 
 
+class UncoveredRelationError(ValueError):
+    """A relation misses a point of some level; carries the coverage report."""
+
+    def __init__(self, report: CorrespondenceViolations):
+        super().__init__(report)
+        self.report = report
+
+    def __str__(self) -> str:
+        # formatted when shown, not on each validate_* call that catches it
+        return f"relation does not cover the pairs: {self.report.as_dict()}"
+
+
 def _normalize_pairs(pairs, nx, ny):
     seen = sorted(set((int(i), int(j)) for i, j in pairs))
     if not seen:
@@ -66,6 +84,39 @@ def _normalize_pairs(pairs, nx, ny):
     return tuple(seen)
 
 
+def _restricted(pairs, a, b) -> tuple:
+    """The cells of ``pairs`` with left index in ``a`` and right index in ``b``."""
+    a, b = set(a), set(b)
+    return tuple((i, j) for i, j in pairs if i in a and j in b)
+
+
+def _misses(pairs, ll, lr) -> tuple:
+    """Points of ``ll`` and of ``lr`` that ``pairs`` restricted to them misses."""
+    sub = _restricted(pairs, ll, lr)
+    return sorted(set(ll) - {i for i, _ in sub}), sorted(set(lr) - {j for _, j in sub})
+
+
+def _coverage(pairs, left, right, tagged: bool) -> CorrespondenceViolations:
+    """One walk over the levels, outermost first; the subset levels'
+    misses carry their chain level when ``tagged``."""
+    (full_l, full_r), *levels = (_misses(pairs, ll, lr) for ll, lr in _level_pairs(left, right))
+    sub_l, sub_r = (
+        tuple((lvl, p) if tagged else p for lvl, miss in enumerate(levels) for p in miss[side])
+        for side in (0, 1)
+    )
+    return CorrespondenceViolations(tuple(full_l), tuple(full_r), sub_l, sub_r)
+
+
+def _cover(corr, tagged: bool) -> None:
+    """Normalize ``corr.pairs`` in place and raise UncoveredRelationError
+    unless the relation covers every level on both sides."""
+    pairs = _normalize_pairs(corr.pairs, corr.left.space.n, corr.right.space.n)
+    object.__setattr__(corr, "pairs", pairs)
+    report = _coverage(pairs, corr.left, corr.right, tagged)
+    if not report.ok:
+        raise UncoveredRelationError(report)
+
+
 @dataclass(frozen=True)
 class PairCorrespondence:
     left: MetricPair
@@ -73,13 +124,10 @@ class PairCorrespondence:
     pairs: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", _normalize_pairs(self.pairs, self.left.space.n, self.right.space.n)
-        )
+        _cover(self, tagged=False)
 
     def restricted(self) -> tuple:
-        a, b = set(self.left.subset), set(self.right.subset)
-        return tuple((i, j) for i, j in self.pairs if i in a and j in b)
+        return _restricted(self.pairs, self.left.subset, self.right.subset)
 
 
 @dataclass(frozen=True)
@@ -91,57 +139,27 @@ class TupleCorrespondence:
     def __post_init__(self):
         if self.left.k != self.right.k:
             raise ValueError("tuples have different chain lengths")
-        object.__setattr__(
-            self, "pairs", _normalize_pairs(self.pairs, self.left.space.n, self.right.space.n)
-        )
+        _cover(self, tagged=True)
 
     def restricted(self, level: int) -> tuple:
-        a = set(self.left.chain[level])
-        b = set(self.right.chain[level])
-        return tuple((i, j) for i, j in self.pairs if i in a and j in b)
+        return _restricted(self.pairs, self.left.chain[level], self.right.chain[level])
 
 
 def validate_correspondence(pairs, left: MetricPair, right: MetricPair):
     """Return the correspondence or a report of failed coverage conditions."""
-    norm = _normalize_pairs(pairs, left.space.n, right.space.n)
-    a, b = set(left.subset), set(right.subset)
-    covered_x = {i for i, _ in norm}
-    covered_y = {j for _, j in norm}
-    sub = [(i, j) for i, j in norm if i in a and j in b]
-    covered_a = {i for i, _ in sub}
-    covered_b = {j for _, j in sub}
-    report = CorrespondenceViolations(
-        tuple(sorted(set(range(left.space.n)) - covered_x)),
-        tuple(sorted(set(range(right.space.n)) - covered_y)),
-        tuple(sorted(a - covered_a)),
-        tuple(sorted(b - covered_b)),
-    )
-    if not report.ok:
-        return report
-    return PairCorrespondence(left, right, norm)
+    try:
+        return PairCorrespondence(left, right, pairs)
+    except UncoveredRelationError as exc:
+        return exc.report
 
 
 def validate_tuple_correspondence(pairs, left: MetricTuple, right: MetricTuple):
-    norm = _normalize_pairs(pairs, left.space.n, right.space.n)
-    covered_x = {i for i, _ in norm}
-    covered_y = {j for _, j in norm}
-    unc_a: list = []
-    unc_b: list = []
-    for lvl in range(left.k):
-        a = set(left.chain[lvl])
-        b = set(right.chain[lvl])
-        sub = [(i, j) for i, j in norm if i in a and j in b]
-        unc_a.extend((lvl, i) for i in sorted(a - {i for i, _ in sub}))
-        unc_b.extend((lvl, j) for j in sorted(b - {j for _, j in sub}))
-    report = CorrespondenceViolations(
-        tuple(sorted(set(range(left.space.n)) - covered_x)),
-        tuple(sorted(set(range(right.space.n)) - covered_y)),
-        tuple(unc_a),
-        tuple(unc_b),
-    )
-    if not report.ok:
-        return report
-    return TupleCorrespondence(left, right, norm)
+    """Return the correspondence or a report of failed coverage conditions;
+    chains of different lengths raise ValueError."""
+    try:
+        return TupleCorrespondence(left, right, pairs)
+    except UncoveredRelationError as exc:
+        return exc.report
 
 
 @dataclass(frozen=True)
@@ -151,8 +169,6 @@ class DistortionBreakdown:
     value: Scalar
 
     def as_dict(self) -> dict:
-        from .scalars import format_scalar
-
         return {
             "sup_full": format_scalar(self.sup_full),
             "sup_levels": [format_scalar(v) for v in self.sup_levels],
@@ -162,21 +178,15 @@ class DistortionBreakdown:
 
 def distortion(corr) -> DistortionBreakdown:
     """Distortion breakdown: full sup, per-level sups, averaged value."""
-    dx = corr.left.space.dist
-    dy = corr.right.space.dist
-    full = _sup_abs_diff(corr.pairs, dx, dy)
-    if isinstance(corr, PairCorrespondence):
-        levels = (_sup_abs_diff(corr.restricted(), dx, dy),)
-    else:
-        levels = tuple(
-            _sup_abs_diff(corr.restricted(l), dx, dy) for l in range(corr.left.k)
-        )
-    total = full
-    for v in levels:
-        total = total + v
+    dx, dy = corr.left.space.dist, corr.right.space.dist
+    full, *levels = (
+        _sup_abs_diff(_restricted(corr.pairs, ll, lr), dx, dy)
+        for ll, lr in _level_pairs(corr.left, corr.right)
+    )
+    total = sum(levels, full)
     k1 = len(levels) + 1
     value = Fraction(total, k1) if is_exact(total) else total / k1
-    return DistortionBreakdown(full, levels, value)
+    return DistortionBreakdown(full, tuple(levels), value)
 
 
 @dataclass(frozen=True)
@@ -206,14 +216,10 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
     dx, dy = left.space.dist, right.space.dist
     a_set, b_set = set(left.subset), set(right.subset)
     groups: list = []
-    for i in range(nx):
-        groups.append([i * ny + j for j in range(ny)])
-    for j in range(ny):
-        groups.append([i * ny + j for i in range(nx)])
-    for i in left.subset:
-        groups.append([i * ny + j for j in right.subset])
-    for j in right.subset:
-        groups.append([i * ny + j for i in left.subset])
+    for ll, lr in _level_pairs(left, right):
+        # each point of a level needs a cell of its row (column) in the level
+        groups.extend([i * ny + j for j in lr] for i in ll)
+        groups.extend([i * ny + j for i in ll] for j in lr)
     cell_groups = [[] for _ in range(ncells)]
     for gi, members in enumerate(groups):
         for c in members:
@@ -300,10 +306,6 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
     return pairs
 
 
-def _profile(space: FiniteMetricSpace, i: int) -> tuple:
-    return tuple(sorted(space.dist[i]))
-
-
 def _profile_cost(pa, pb) -> Scalar:
     la, lb = len(pa), len(pb)
     n = max(la, lb)
@@ -320,58 +322,47 @@ def _profile_cost(pa, pb) -> Scalar:
 
 
 def _heuristic_start(left: MetricPair, right: MetricPair) -> set:
-    """Union of profile-nearest maps in all four required directions."""
-    sx, sy = left.space, right.space
-    ax, by = left.subset, right.subset
-    sub_x, sub_y = left.subset_space, right.subset_space
+    """Union of profile-nearest maps both ways on every level, each point
+    profiled by its sorted distances within the level."""
+    dx, dy = left.space.dist, right.space.dist
     cells = set()
-    prof_x = [_profile(sx, i) for i in range(sx.n)]
-    prof_y = [_profile(sy, j) for j in range(sy.n)]
-    for i in range(sx.n):
-        j = min(range(sy.n), key=lambda j: (_profile_cost(prof_x[i], prof_y[j]), j))
-        cells.add((i, j))
-    for j in range(sy.n):
-        i = min(range(sx.n), key=lambda i: (_profile_cost(prof_x[i], prof_y[j]), i))
-        cells.add((i, j))
-    prof_a = [_profile(sub_x, t) for t in range(sub_x.n)]
-    prof_b = [_profile(sub_y, t) for t in range(sub_y.n)]
-    for t, i in enumerate(ax):
-        u = min(range(len(by)), key=lambda u: (_profile_cost(prof_a[t], prof_b[u]), u))
-        cells.add((i, by[u]))
-    for u, j in enumerate(by):
-        t = min(range(len(ax)), key=lambda t: (_profile_cost(prof_a[t], prof_b[u]), t))
-        cells.add((ax[t], j))
+    for ll, lr in _level_pairs(left, right):
+        prof_x = [tuple(sorted(dx[i][k] for k in ll)) for i in ll]
+        prof_y = [tuple(sorted(dy[j][k] for k in lr)) for j in lr]
+        for t, i in enumerate(ll):
+            u = min(range(len(lr)), key=lambda u: (_profile_cost(prof_x[t], prof_y[u]), u))
+            cells.add((i, lr[u]))
+        for u, j in enumerate(lr):
+            t = min(range(len(ll)), key=lambda t: (_profile_cost(prof_x[t], prof_y[u]), t))
+            cells.add((ll[t], j))
     return cells
 
 
-def _relation_value(cells, left, right, objective):
-    corr = PairCorrespondence(left, right, tuple(cells))
-    br = distortion(corr)
-    if objective == "sup_full":
-        return br.sup_full, br
-    return br.value, br
-
-
-def _is_valid_relation(cells, left, right) -> bool:
-    return isinstance(validate_correspondence(cells, left, right), PairCorrespondence)
-
-
 def _local_search(left: MetricPair, right: MetricPair, objective):
-    cells = set(_heuristic_start(left, right))
-    value, _ = _relation_value(cells, left, right, objective)
+    """Add/remove one cell at a time while the objective strictly drops;
+    a removal must keep every level covered."""
+    dx, dy = left.space.dist, right.space.dist
+
+    def price(cells):
+        pairs = sorted(cells)
+        s_sub = 0
+        if objective != "sup_full":
+            s_sub = _sup_abs_diff(_restricted(pairs, left.subset, right.subset), dx, dy)
+        return _objective_value(_sup_abs_diff(pairs, dx, dy), s_sub, objective)
+
+    cells = _heuristic_start(left, right)
+    value = price(cells)
     all_cells = [(i, j) for i in range(left.space.n) for j in range(right.space.n)]
     for _ in range(_LOCAL_ITERATIONS):
         improved = False
         for cell in all_cells:
             if cell in cells:
-                if len(cells) == 1:
-                    continue
                 trial = cells - {cell}
-                if not _is_valid_relation(trial, left, right):
+                if not _coverage(trial, left, right, tagged=False).ok:
                     continue
             else:
                 trial = cells | {cell}
-            trial_value, _ = _relation_value(trial, left, right, objective)
+            trial_value = price(trial)
             if trial_value < value:
                 cells, value = trial, trial_value
                 improved = True
@@ -379,6 +370,11 @@ def _local_search(left: MetricPair, right: MetricPair, objective):
         if not improved:
             break
     return tuple(sorted(cells))
+
+
+def _exhaustive(left: MetricPair, right: MetricPair) -> bool:
+    """Whether ``min_distortion`` searches every relation of the pair."""
+    return left.space.n * right.space.n <= _EXHAUSTIVE_CELLS
 
 
 def min_distortion(
@@ -395,16 +391,13 @@ def min_distortion(
     """
     if objective not in ("distortion", "sup_full"):
         raise ValueError(f"unknown objective {objective!r}")
-    ncells = left.space.n * right.space.n
-    if ncells <= _EXHAUSTIVE_CELLS:
+    if _exhaustive(left, right):
         pairs = _search_exhaustive(left, right, objective)
         optimal = True
     else:
         pairs = _local_search(left, right, objective)
         optimal = False
-    corr = validate_correspondence(pairs, left, right)
-    if not isinstance(corr, PairCorrespondence):  # pragma: no cover - search invariant
-        raise RuntimeError("search produced an invalid correspondence")
+    corr = PairCorrespondence(left, right, pairs)
     return MinDistortionResult(corr, distortion(corr), optimal)
 
 
@@ -543,12 +536,14 @@ def distortion_stability(r: PairCorrespondence, s: PairCorrespondence) -> Stabil
     if r.left != s.left or r.right != s.right:
         raise ValueError("correspondences must share the same pair contexts")
     product = product_max_metric(r.left.space, r.right.space)
-    flat_r = [product.index(i, j) for i, j in r.pairs]
-    flat_s = [product.index(i, j) for i, j in s.pairs]
-    full = hausdorff(product.space, flat_r, flat_s)
-    flat_r_sub = [product.index(i, j) for i, j in r.restricted()]
-    flat_s_sub = [product.index(i, j) for i, j in s.restricted()]
-    sub = hausdorff(product.space, flat_r_sub, flat_s_sub)
+    full, sub = (
+        hausdorff(
+            product.space,
+            [product.index(i, j) for i, j in _restricted(r.pairs, ll, lr)],
+            [product.index(i, j) for i, j in _restricted(s.pairs, ll, lr)],
+        )
+        for ll, lr in _level_pairs(r.left, r.right)
+    )
     da, db = distortion(r).value, distortion(s).value
     lhs = da - db if da >= db else db - da
     return StabilityReport(lhs, full, sub)

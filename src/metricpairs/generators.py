@@ -10,8 +10,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .correspondences import PairCorrespondence, validate_correspondence
-from .spaces import FiniteMetricSpace, MetricPair, MetricTuple, _shortest_paths
+from .correspondences import PairCorrespondence
+from .spaces import FiniteMetricSpace, MetricPair, MetricTuple, _level_pairs, _shortest_paths
 
 
 def circle_space(n: int, circumference=None) -> FiniteMetricSpace:
@@ -164,24 +164,15 @@ def random_correspondence(
     right: MetricPair,
     extra: int = 2,
 ) -> PairCorrespondence:
-    """Random valid correspondence: coverage maps in all four directions
+    """Random valid correspondence: coverage maps both ways on every level
     plus a few extra cells."""
     cells = set()
-    nx, ny = left.space.n, right.space.n
-    for x in range(nx):
-        cells.add((x, rng.randrange(ny)))
-    for y in range(ny):
-        cells.add((rng.randrange(nx), y))
-    for a in left.subset:
-        cells.add((a, rng.choice(right.subset)))
-    for b in right.subset:
-        cells.add((rng.choice(left.subset), b))
+    for ll, lr in _level_pairs(left, right):
+        cells.update((x, rng.choice(lr)) for x in ll)
+        cells.update((rng.choice(ll), y) for y in lr)
     for _ in range(extra):
-        cells.add((rng.randrange(nx), rng.randrange(ny)))
-    corr = validate_correspondence(cells, left, right)
-    if not isinstance(corr, PairCorrespondence):  # pragma: no cover - by construction
-        raise RuntimeError("random correspondence failed coverage")
-    return corr
+        cells.add((rng.randrange(left.space.n), rng.randrange(right.space.n)))
+    return PairCorrespondence(left, right, cells)
 
 
 def permute_pair(pair: MetricPair, perm: Sequence) -> MetricPair:

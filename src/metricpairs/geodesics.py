@@ -12,20 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .correspondences import (
-    DistortionBreakdown,
-    PairCorrespondence,
-    validate_correspondence,
-)
+from .correspondences import DistortionBreakdown, PairCorrespondence
 from .oracle import DEFAULT_BUDGET, exact_pair_gh
 from .scalars import Scalar, close, half
 from .spaces import FiniteMetricSpace, MetricPair, _sup_abs_diff
-
-
-def _require_valid(corr: PairCorrespondence) -> None:
-    checked = validate_correspondence(corr.pairs, corr.left, corr.right)
-    if not isinstance(checked, PairCorrespondence):
-        raise ValueError("correspondence does not cover the pair contexts")
 
 
 def _cell_matrix(corr: PairCorrespondence, t: Scalar):
@@ -46,7 +36,6 @@ def _cell_matrix(corr: PairCorrespondence, t: Scalar):
 def interpolate(corr: PairCorrespondence, t: Scalar) -> MetricPair:
     """Pair at time t along the straight-line path; endpoints come back
     as the original pairs."""
-    _require_valid(corr)
     if t < 0 or t > 1:
         raise ValueError("t must lie in [0, 1]")
     if t == 0:
@@ -69,7 +58,6 @@ def diagonal_distortion(corr: PairCorrespondence, s: Scalar, t: Scalar) -> Disto
     Equals |t - s| times the distortion of the correspondence itself; the
     computation here goes through the actual cell matrices.
     """
-    _require_valid(corr)
     for v in (s, t):
         if v < 0 or v > 1:
             raise ValueError("times must lie in [0, 1]")
@@ -88,7 +76,6 @@ def endpoint_distortion(corr: PairCorrespondence, t: Scalar, side: str = "left")
     Matching cells to their coordinate in the chosen endpoint scales the
     correspondence distortion by t (left side) or 1 - t (right side).
     """
-    _require_valid(corr)
     if t < 0 or t > 1:
         raise ValueError("t must lie in [0, 1]")
     if side not in ("left", "right"):
@@ -137,7 +124,6 @@ def geodesicity_audit(
     for optimal correspondences, not for arbitrary ones.  ``budget`` caps
     the witness-search nodes of each of these exact solves.
     """
-    _require_valid(corr)
     if grid is None:
         grid = DEFAULT_GRID
     times = list(grid)

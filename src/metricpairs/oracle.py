@@ -31,8 +31,9 @@ from .spaces import (
     CrossMetric,
     MetricPair,
     MetricTuple,
-    _cross_hausdorff,
     _cross_violations,
+    _hausdorff_terms,
+    _levels_of,
     _on_integer_scale,
 )
 
@@ -53,15 +54,6 @@ class BudgetExceededError(RuntimeError):
         )
         self.nodes = nodes
         self.budget = budget
-
-
-def _levels_of(obj) -> tuple:
-    """Index sets per level, outermost (full space) first."""
-    if isinstance(obj, MetricPair):
-        return (tuple(range(obj.space.n)), obj.subset)
-    if isinstance(obj, MetricTuple):
-        return (tuple(range(obj.space.n)),) + tuple(obj.chain)
-    raise TypeError(f"expected MetricPair or MetricTuple, got {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +366,7 @@ class GHResult:
         return CrossMetric(self.left.space, self.right.space, block)
 
     def _terms(self, block) -> tuple:
-        lv_l = _levels_of(self.left)
-        lv_r = _levels_of(self.right)
-        return tuple(_cross_hausdorff(block, ll, lr) for ll, lr in zip(lv_l, lv_r))
+        return _hausdorff_terms(block, self.left, self.right)
 
     def hausdorff_terms(self, cross: Optional[CrossMetric] = None) -> tuple:
         if cross is None:

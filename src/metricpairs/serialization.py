@@ -85,15 +85,12 @@ def tuple_on_space(space: FiniteMetricSpace, data: dict) -> MetricTuple:
 def correspondence_from_dict(data: dict, exact: bool = True) -> PairCorrespondence:
     # imported here, like realization below, so a command reading other
     # documents does not load it
-    from .correspondences import PairCorrespondence, validate_correspondence
+    from .correspondences import PairCorrespondence
 
     left = pair_from_dict(data["left"], exact)
     right = pair_from_dict(data["right"], exact)
     cells = [(int(i), int(j)) for i, j in data["pairs"]]
-    corr = validate_correspondence(cells, left, right)
-    if not isinstance(corr, PairCorrespondence):
-        raise ValueError(f"relation does not cover the pairs: {corr.as_dict()}")
-    return corr
+    return PairCorrespondence(left, right, cells)
 
 
 def embedded_from_dict(data: dict) -> EmbeddedComplex:

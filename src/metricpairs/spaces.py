@@ -335,25 +335,44 @@ def _cross_hausdorff(cross, s_left, s_right) -> Scalar:
     return max(forward, backward)
 
 
+def _levels_of(obj) -> tuple:
+    """Index sets per level, outermost (full space) first; a pair is a
+    tuple with one subset level."""
+    if isinstance(obj, MetricPair):
+        return (tuple(range(obj.space.n)), obj.subset)
+    if isinstance(obj, MetricTuple):
+        return (tuple(range(obj.space.n)),) + obj.chain
+    raise TypeError(f"expected MetricPair or MetricTuple, got {type(obj).__name__}")
+
+
+def _level_pairs(left, right) -> tuple:
+    """(left level, right level) index sets, outermost first."""
+    return tuple(zip(_levels_of(left), _levels_of(right)))
+
+
+def _hausdorff_terms(cross, left, right) -> tuple:
+    """Hausdorff distance of every level pair under the block ``cross``,
+    outermost first."""
+    return tuple(_cross_hausdorff(cross, ll, lr) for ll, lr in _level_pairs(left, right))
+
+
+def _hausdorff_sum(delta: CrossMetric, left, right, kind: str) -> Scalar:
+    if delta.left.n != left.space.n or delta.right.n != right.space.n:
+        raise ValueError(f"cross metric does not match the {kind} spaces")
+    terms = _hausdorff_terms(delta.cross, left, right)
+    return sum(terms[1:], terms[0])
+
+
 def pair_hausdorff(delta: CrossMetric, p: MetricPair, q: MetricPair) -> Scalar:
     """Sum of the two Hausdorff terms of a pair under one cross metric."""
-    if delta.left.n != p.space.n or delta.right.n != q.space.n:
-        raise ValueError("cross metric does not match the pair spaces")
-    full = _cross_hausdorff(delta.cross, range(p.space.n), range(q.space.n))
-    sub = _cross_hausdorff(delta.cross, p.subset, q.subset)
-    return full + sub
+    return _hausdorff_sum(delta, p, q, "pair")
 
 
 def tuple_hausdorff(delta: CrossMetric, tp: MetricTuple, tq: MetricTuple) -> Scalar:
     """Sum of the k+1 Hausdorff terms of a tuple under one cross metric."""
     if tp.k != tq.k:
         raise ValueError("tuples have different chain lengths")
-    if delta.left.n != tp.space.n or delta.right.n != tq.space.n:
-        raise ValueError("cross metric does not match the tuple spaces")
-    total = _cross_hausdorff(delta.cross, range(tp.space.n), range(tq.space.n))
-    for sx, sy in zip(tp.chain, tq.chain):
-        total = total + _cross_hausdorff(delta.cross, sx, sy)
-    return total
+    return _hausdorff_sum(delta, tp, tq, "tuple")
 
 
 def _sup_abs_diff(cells, dx, dy) -> Scalar:

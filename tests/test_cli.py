@@ -543,6 +543,9 @@ _IMPORT_TABLE = [
     (["cassorla", "run", "--input", "PAIR"], ("oracle", "lp", "correspondences", "realization")),
     (["apps", "realize", "--input", "LOW", "HIGH"], ("oracle", "lp", "correspondences", "complexes")),
     (["sample", "pair"], ("oracle", "lp", "complexes", "realization")),
+    (["gh", "corr", "--input", "PAIR", "PAIR"], ("oracle", "lp")),
+    (["validate", "--input", "CORR"], ("oracle", "lp", "complexes", "realization")),
+    (["geodesic", "sample", "--input", "CORR", "--t", "1/2"], ("complexes", "realization")),
 ]
 
 
@@ -555,6 +558,7 @@ def test_each_command_imports_only_its_modules(tmp_path):
         "TUPLE": _write(tmp_path, "tuple.json", TUPLE_BIG),
         "LOW": _write(tmp_path, "low.json", SEGMENT_LOW),
         "HIGH": _write(tmp_path, "high.json", SEGMENT_HIGH),
+        "CORR": _write(tmp_path, "corr.json", CORR_IDENTITY),
     }
     for argv, forbidden in _IMPORT_TABLE:
         result = subprocess.run(

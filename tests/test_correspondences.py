@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from metricpairs.correspondences import (
     CorrespondenceViolations,
     PairCorrespondence,
     TupleCorrespondence,
+    UncoveredRelationError,
     brute_force_min_distortion,
     classical_glue,
     default_glue_shift,
@@ -93,6 +95,38 @@ def test_validate_tuple_correspondence_levels():
     good = validate_tuple_correspondence(((0, 0), (1, 1)), tup, tup)
     assert isinstance(good, TupleCorrespondence)
     assert good.restricted(1) == ((0, 0),)
+
+
+def test_uncovered_relations_fail_where_they_are_built():
+    """Coverage is checked on construction, with the report validate_*
+    returns, so distortion never prices a relation that misses a point."""
+    pair = _pair(_two_point(), (0, 1))
+    with pytest.raises(UncoveredRelationError) as info:
+        distortion(PairCorrespondence(pair, pair, ((0, 0),)))
+    assert info.value.report == validate_correspondence(((0, 0),), pair, pair)
+    assert str(info.value) == (
+        f"relation does not cover the pairs: {info.value.report.as_dict()}"
+    )
+    good = PairCorrespondence(pair, pair, ((0, 0), (1, 1)))
+    with pytest.raises(UncoveredRelationError):
+        dataclasses.replace(good, pairs=((1, 1),))
+
+    tup = MetricTuple(_two_point(), ((0, 1), (0,)))
+    with pytest.raises(UncoveredRelationError) as info:
+        TupleCorrespondence(tup, tup, ((0, 1), (1, 0)))
+    assert info.value.report == validate_tuple_correspondence(((0, 1), (1, 0)), tup, tup)
+    assert info.value.report.uncovered_subset_left == ((1, 0),)
+
+
+def test_validate_tuple_correspondence_rejects_different_chain_lengths():
+    """The chain lengths are compared before coverage, in both orders."""
+    space = _two_point()
+    short = MetricTuple(space, ((0, 1),))
+    long = MetricTuple(space, ((0, 1), (0,)))
+    for pairs in (((0, 0), (1, 1)), ((0, 0),)):
+        for left, right in ((short, long), (long, short)):
+            with pytest.raises(ValueError, match="different chain lengths"):
+                validate_tuple_correspondence(pairs, left, right)
 
 
 def test_distortion_identity_is_zero():

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from metricpairs.correspondences import PairCorrespondence, distortion, min_distortion
+from metricpairs.correspondences import (
+    PairCorrespondence,
+    UncoveredRelationError,
+    distortion,
+    min_distortion,
+)
 from metricpairs.generators import random_correspondence, random_pair
 from metricpairs.geodesics import (
     DEFAULT_GRID,
@@ -46,6 +51,13 @@ def test_interpolate_rejects_out_of_range():
         interpolate(corr, Fraction(3, 2))
     with pytest.raises(ValueError):
         interpolate(corr, Fraction(-1, 2))
+
+
+def test_interpolate_never_receives_an_uncovered_relation():
+    two = FiniteMetricSpace.from_matrix([[0, 2], [2, 0]])
+    pair = MetricPair(two, (0, 1))
+    with pytest.raises(UncoveredRelationError):
+        interpolate(PairCorrespondence(pair, pair, ((0, 0),)), Fraction(1, 2))
 
 
 def test_interpolant_subset_follows_restriction():

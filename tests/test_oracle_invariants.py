@@ -1,5 +1,5 @@
 """Invariants of the exact pair distance on random pairs of up to 5 points
-(up to 4 for the scaling, variant and tuple properties).
+(up to 4 for the scaling, variant, triangle and tuple properties).
 
 Each property draws a seed and builds its pairs with the library's own
 generators, so a failing example is reproduced by the seed alone.
@@ -75,6 +75,15 @@ def test_scaling_the_metrics_scales_the_value(seed):
         big_left, big_right = _scaled(left, factor), _scaled(right, factor)
         assert _exact(big_left, big_right) == factor * _exact(left, right)
         assert _exact_max(big_left, big_right) == factor * _exact_max(left, right)
+
+
+@_BOUNDED
+@given(_SEED)
+def test_triangle_inequality_across_three_pairs(seed):
+    rng, a, b = _pairs(seed, 4)
+    c = random_pair(rng, (1, 4), (1, 2, 3, 4))
+    for exact in (_exact, _exact_max):
+        assert exact(a, c) <= exact(a, b) + exact(b, c)
 
 
 @_BOUNDED
