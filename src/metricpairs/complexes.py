@@ -90,32 +90,26 @@ def build_complex(
 ) -> WeightedComplex:
     """Net the subset, extend to the space, connect strictly-short pairs.
 
-    Core edges additionally require both endpoints in the subset net and
-    the restricted distance under the cutoff; restriction never changes
-    distances here, so that clause only mirrors the construction.
+    The greedy net scans the subset first, so the subset's members come
+    first; they are the core.  Core edges are the edges between core
+    vertices, with the same weight: restricting to the subset keeps
+    distances.
     """
     space = pair.space
     slack = 0 if space.exact else _FLOAT_NET_SLACK
-    sub_net = greedy_net(pair.subset_space, params.nu, tol=slack)
-    seed = tuple(pair.subset[i] for i in sub_net.members)
-    full_net = greedy_net(space, params.nu, seed=seed, tol=slack)
-    vertices = tuple(full_net.members)
-    ncore = len(seed)
-    flags = tuple(i < ncore for i in range(len(vertices)))
+    vertices = greedy_net(space, params.nu, seed=pair.subset, tol=slack).members
+    a_set = set(pair.subset)
+    flags = tuple(v in a_set for v in vertices)
     cutoff = params.theta if theta is None else theta
     l_edges = []
     k_edges = []
-    sub_dist = pair.subset_space.dist
-    sub_pos = {p: i for i, p in enumerate(pair.subset)}
     for i in range(len(vertices)):
         for j in range(i + 1, len(vertices)):
             w = space.dist[vertices[i]][vertices[j]]
             if w < cutoff:
                 l_edges.append((i, j, w))
                 if flags[i] and flags[j]:
-                    restricted = sub_dist[sub_pos[vertices[i]]][sub_pos[vertices[j]]]
-                    if restricted < cutoff:
-                        k_edges.append((i, j, restricted))
+                    k_edges.append((i, j, w))
     return WeightedComplex(
         pair, params, cutoff, vertices, flags, tuple(l_edges), tuple(k_edges)
     )

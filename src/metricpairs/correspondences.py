@@ -205,11 +205,12 @@ def _objective_value(s_full, s_sub, objective):
 def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
     """Depth-first include/exclude search over the cell grid.
 
-    Cells are scanned in lexicographic order with include tried first, so
-    the first incumbent at the optimal value is the lexicographically
-    smallest relation; pruning at bound >= incumbent preserves it.
-    Forced cells (last candidate of an uncovered requirement) are included
-    eagerly.
+    Cells are scanned in lexicographic order with include tried first, and
+    pruning at bound >= incumbent keeps the first relation found at the
+    optimal value.  Of tied relations that is the first in include-first
+    order, which prefers a superset to its subsets, not the
+    lexicographically smallest.  Forced cells (last candidate of an
+    uncovered requirement) are included eagerly.
     """
     nx, ny = left.space.n, right.space.n
     ncells = nx * ny
@@ -244,29 +245,24 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
                 s_sub = diff
         return s_full, s_sub
 
-    def run(pos, status, group_in, group_avail, included, s_full, s_sub):
-        # propagate forced inclusions and detect dead requirements
-        while True:
-            forced = None
-            for gi, members in enumerate(groups):
-                if group_in[gi] > 0:
-                    continue
-                if group_avail[gi] == 0:
-                    return
-                if group_avail[gi] == 1:
-                    for c in members:
-                        if status[c] == 0:
-                            forced = c
-                            break
-                    if forced is not None:
-                        break
-            if forced is None:
-                break
-            status[forced] = 1
-            s_full, s_sub = fold(forced, included, s_full, s_sub)
-            included.append(forced)
-            for gi in cell_groups[forced]:
-                group_in[gi] += 1
+    def run(pos, status, group_in, group_avail, included, s_full, s_sub, touched):
+        # Only an exclusion leaves an unmet group with one open member (or
+        # none: a dead end), so ``touched`` holds the groups of the last
+        # excluded cell, in index order.  Including a forced member leaves
+        # every group's open count as it was, so one pass reaches the
+        # closure.
+        for gi in touched:
+            if group_in[gi] > 0:
+                continue
+            if group_avail[gi] == 0:
+                return
+            if group_avail[gi] == 1:
+                forced = next(c for c in groups[gi] if status[c] == 0)
+                status[forced] = 1
+                s_full, s_sub = fold(forced, included, s_full, s_sub)
+                included.append(forced)
+                for g2 in cell_groups[forced]:
+                    group_in[g2] += 1
         bound = _objective_value(s_full, s_sub, objective)
         if best_value[0] is not None and not bound < best_value[0]:
             return
@@ -283,14 +279,14 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
         gin = list(group_in)
         for gi in cell_groups[pos]:
             gin[gi] += 1
-        run(pos + 1, st, gin, list(group_avail), included + [pos], nf, ns)
+        run(pos + 1, st, gin, group_avail, included + [pos], nf, ns, ())
         # exclude branch
         st = list(status)
         st[pos] = -1
         gav = list(group_avail)
         for gi in cell_groups[pos]:
             gav[gi] -= 1
-        run(pos + 1, st, list(group_in), gav, list(included), s_full, s_sub)
+        run(pos + 1, st, list(group_in), gav, list(included), s_full, s_sub, cell_groups[pos])
 
     run(
         0,
@@ -300,6 +296,7 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
         [],
         0,
         0,
+        range(len(groups)),
     )
     cells = best_value[1]
     pairs = tuple(divmod(c, ny) for c in cells)
@@ -339,8 +336,10 @@ def _heuristic_start(left: MetricPair, right: MetricPair) -> set:
 
 
 def _local_search(left: MetricPair, right: MetricPair, objective):
-    """Add/remove one cell at a time while the objective strictly drops;
-    a removal must keep every level covered."""
+    """Remove one cell at a time while the objective strictly drops: the
+    first cell in sorted order whose removal keeps every level covered
+    and lowers the objective goes, then the scan starts over.  Adding a
+    cell never lowers either sup, so no cell is ever added."""
     dx, dy = left.space.dist, right.space.dist
 
     def price(cells):
@@ -352,22 +351,16 @@ def _local_search(left: MetricPair, right: MetricPair, objective):
 
     cells = _heuristic_start(left, right)
     value = price(cells)
-    all_cells = [(i, j) for i in range(left.space.n) for j in range(right.space.n)]
     for _ in range(_LOCAL_ITERATIONS):
-        improved = False
-        for cell in all_cells:
-            if cell in cells:
-                trial = cells - {cell}
-                if not _coverage(trial, left, right, tagged=False).ok:
-                    continue
-            else:
-                trial = cells | {cell}
+        for cell in sorted(cells):
+            trial = cells - {cell}
+            if not _coverage(trial, left, right, tagged=False).ok:
+                continue
             trial_value = price(trial)
             if trial_value < value:
                 cells, value = trial, trial_value
-                improved = True
                 break
-        if not improved:
+        else:
             break
     return tuple(sorted(cells))
 
@@ -385,9 +378,9 @@ def min_distortion(
     """Minimize distortion (or the full sup) over all pair correspondences.
 
     Exhaustive branch-and-bound when |X|*|Y| is at most _EXHAUSTIVE_CELLS
-    (ties broken toward the lexicographically smallest relation),
-    profile-matching plus add/remove local search beyond it (optimal flag
-    False).
+    (of tied relations, the first in include-first order, which prefers
+    a superset to its subsets), profile-matching plus greedy cell removal
+    beyond it (optimal flag False).
     """
     if objective not in ("distortion", "sup_full"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -495,7 +488,7 @@ def classical_glue(corr: PairCorrespondence, eta: Optional[Scalar] = None) -> Cl
     """Standard gluing delta(x,y) = min over R of dX(x,x') + eta + dY(y',y).
 
     Requires eta > 0 and 2*eta >= sup_full; the result always satisfies the
-    cross-metric conditions and pair_hausdorff is at most 2*eta.  Only a
+    cross-metric conditions and pair_hausdorff is exactly 2*eta.  Only a
     given eta is checked: the default shift meets both conditions.
     """
     if eta is None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Optional
 
 from . import DEFAULT_BUDGET
 from .lp import LinearProgram, solve_lp
@@ -365,19 +364,11 @@ class GHResult:
             block = [[Fraction(w, scale) for w in row] for row in block]
         return CrossMetric(self.left.space, self.right.space, block)
 
-    def _terms(self, block) -> tuple:
-        return _hausdorff_terms(block, self.left, self.right)
-
-    def hausdorff_terms(self, cross: Optional[CrossMetric] = None) -> tuple:
-        if cross is None:
-            cross = self.cross()
-        return self._terms(cross.cross)
-
     def certificate_report(self) -> dict:
         """Admissibility, zero cells and Hausdorff terms of the cross
         metric, all read off one block on the integer scale."""
         scale, dx, dy, block = self._block()
-        terms = self._terms(block)
+        terms = _hausdorff_terms(block, self.left, self.right)
         if scale is not None and scale > 1:
             terms = tuple(Fraction(w, scale) for w in terms)
         combined = sum(terms) if self.variant == "sum" else max(terms)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -37,6 +39,9 @@ def _two_point(d=1):
 
 def _pair(space, subset):
     return MetricPair(space, subset)
+
+
+_VALUES = ((1, 2, 3), (Fraction(1, 2), Fraction(4, 3), 2), (0.7, 1.3, 2.1))
 
 
 def test_pair_correspondence_normalizes_and_restricts():
@@ -175,6 +180,45 @@ def test_min_distortion_exhaustive_matches_brute_force():
                 assert fast.breakdown.sup_full == slow.breakdown.sup_full
 
 
+def test_min_distortion_relations_match_recorded_digest():
+    """Relations and breakdowns of both objectives stay as recorded.
+
+    The digest covers 24 seeded pairs with int, Fraction and float
+    distances, half of them on at most _EXHAUSTIVE_CELLS cells (the
+    exhaustive search) and half above it (the local search).
+    It pins which relation each search returns, which a comparison of
+    values against brute force leaves open.
+    """
+    rng = random.Random(43)
+    digest = hashlib.sha256()
+    for i in range(24):
+        n_range = (2, 4) if i % 2 == 0 else (4, 6)
+        left = random_pair(rng, n_range=n_range, values=_VALUES[i % 3])
+        right = random_pair(rng, n_range=n_range, values=_VALUES[i % 3])
+        for objective in ("distortion", "sup_full"):
+            res = min_distortion(left, right, objective=objective)
+            record = [res.correspondence.pairs, res.breakdown.as_dict(), res.optimal]
+            digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == (
+        "471b892aeaccbc395e51afc88afa81c2a5ba37babdb46b92d03ebd964d368d9b"
+    )
+
+
+def test_min_distortion_ties_prefer_the_superset():
+    """The search tries including a cell before excluding it, so among
+    optimal relations it returns the first in that order: here the full
+    6-cell relation, where brute force returns the lexicographically
+    smallest, a 5-cell subset of it, at the same value."""
+    left = _pair(FiniteMetricSpace.from_matrix([[0, 3, 3], [3, 0, 3], [3, 3, 0]]), (0, 1, 2))
+    right = _pair(_two_point(), (0, 1))
+    for objective in ("distortion", "sup_full"):
+        fast = min_distortion(left, right, objective=objective)
+        slow = brute_force_min_distortion(left, right, objective=objective)
+        assert fast.breakdown == slow.breakdown
+        assert fast.correspondence.pairs == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
+        assert slow.correspondence.pairs == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
+
+
 def test_min_distortion_heuristic_flags_nonoptimal(monkeypatch):
     monkeypatch.setattr(correspondences, "_EXHAUSTIVE_CELLS", 4)
     rng = random.Random(32)
@@ -252,6 +296,29 @@ def test_classical_glue_is_always_admissible():
         total = pair_hausdorff(glue.cross, left, right)
         # Each Hausdorff term is at most 2 eta.
         assert total <= 4 * glue.eta
+
+
+def test_classical_glue_hausdorff_sum_is_twice_eta():
+    """The relation covers every level, and a related pair (x, y) sits
+    at eta + dX(x, x) + dY(y, y) = eta, the least entry of its row and
+    column, so each of the two Hausdorff terms is exactly eta."""
+    rng = random.Random(37)
+    cases = []
+    for values in _VALUES:
+        for _ in range(10):
+            left = random_pair(rng, n_range=(1, 4), values=values)
+            right = random_pair(rng, n_range=(1, 4), values=values)
+            cases.append(random_correspondence(rng, left, right))
+    # zero full sup: the fallback shift, exact and float
+    for d in (2, 2.5):
+        pair = _pair(_two_point(d), (0,))
+        cases.append(PairCorrespondence(pair, pair, ((0, 0), (1, 1))))
+    assert sum(distortion(corr).sup_full == 0 for corr in cases) >= 2
+    for corr in cases:
+        glue = classical_glue(corr)
+        total = pair_hausdorff(glue.cross, corr.left, corr.right)
+        assert total == glue.eta + glue.eta
+        assert type(total) is type(glue.eta + glue.eta)
 
 
 def test_classical_glue_eta_constraints():
