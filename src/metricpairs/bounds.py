@@ -148,6 +148,8 @@ def matched_net_bound(
         (left.space, lp, la, left.subset, "left"),
         (right.space, rp, rb, right.subset, "right"),
     ):
+        if not all(0 <= p < space.n for p in pts):
+            raise ValueError(f"{side} net point index out of range")
         gap = _density_gap(space, range(space.n), pts, eps)
         if gap is not None:
             raise ValueError(f"{side} net is not strictly eps-dense: point {gap}")

@@ -439,15 +439,17 @@ def cmd_sample(args) -> int:
 _BUDGET_HELP = "witness-search nodes each exact solve may visit (default %(default)s)"
 
 
-def _tolerance(text: str) -> float:
-    """``--tol``: a finite number >= 0.  nan and inf would switch the
-    checks off, and a negative value would fail every space."""
+def _finite(text: str, positive: bool = False) -> float:
+    """``--tol`` (>= 0) or, when ``positive``, ``--step`` (> 0): a finite
+    number.  nan and inf would switch the checks off or print an interval
+    that is not JSON, and a negative tolerance would fail every space."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    sign = ">" if positive else ">="
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise argparse.ArgumentTypeError(f"expected a finite number {sign} 0, got {text!r}")
     return value
 
 
@@ -472,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("validate", help="check a document's metric axioms")
     _common(sub, 1)
-    sub.add_argument("--tol", type=_tolerance, default=None)
+    sub.add_argument("--tol", type=_finite, default=None)
     sub.set_defaults(func=cmd_validate)
 
     sub = commands.add_parser("hausdorff", help="Hausdorff distance between subsets")
@@ -551,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = apps_sub.add_parser("realize", help="Hausdorff interval between realizations")
     _common(sub, 2)
-    sub.add_argument("--step", type=float, default=0.125)
+    sub.add_argument("--step", type=lambda text: _finite(text, positive=True), default=0.125)
     sub.set_defaults(func=cmd_apps_realize)
 
     sub = apps_sub.add_parser("densify", help="round distances onto a 1/q grid")

@@ -90,21 +90,35 @@ def _restricted(pairs, a, b) -> tuple:
     return tuple((i, j) for i, j in pairs if i in a and j in b)
 
 
-def _misses(pairs, ll, lr) -> tuple:
-    """Points of ``ll`` and of ``lr`` that ``pairs`` restricted to them misses."""
-    sub = _restricted(pairs, ll, lr)
-    return sorted(set(ll) - {i for i, _ in sub}), sorted(set(lr) - {j for _, j in sub})
+def _cell_mask(cells, ny: int) -> int:
+    """Distinct cells (i, j) as one int over the flat index i * ny + j."""
+    return sum(1 << i * ny + j for i, j in cells)
+
+
+def _cover_masks(left, right) -> list:
+    """(level, side, point, mask) per point of each level pair, outermost
+    level first and its left points (side 0) before its right ones.  The
+    mask holds the point's row (column) cells within the level; a relation
+    covers every level exactly when its own cell mask meets every mask."""
+    ny = right.space.n
+    masks = []
+    for lvl, (ll, lr) in enumerate(_level_pairs(left, right)):
+        row, col = sum(1 << j for j in lr), sum(1 << i * ny for i in ll)
+        masks += [(lvl, 0, i, row << i * ny) for i in ll] + [(lvl, 1, j, col << j) for j in lr]
+    return masks
 
 
 def _coverage(pairs, left, right, tagged: bool) -> CorrespondenceViolations:
-    """One walk over the levels, outermost first; the subset levels'
-    misses carry their chain level when ``tagged``."""
-    (full_l, full_r), *levels = (_misses(pairs, ll, lr) for ll, lr in _level_pairs(left, right))
+    """The points whose cover mask misses ``pairs``, outermost level first;
+    the subset levels' misses carry their chain level when ``tagged``."""
+    rel = _cell_mask(pairs, right.space.n)
+    missed = [(lvl, side, p) for lvl, side, p, m in _cover_masks(left, right) if not m & rel]
+    full_l, full_r = (tuple(p for lvl, s, p in missed if not lvl and s == side) for side in (0, 1))
     sub_l, sub_r = (
-        tuple((lvl, p) if tagged else p for lvl, miss in enumerate(levels) for p in miss[side])
+        tuple((lvl - 1, p) if tagged else p for lvl, s, p in missed if lvl and s == side)
         for side in (0, 1)
     )
-    return CorrespondenceViolations(tuple(full_l), tuple(full_r), sub_l, sub_r)
+    return CorrespondenceViolations(full_l, full_r, sub_l, sub_r)
 
 
 def _cover(corr, tagged: bool) -> None:
@@ -205,26 +219,20 @@ def _objective_value(s_full, s_sub, objective):
 def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
     """Depth-first include/exclude search over the cell grid.
 
-    Cells are scanned in lexicographic order with include tried first, and
-    pruning at bound >= incumbent keeps the first relation found at the
-    optimal value.  Of tied relations that is the first in include-first
-    order, which prefers a superset to its subsets, not the
-    lexicographically smallest.  Forced cells (last candidate of an
-    uncovered requirement) are included eagerly.
+    A node is two cell masks: the included cells ``inc`` and the excluded
+    cells ``exc``.  Cells are scanned in lexicographic order with include
+    tried first, and pruning at bound >= incumbent keeps the first
+    relation found at the optimal value.  Of tied relations that is the
+    first in include-first order, which prefers a superset to its subsets,
+    not the lexicographically smallest.  A cover mask ``g`` with no
+    included cell and one open cell in ``g & ~exc`` forces that cell,
+    which is included eagerly; with none open the node is a dead end.
     """
     nx, ny = left.space.n, right.space.n
     ncells = nx * ny
     dx, dy = left.space.dist, right.space.dist
     a_set, b_set = set(left.subset), set(right.subset)
-    groups: list = []
-    for ll, lr in _level_pairs(left, right):
-        # each point of a level needs a cell of its row (column) in the level
-        groups.extend([i * ny + j for j in lr] for i in ll)
-        groups.extend([i * ny + j for i in ll] for j in lr)
-    cell_groups = [[] for _ in range(ncells)]
-    for gi, members in enumerate(groups):
-        for c in members:
-            cell_groups[c].append(gi)
+    groups = [m for *_, m in _cover_masks(left, right)]
     restricted = [
         (c // ny) in a_set and (c % ny) in b_set for c in range(ncells)
     ]
@@ -245,62 +253,40 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
                 s_sub = diff
         return s_full, s_sub
 
-    def run(pos, status, group_in, group_avail, included, s_full, s_sub, touched):
-        # Only an exclusion leaves an unmet group with one open member (or
-        # none: a dead end), so ``touched`` holds the groups of the last
-        # excluded cell, in index order.  Including a forced member leaves
-        # every group's open count as it was, so one pass reaches the
-        # closure.
-        for gi in touched:
-            if group_in[gi] > 0:
+    def close(pos, inc, exc, included, s_full, s_sub):
+        # Only an exclusion leaves an unmet group with one open cell (or
+        # none: a dead end).  Including a forced cell leaves every group's
+        # open cells as they were, so one pass reaches the closure.
+        for g in groups:
+            if g & inc:
                 continue
-            if group_avail[gi] == 0:
+            open_cells = g & ~exc
+            if not open_cells:
                 return
-            if group_avail[gi] == 1:
-                forced = next(c for c in groups[gi] if status[c] == 0)
-                status[forced] = 1
+            if open_cells.bit_count() == 1:
+                forced = open_cells.bit_length() - 1
                 s_full, s_sub = fold(forced, included, s_full, s_sub)
-                included.append(forced)
-                for g2 in cell_groups[forced]:
-                    group_in[g2] += 1
+                included += (forced,)
+                inc |= open_cells
+        run(pos, inc, exc, included, s_full, s_sub)
+
+    def run(pos, inc, exc, included, s_full, s_sub):
         bound = _objective_value(s_full, s_sub, objective)
         if best_value[0] is not None and not bound < best_value[0]:
             return
-        while pos < ncells and status[pos] != 0:
+        while pos < ncells and (inc | exc) >> pos & 1:
             pos += 1
         if pos == ncells:
             best_value[0] = bound
             best_value[1] = tuple(sorted(included))
             return
-        # include branch
+        cell = 1 << pos
         nf, ns = fold(pos, included, s_full, s_sub)
-        st = list(status)
-        st[pos] = 1
-        gin = list(group_in)
-        for gi in cell_groups[pos]:
-            gin[gi] += 1
-        run(pos + 1, st, gin, group_avail, included + [pos], nf, ns, ())
-        # exclude branch
-        st = list(status)
-        st[pos] = -1
-        gav = list(group_avail)
-        for gi in cell_groups[pos]:
-            gav[gi] -= 1
-        run(pos + 1, st, list(group_in), gav, list(included), s_full, s_sub, cell_groups[pos])
+        run(pos + 1, inc | cell, exc, included + (pos,), nf, ns)
+        close(pos + 1, inc, exc | cell, included, s_full, s_sub)
 
-    run(
-        0,
-        [0] * ncells,
-        [0] * len(groups),
-        [len(m) for m in groups],
-        [],
-        0,
-        0,
-        range(len(groups)),
-    )
-    cells = best_value[1]
-    pairs = tuple(divmod(c, ny) for c in cells)
-    return pairs
+    close(0, 0, 0, (), 0, 0)
+    return tuple(divmod(c, ny) for c in best_value[1])
 
 
 def _profile_cost(pa, pb) -> Scalar:
@@ -341,6 +327,8 @@ def _local_search(left: MetricPair, right: MetricPair, objective):
     and lowers the objective goes, then the scan starts over.  Adding a
     cell never lowers either sup, so no cell is ever added."""
     dx, dy = left.space.dist, right.space.dist
+    ny = right.space.n
+    groups = [m for *_, m in _cover_masks(left, right)]
 
     def price(cells):
         pairs = sorted(cells)
@@ -352,10 +340,12 @@ def _local_search(left: MetricPair, right: MetricPair, objective):
     cells = _heuristic_start(left, right)
     value = price(cells)
     for _ in range(_LOCAL_ITERATIONS):
+        rel = _cell_mask(cells, ny)
         for cell in sorted(cells):
-            trial = cells - {cell}
-            if not _coverage(trial, left, right, tagged=False).ok:
+            rest = rel & ~_cell_mask((cell,), ny)
+            if not all(g & rest for g in groups):
                 continue
+            trial = cells - {cell}
             trial_value = price(trial)
             if trial_value < value:
                 cells, value = trial, trial_value

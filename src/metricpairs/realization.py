@@ -307,8 +307,8 @@ def realization_hausdorff(a: EmbeddedComplex, b: EmbeddedComplex, h: float) -> I
     The inf side is exact, the sup side is the largest distance over the
     carrier samples, so the true distance lies in the returned interval.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("h must be a finite positive number")
     slack = 1e-9 * (1.0 + max(abs(x) for cx in (a, b) for p in cx.points for x in p))
     forward = _farthest_sample(a, _carrier_metric(b), h, slack)
     backward = _farthest_sample(b, _carrier_metric(a), h, slack)

@@ -469,8 +469,10 @@ def greedy_net(space: FiniteMetricSpace, radius: Scalar, seed=(), tol=None) -> N
 
 
 def covering_radius(space: FiniteMetricSpace, members, over=None) -> Scalar:
-    """Largest distance from a point (of ``over``, default all) to the set."""
-    pts = range(space.n) if over is None else list(over)
+    """Largest distance from a point (of ``over``, default all) to the set;
+    an index out of range raises ValueError."""
+    members = _normalize_subset(members, space.n)
+    pts = range(space.n) if over is None else _normalize_subset(over, space.n)
     return max(min(space.dist[p][q] for q in members) for p in pts)
 
 

@@ -134,6 +134,15 @@ def test_matched_net_bound_density_raises():
         matched_net_bound(pair, pair, 2, [2], [2])
 
 
+@pytest.mark.parametrize("left_points, right_points", [([5], [0]), ([0], [5]), ([-1], [0]), ([0], [-1])])
+def test_matched_net_bound_rejects_indices_out_of_range(left_points, right_points):
+    """A point out of range is a usage error, whichever list holds it;
+    -1 is not read as the last point."""
+    pair = _pair([[0, 1, 2], [1, 0, 1], [2, 1, 0]], (0, 1))
+    with pytest.raises(ValueError, match="point index out of range"):
+        matched_net_bound(pair, pair, 3, left_points, right_points)
+
+
 def test_matched_net_bound_membership_failure():
     left = _pair([[0, 1], [1, 0]], (0,))
     right = _pair([[0, 1], [1, 0]], (0, 1))

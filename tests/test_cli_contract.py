@@ -194,9 +194,14 @@ def docs(tmp_path_factory):
     return paths
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _contract(capsys, argv) -> int:
-    """Exit code of ``main(argv)``; fails on a code outside 0-2 or an
-    exception that escapes ``main``."""
+    """Exit code of ``main(argv)``; fails on a code outside 0-2, an
+    exception that escapes ``main``, or a successful run whose output is
+    not strict JSON (``Infinity`` and ``NaN`` are not)."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse usage errors
@@ -206,6 +211,8 @@ def _contract(capsys, argv) -> int:
     assert "Traceback" not in out + err, argv
     if code == 2:
         assert err.strip(), argv
+    if code == 0:
+        json.loads(out, parse_constant=_no_constant)
     return code
 
 
@@ -230,6 +237,16 @@ def test_validate_rejects_a_tolerance_that_switches_checks_off(docs, capsys):
     for tol in ("nan", "-1", "inf", "-inf"):
         argv = ["validate", "--input", docs["triangle"], "--tol", tol]
         assert _contract(capsys, argv) == 2, tol
+
+
+def test_realize_rejects_a_step_that_is_not_finite_and_positive(docs, capsys):
+    """``--step inf`` would print an upper end of Infinity, which is not JSON."""
+    for step in ("0", "-1", "nan", "inf"):
+        argv = ["apps", "realize", "--input", docs["GOOD_COMPLEX"], docs["GOOD_COMPLEX"]]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--step", step])
+        assert info.value.code == 2, step
+        assert "argument --step" in capsys.readouterr().err, step
 
 
 # argv with document names, and what stderr must say

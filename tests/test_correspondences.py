@@ -24,11 +24,17 @@ from metricpairs.correspondences import (
     validate_correspondence,
     validate_tuple_correspondence,
 )
-from metricpairs.generators import random_correspondence, random_pair, random_space
+from metricpairs.generators import (
+    random_correspondence,
+    random_pair,
+    random_space,
+    random_tuple,
+)
 from metricpairs.spaces import (
     FiniteMetricSpace,
     MetricPair,
     MetricTuple,
+    _level_pairs,
     pair_hausdorff,
 )
 
@@ -132,6 +138,72 @@ def test_validate_tuple_correspondence_rejects_different_chain_lengths():
         for left, right in ((short, long), (long, short)):
             with pytest.raises(ValueError, match="different chain lengths"):
                 validate_tuple_correspondence(pairs, left, right)
+
+
+def _seeded_relation(rng, left, right, mode):
+    """A relation on the two grids: ``mode`` 0 covers every level, 1 drops
+    a few cells of a covering relation, 2 draws cells at random, 3 adds an
+    out-of-range cell and 4 is empty.  Cells come unsorted, some twice."""
+    nx, ny = left.space.n, right.space.n
+    if mode == 4:
+        return []
+    cells = []
+    if mode in (0, 1):
+        for ll, lr in _level_pairs(left, right):
+            cells.extend((x, rng.choice(lr)) for x in ll)
+            cells.extend((rng.choice(ll), y) for y in lr)
+        if mode == 1:
+            for _ in range(rng.randint(1, 3)):
+                drop = rng.choice(cells)
+                cells = [c for c in cells if c != drop] or [drop]
+    else:
+        cells = [(rng.randrange(nx), rng.randrange(ny)) for _ in range(rng.randint(1, nx * ny))]
+    if mode == 3:
+        cells.append((nx, rng.randrange(ny)) if rng.random() < 0.5 else (0, -1))
+    cells.extend(rng.sample(cells, min(2, len(cells))))
+    rng.shuffle(cells)
+    return cells
+
+
+def test_coverage_reports_match_recorded_digest():
+    """Coverage reports and errors stay as recorded.
+
+    The digest covers 600 seeded relations on pairs and on 1-3-level
+    tuples with int, Fraction and float distances: covering relations,
+    relations with cells dropped, random ones, out-of-range and empty
+    ones.  It pins what ``validate_*`` returns and what the constructors
+    raise, report dicts and messages included.
+    """
+    rng = random.Random(47)
+    digest = hashlib.sha256()
+    for i in range(600):
+        values = _VALUES[i % 3]
+        k = i % 4
+        if k == 0:
+            left = random_pair(rng, n_range=(1, 5), values=values)
+            right = random_pair(rng, n_range=(1, 5), values=values)
+            build, validate = PairCorrespondence, validate_correspondence
+        else:
+            left = random_tuple(rng, k, n_range=(1, 5), values=values)
+            right = random_tuple(rng, k, n_range=(1, 5), values=values)
+            build, validate = TupleCorrespondence, validate_tuple_correspondence
+        pairs = _seeded_relation(rng, left, right, rng.choice((0, 0, 1, 1, 2, 2, 3, 4)))
+        record = []
+        try:
+            res = validate(pairs, left, right)
+            record.append(res.pairs if isinstance(res, build) else res.as_dict())
+        except ValueError as exc:
+            record.append(["error", str(exc)])
+        try:
+            record.append(build(left, right, pairs).pairs)
+        except UncoveredRelationError as exc:
+            record.append(["uncovered", str(exc)])
+        except ValueError as exc:
+            record.append(["error", str(exc)])
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == (
+        "2c3a6f8907115f8c9e532815f40ee4cbfc0fc08c658dd4c1c06421d9a51e0c56"
+    )
 
 
 def test_distortion_identity_is_zero():

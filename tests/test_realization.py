@@ -132,6 +132,12 @@ def test_realization_hausdorff_parallel_segments():
     assert fine.lower >= coarse.lower
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, math.inf, math.nan])
+def test_realization_hausdorff_rejects_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError, match="h must be"):
+        realization_hausdorff(_segment(0.0), _segment(0.5), h)
+
+
 def test_realization_hausdorff_triangle_in_triangle():
     """A triangle against its own boundary edges: Hausdorff distance is
     the inradius distance from the incenter... bounded above by the interval."""

@@ -283,6 +283,13 @@ def test_covering_radius_over_subset():
     assert covering_radius(space, (0,), over=(0, 1)) == 1
 
 
+@pytest.mark.parametrize("members, over", [((-1,), None), ((3,), None), ((0,), (-1,)), ((0,), (0, 3))])
+def test_covering_radius_rejects_indices_out_of_range(members, over):
+    """-1 is not read as the last point: the 3-point path would give 2."""
+    with pytest.raises(ValueError, match="out of range"):
+        covering_radius(_path_space(), members, over=over)
+
+
 def test_product_max_metric_values():
     space = _path_space()
     prod = product_max_metric(space, space)
