@@ -17,7 +17,7 @@ from .correspondences import (
     classical_glue,
     min_distortion,
 )
-from .scalars import Scalar, half
+from .scalars import Scalar, check_positive, half
 from .spaces import MetricPair, _level_pairs
 
 if TYPE_CHECKING:
@@ -133,8 +133,7 @@ def matched_net_bound(
     and raises.  A membership disagreement or a pairwise mismatch of at
     least eps is a mathematical failure and is reported, not raised.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_positive(eps, "eps")
     lp = [int(p) for p in left_points]
     rp = [int(q) for q in right_points]
     if len(lp) != len(rp):

@@ -15,25 +15,16 @@ import random
 import sys
 from importlib import import_module
 
-from . import DEFAULT_BUDGET
+from . import _EXPORTS, DEFAULT_BUDGET
 
-# The library names the handlers call, by the module that defines them.  A
-# command imports only the modules it runs (``_need``), so the parser and
-# --help load none.  Once imported, a name stays in this module's globals,
-# where replacing ``metricpairs.cli.<name>`` reroutes the handlers' calls.
+# The library names the handlers call, by the module that defines them:
+# the package's public names plus the document functions, which it does
+# not export.  A command imports only the modules it runs (``_need``), so
+# the parser and --help load none.  Once imported, a name stays in this
+# module's globals, where replacing ``metricpairs.cli.<name>`` reroutes
+# the handlers' calls.
 _LIBRARY = {
-    "applications": (
-        "hypernet_distortion", "rational_densify", "rational_densify_pair",
-        "variant_sandwich",
-    ),
-    "bounds": ("gh_bounds",),
-    "complexes": ("approximation_pipeline",),
-    "correspondences": ("distortion", "min_distortion"),
-    "generators": ("random_correspondence", "random_pair", "random_space", "random_tuple"),
-    "geodesics": ("geodesicity_audit", "interpolate"),
-    "oracle": ("exact_pair_gh", "exact_pair_gh_max", "exact_tuple_gh"),
-    "realization": ("realization_hausdorff",),
-    "scalars": ("format_scalar", "parse_scalar"),
+    **_EXPORTS,
     "serialization": (
         "correspondence_from_dict", "correspondence_to_dict", "document_kind",
         "dump_json", "embedded_from_dict", "format_csv", "load_document",
@@ -41,7 +32,6 @@ _LIBRARY = {
         "space_from_dict", "space_to_dict", "tuple_from_dict", "tuple_on_space",
         "tuple_to_dict",
     ),
-    "spaces": ("MetricPair", "MetricTuple", "MetricViolations", "hausdorff", "validate_metric"),
 }
 # every command reads or writes a document
 _DOCUMENTS = ("scalars", "serialization", "spaces")

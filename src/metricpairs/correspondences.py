@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import Scalar, format_scalar, half, is_exact
+from .scalars import Scalar, check_positive, format_scalar, half, is_exact
 from .spaces import (
     CrossMetric,
     MetricPair,
@@ -442,8 +442,7 @@ def tight_glue(corr: PairCorrespondence, r: Scalar) -> GlueReport:
     the mixed triangle inequalities, so validity is checked and reported
     rather than assumed.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    check_positive(r, "r")
     cross = _glued(corr, half(r))
     violations = tuple(cross.check())
     valid = not violations
@@ -483,10 +482,10 @@ def classical_glue(corr: PairCorrespondence, eta: Optional[Scalar] = None) -> Cl
     """
     if eta is None:
         eta = default_glue_shift(corr)
-    elif eta <= 0:
-        raise ValueError("eta must be positive")
-    elif 2 * eta < distortion(corr).sup_full:
-        raise ValueError("eta must be at least half the full sup")
+    else:
+        check_positive(eta, "eta")
+        if 2 * eta < distortion(corr).sup_full:
+            raise ValueError("eta must be at least half the full sup")
     return ClassicalGlue(_glued(corr, eta), eta)
 
 

@@ -36,7 +36,7 @@ def _cell_matrix(corr: PairCorrespondence, t: Scalar):
 def interpolate(corr: PairCorrespondence, t: Scalar) -> MetricPair:
     """Pair at time t along the straight-line path; endpoints come back
     as the original pairs."""
-    if t < 0 or t > 1:
+    if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
     if t == 0:
         return corr.left
@@ -59,7 +59,7 @@ def diagonal_distortion(corr: PairCorrespondence, s: Scalar, t: Scalar) -> Disto
     computation here goes through the actual cell matrices.
     """
     for v in (s, t):
-        if v < 0 or v > 1:
+        if not 0 <= v <= 1:
             raise ValueError("times must lie in [0, 1]")
     ma, mb = _cell_matrix(corr, s), _cell_matrix(corr, t)
     restricted = set(corr.restricted())
@@ -76,7 +76,7 @@ def endpoint_distortion(corr: PairCorrespondence, t: Scalar, side: str = "left")
     Matching cells to their coordinate in the chosen endpoint scales the
     correspondence distortion by t (left side) or 1 - t (right side).
     """
-    if t < 0 or t > 1:
+    if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -128,7 +128,7 @@ def geodesicity_audit(
         grid = DEFAULT_GRID
     times = list(grid)
     for v in times:
-        if v < 0 or v > 1:
+        if not 0 <= v <= 1:
             raise ValueError("grid times must lie in [0, 1]")
     # only values are kept: the cache's one sure hit, the (0, 1) row
     # repeating the endpoint solve, is served from ``endpoint`` instead

@@ -167,11 +167,6 @@ def _radii2(m, variant):
     return tuple(float(r) for r in radii2)
 
 
-def _zero(space_left, space_right) -> Scalar:
-    """Mismatch matrix seed; a float zero keeps float results float."""
-    return 0 if space_left.exact and space_right.exact else 0.0
-
-
 # ---------------------------------------------------------------------------
 # witness search
 
@@ -400,7 +395,8 @@ class GHResult:
 def _matrix_from_entries(levels, space_left, space_right):
     dx, dy = space_left.dist, space_right.dist
     nlev = len(levels)
-    zero = _zero(space_left, space_right)
+    # a float zero keeps float results float
+    zero = 0 if space_left.exact and space_right.exact else 0.0
     m = [[zero] * nlev for _ in range(nlev)]
     for a in range(nlev):
         for b in range(a, nlev):
@@ -438,7 +434,7 @@ def _solve(left, right, variant, levels_l, levels_r, budget) -> GHResult:
     searched on one integer scale and the mismatch is mapped back.
     """
     scale, _, dx, dy = _on_integer_scale(0, left.space.dist, right.space.dist)
-    zero = _zero(left.space, right.space)
+    zero = 0 if scale is not None else 0.0  # a float zero keeps float results float
     ents, m = _search(dx, dy, zero, levels_l, levels_r, variant, budget)
     if scale is not None and scale > 1:
         m = [[Fraction(v, scale) for v in row] for row in m]
@@ -520,14 +516,6 @@ def _rebuild(left, right, variant, stored, perm_l, perm_r) -> GHResult:
 # public entry points
 
 
-def _compute_pair(left, right, variant, budget, shortcut) -> GHResult:
-    levels_l = _levels_of(left)
-    levels_r = _levels_of(right)
-    if shortcut and left.subset == levels_l[0] and right.subset == levels_r[0]:
-        levels_l, levels_r = levels_l[:1], levels_r[:1]
-    return _solve(left, right, variant, levels_l, levels_r, budget)
-
-
 def _pair_gh(left, right, variant, budget, cache, shortcut) -> GHResult:
     if not isinstance(left, MetricPair) or not isinstance(right, MetricPair):
         raise TypeError("expected MetricPair operands")
@@ -541,7 +529,11 @@ def _pair_gh(left, right, variant, budget, cache, shortcut) -> GHResult:
             if hit is not None:
                 return _rebuild(left, right, variant, hit, ck_l[1], ck_r[1])
             key_info = (key, (variant, ck_r[0], ck_l[0]), ck_l[1], ck_r[1])
-    result = _compute_pair(left, right, variant, budget, shortcut)
+    levels_l = _levels_of(left)
+    levels_r = _levels_of(right)
+    if shortcut and left.subset == levels_l[0] and right.subset == levels_r[0]:
+        levels_l, levels_r = levels_l[:1], levels_r[:1]
+    result = _solve(left, right, variant, levels_l, levels_r, budget)
     if key_info is not None:
         key, mirror, perm_l, perm_r = key_info
         _CACHE[key] = _store_entry(result, perm_l, perm_r, transpose=False)
@@ -634,45 +626,33 @@ def build_witness_lp(left, right, maps) -> LinearProgram:
     nlev = len(levels)
     nvar = n * mm + nlev
 
-    def cell(i, j):
-        return i * mm + j
-
     objective = [Fraction(0)] * nvar
     for lvl in range(nlev):
         objective[n * mm + lvl] = Fraction(1)
     lp = LinearProgram(tuple(objective))
-    for j in range(mm):
-        for i in range(n):
-            for i2 in range(n):
-                if i == i2:
-                    continue
-                coeffs = [0] * nvar
-                coeffs[cell(i, j)] += 1
-                coeffs[cell(i2, j)] -= 1
-                lp.add(coeffs, "<=", sx.dist[i][i2])
-            for i2 in range(i + 1, n):
-                coeffs = [0] * nvar
-                coeffs[cell(i, j)] += 1
-                coeffs[cell(i2, j)] += 1
-                lp.add(coeffs, ">=", sx.dist[i][i2])
-    for i in range(n):
-        for j in range(mm):
-            for j2 in range(mm):
-                if j == j2:
-                    continue
-                coeffs = [0] * nvar
-                coeffs[cell(i, j)] += 1
-                coeffs[cell(i, j2)] -= 1
-                lp.add(coeffs, "<=", sy.dist[j][j2])
-            for j2 in range(j + 1, mm):
-                coeffs = [0] * nvar
-                coeffs[cell(i, j)] += 1
-                coeffs[cell(i, j2)] += 1
-                lp.add(coeffs, ">=", sy.dist[j][j2])
+    # the mixed triangle conditions of one side, then of the other: cell
+    # (a, b) pairs point a of the side with point b of the opposite one
+    for d, other, step_a, step_b in ((sx.dist, mm, mm, 1), (sy.dist, n, 1, mm)):
+        size = len(d)
+        for b in range(other):
+            for a in range(size):
+                ab = a * step_a + b * step_b
+                for a2 in range(size):
+                    if a2 == a:
+                        continue
+                    coeffs = [0] * nvar
+                    coeffs[ab] += 1
+                    coeffs[a2 * step_a + b * step_b] -= 1
+                    lp.add(coeffs, "<=", d[a][a2])
+                for a2 in range(a + 1, size):
+                    coeffs = [0] * nvar
+                    coeffs[ab] += 1
+                    coeffs[a2 * step_a + b * step_b] += 1
+                    lp.add(coeffs, ">=", d[a][a2])
     for lvl, cells in enumerate(levels):
         for x, y in cells:
             coeffs = [0] * nvar
-            coeffs[cell(x, y)] += 1
+            coeffs[x * mm + y] += 1
             coeffs[n * mm + lvl] -= 1
             lp.add(coeffs, "<=", 0)
     return lp

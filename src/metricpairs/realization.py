@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .scalars import check_positive
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -248,8 +250,7 @@ def _grid(cx: EmbeddedComplex, s, h: float):
 def carrier_samples(cx: EmbeddedComplex, h: float) -> list:
     """Sample points with spacing at most h; refining h by powers of two
     only adds points."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    check_positive(h, "h")
     out = []
     for s in cx.simplices:
         m, point, _ = _grid(cx, s, h)
@@ -307,8 +308,7 @@ def realization_hausdorff(a: EmbeddedComplex, b: EmbeddedComplex, h: float) -> I
     The inf side is exact, the sup side is the largest distance over the
     carrier samples, so the true distance lies in the returned interval.
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("h must be a finite positive number")
+    check_positive(h, "h")
     slack = 1e-9 * (1.0 + max(abs(x) for cx in (a, b) for p in cx.points for x in p))
     forward = _farthest_sample(a, _carrier_metric(b), h, slack)
     backward = _farthest_sample(b, _carrier_metric(a), h, slack)

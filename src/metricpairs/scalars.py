@@ -55,6 +55,13 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
         raise ValueError(f"scalar {value!r} is out of float range") from exc
 
 
+def check_positive(value: Scalar, name: str) -> None:
+    """Raise ValueError unless ``value`` is a finite number > 0; NaN and
+    infinities pass a bare ``value <= 0`` test."""
+    if not (value > 0 and (is_exact(value) or math.isfinite(value))):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def format_scalar(value: Scalar):
     """Render for JSON: rationals as 'p/q' in lowest terms, floats as-is."""
     if isinstance(value, float):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from .scalars import Scalar, all_exact, is_exact, tolerance_for
+from .scalars import Scalar, all_exact, check_positive, is_exact, tolerance_for
 
 
 class InvalidMetricError(ValueError):
@@ -64,12 +64,6 @@ class MetricViolations:
         }
 
 
-def _iter_entries(matrix):
-    for row in matrix:
-        for v in row:
-            yield v
-
-
 def _on_integer_scale(tol, *matrices):
     """``(scale, tol, *matrices)``, multiplied by one common denominator
     when exact.
@@ -112,7 +106,7 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
         if len(row) != n:
             raise ValueError("matrix is not square")
     if tol is None:
-        tol = tolerance_for(_iter_entries(matrix))
+        tol = tolerance_for(chain.from_iterable(matrix))
     _, tol, d = _on_integer_scale(tol, matrix)
     for i in range(n):
         for j in range(n):
@@ -171,7 +165,7 @@ class FiniteMetricSpace:
 
     @property
     def exact(self) -> bool:
-        return all_exact(_iter_entries(self.dist))
+        return all_exact(chain.from_iterable(self.dist))
 
     def diameter(self, subset: Optional[Sequence[int]] = None) -> Scalar:
         idx = range(self.n) if subset is None else list(subset)
@@ -251,36 +245,34 @@ def hausdorff(space: FiniteMetricSpace, s_set, t_set) -> Scalar:
 def _cross_violations(dx, dy, c, require_positive: bool = True) -> list:
     """Violation records of the cross block ``c`` between the factor
     matrices ``dx`` and ``dy``.  The caller puts exact input on one
-    integer scale first (``_on_integer_scale``), where the tolerance is 0."""
-    tol = tolerance_for(chain(_iter_entries(c), _iter_entries(dx), _iter_entries(dy)))
-    nl, nr = len(dx), len(dy)
-    bad = []
-    for i in range(nl):
-        for j in range(nr):
-            if c[i][j] < -tol or (require_positive and c[i][j] <= tol):
-                bad.append(("positivity", i, j))
-    for i in range(nl):
-        for i2 in range(nl):
-            if i == i2:
-                continue
-            for j in range(nr):
-                if c[i][j] > dx[i][i2] + c[i2][j] + tol:
-                    bad.append(("left-cross", i, i2, j))
-        for i2 in range(i + 1, nl):
-            for j in range(nr):
-                if dx[i][i2] > c[i][j] + c[i2][j] + tol:
-                    bad.append(("left-lower", i, i2, j))
-    for j in range(nr):
-        for j2 in range(nr):
-            if j == j2:
-                continue
-            for i in range(nl):
-                if c[i][j] > dy[j][j2] + c[i][j2] + tol:
-                    bad.append(("right-cross", i, j, j2))
-        for j2 in range(j + 1, nr):
-            for i in range(nl):
-                if dy[j][j2] > c[i][j] + c[i][j2] + tol:
-                    bad.append(("right-lower", i, j, j2))
+    integer scale first (``_on_integer_scale``), where the tolerance is 0.
+
+    One scan serves both sides: on the right it runs over the transposed
+    block, and its records keep the left index first."""
+    tol = tolerance_for(chain.from_iterable((*c, *dx, *dy)))
+    bad = [
+        ("positivity", i, j)
+        for i, row in enumerate(c)
+        for j, v in enumerate(row)
+        if v < -tol or (require_positive and v <= tol)
+    ]
+    for side, d, block in (("left", dx, c), ("right", dy, tuple(zip(*c)))):
+        cross, lower, left = f"{side}-cross", f"{side}-lower", side == "left"
+        n, others = len(d), range(len(block[0]))
+        for a in range(n):
+            da, ca = d[a], block[a]
+            for a2 in range(n):
+                if a2 == a:
+                    continue
+                daa2, ca2 = da[a2], block[a2]
+                for b in others:
+                    if ca[b] > daa2 + ca2[b] + tol:
+                        bad.append((cross, a, a2, b) if left else (cross, b, a, a2))
+            for a2 in range(a + 1, n):
+                daa2, ca2 = da[a2], block[a2]
+                for b in others:
+                    if daa2 > ca[b] + ca2[b] + tol:
+                        bad.append((lower, a, a2, b) if left else (lower, b, a, a2))
     return bad
 
 
@@ -446,10 +438,9 @@ def greedy_net(space: FiniteMetricSpace, radius: Scalar, seed=(), tol=None) -> N
     (scaled by 1-tol in float mode).  Every rejected point ends up within
     the radius of some member; ties at exactly the radius are reported.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    check_positive(radius, "radius")
     if tol is None:
-        tol = tolerance_for(chain((radius,), _iter_entries(space.dist)))
+        tol = tolerance_for(chain((radius,), *space.dist))
     seed = list(dict.fromkeys(int(i) for i in seed))
     if seed and (min(seed) < 0 or max(seed) >= space.n):
         raise ValueError("seed index out of range")

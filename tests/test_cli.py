@@ -516,6 +516,28 @@ def test_import_pulls_in_no_numpy():
     assert not numpy
 
 
+def test_every_library_name_resolves_on_cli_to_its_module_object():
+    """The package's public names and the document functions the handlers
+    call resolve on ``cli`` to the objects their modules define; a fresh
+    interpreter, so no patch from another test is seen."""
+    probe = (
+        "import importlib, json, metricpairs\n"
+        "from metricpairs import cli\n"
+        "names = [(m, n) for m, ns in metricpairs._EXPORTS.items() for n in ns]\n"
+        "names += [('serialization', n) for n in cli._LIBRARY['serialization']]\n"
+        "wrong = [n for m, n in names if getattr(cli, n, None)\n"
+        "         is not getattr(importlib.import_module(f'metricpairs.{m}'), n)]\n"
+        "print(json.dumps([len(names), wrong]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert result.returncode == 0, result.stderr
+    count, wrong = json.loads(result.stdout)
+    assert count == 108 + 16
+    assert wrong == []
+
+
 # run in a fresh interpreter: what importing the package loads, then the
 # command's exit code and every module loaded by the end
 _IMPORT_PROBE = """

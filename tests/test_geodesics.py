@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -51,6 +52,25 @@ def test_interpolate_rejects_out_of_range():
         interpolate(corr, Fraction(3, 2))
     with pytest.raises(ValueError):
         interpolate(corr, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        interpolate,
+        lambda corr, t: diagonal_distortion(corr, t, Fraction(1, 2)),
+        lambda corr, t: diagonal_distortion(corr, Fraction(1, 2), t),
+        endpoint_distortion,
+        lambda corr, t: geodesicity_audit(corr, grid=(0, t)),
+    ],
+    ids=["interpolate", "diagonal-s", "diagonal-t", "endpoint", "audit-grid"],
+)
+def test_times_outside_the_unit_interval_include_nan(call, t):
+    # NaN fails every comparison, so only a check that it lies in [0, 1]
+    # stops it; a check that it lies outside lets it through
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        call(_collapse_correspondence(), t)
 
 
 def test_interpolate_never_receives_an_uncovered_relation():

@@ -1,5 +1,6 @@
 """Invariants of the exact pair distance on random pairs of up to 5 points
-(up to 4 for the scaling, variant, triangle and tuple properties).
+(up to 4 for the scaling, variant, triangle, tuple and distortion
+properties).
 
 Each property draws a seed and builds its pairs with the library's own
 generators, so a failing example is reproduced by the seed alone.
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricpairs.bounds import gh_bounds
+from metricpairs.correspondences import min_distortion
 from metricpairs.generators import random_pair, random_permuted_pair
 from metricpairs.oracle import exact_pair_gh, exact_pair_gh_max, exact_tuple_gh
 from metricpairs.spaces import FiniteMetricSpace, MetricPair
@@ -104,3 +106,15 @@ def test_one_level_tuple_equals_its_pair(seed):
         exact_tuple_gh(tl, tr, budget=_BUDGET, variant="max").value
         == _exact_max(left, right)
     )
+
+
+@_BOUNDED
+@given(_SEED)
+def test_least_full_sup_is_twice_the_max_variant(seed):
+    """The least full distortion sup over pair correspondences is twice
+    the max-variant distance: the exhaustive cell search (at most 16
+    cells) checked against the witness search."""
+    _, left, right = _pairs(seed, 4)
+    found = min_distortion(left, right, objective="sup_full")
+    assert found.optimal
+    assert found.breakdown.sup_full == 2 * _exact_max(left, right)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from metricpairs.bounds import matched_net_bound
+from metricpairs.correspondences import PairCorrespondence, classical_glue, tight_glue
+from metricpairs.realization import EmbeddedComplex, carrier_samples
 from metricpairs.scalars import (
     all_exact,
     close,
@@ -13,6 +17,7 @@ from metricpairs.scalars import (
     parse_scalar,
     tolerance_for,
 )
+from metricpairs.spaces import FiniteMetricSpace, MetricPair, greedy_net
 
 
 def test_is_exact_accepts_int_and_fraction():
@@ -99,3 +104,26 @@ def test_close_allows_the_tolerance_on_floats():
     assert close(Fraction(1, 3), 1 / 3)
     assert not close(1.0, 1.0 + 1e-8)
     assert not close(0.0, Fraction(1, 10**6))
+
+
+def _identity():
+    pair = MetricPair(FiniteMetricSpace.from_matrix([[0, 1], [1, 0]]), (0,))
+    return PairCorrespondence(pair, pair, ((0, 0), (1, 1)))
+
+
+# one call per parameter that must be a finite number > 0, by its name
+_POSITIVE = {
+    "eps": lambda v: matched_net_bound(_identity().left, _identity().left, v, (0, 1), (0, 1)),
+    "r": lambda v: tight_glue(_identity(), v),
+    "eta": lambda v: classical_glue(_identity(), eta=v),
+    "radius": lambda v: greedy_net(_identity().left.space, v),
+    "h": lambda v: carrier_samples(EmbeddedComplex([[0.0, 0.0], [1.0, 0.0]], [[0, 1]]), v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_POSITIVE))
+def test_positive_parameters_must_be_finite(name, value):
+    # NaN and infinities pass a bare ``<= 0`` check and gave wrong results
+    with pytest.raises(ValueError, match=f"^{name} must be a finite positive number"):
+        _POSITIVE[name](value)
