@@ -205,13 +205,7 @@ def cmd_gh_exact(args) -> int:
     right = _load_pair(args, args.input[1])
     fn = exact_pair_gh_max if args.variant == "max" else exact_pair_gh
     # one oracle call per process: a cache lookup here could only miss
-    result = fn(
-        left,
-        right,
-        budget=args.budget,
-        cache=False,
-        shortcut=not args.no_shortcut,
-    )
+    result = fn(left, right, budget=args.budget, cache=False)
     _emit(args, _result_payload(result))
     return 0
 
@@ -476,17 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     gh = commands.add_parser("gh", help="pair and tuple distances")
     gh_sub = gh.add_subparsers(dest="gh_command", required=True)
 
-    sub = gh_sub.add_parser("exact", help="exact pair distance (summed variant)")
-    _common(sub, 2)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
-    sub.add_argument("--no-shortcut", action="store_true")
-    sub.set_defaults(func=cmd_gh_exact, variant="sum")
-
-    sub = gh_sub.add_parser("tilde", help="exact pair distance (max variant)")
-    _common(sub, 2)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
-    sub.add_argument("--no-shortcut", action="store_true")
-    sub.set_defaults(func=cmd_gh_exact, variant="max")
+    for name, variant in (("exact", "sum"), ("tilde", "max")):
+        sub = gh_sub.add_parser(name, help=f"exact pair distance ({variant} variant)")
+        _common(sub, 2)
+        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
+        sub.set_defaults(func=cmd_gh_exact, variant=variant)
 
     sub = gh_sub.add_parser("tuple", help="exact tuple distance")
     _common(sub, 2)

@@ -85,39 +85,20 @@ def graph_space(n: int, edges: Sequence, labels=None) -> FiniteMetricSpace:
     return FiniteMetricSpace.from_matrix(rows, labels)
 
 
-def _closure(mat):
-    n = len(mat)
-    for mid in range(n):
-        row_mid = mat[mid]
-        for i in range(n):
-            via = mat[i][mid]
-            row_i = mat[i]
-            for j in range(n):
-                cand = via + row_mid[j]
-                if cand < row_i[j]:
-                    row_i[j] = cand
-    return mat
-
-
 def random_space(
     rng: random.Random, n: int, values: Sequence = (1, 2, 3), labels=None
 ) -> FiniteMetricSpace:
-    """Random metric with entries drawn from ``values``, then repaired by
-    shortest-path closure so the triangle inequality always holds."""
+    """Random metric: the shortest-path distances of the complete graph
+    whose edge weights are drawn from ``values``, so the triangle
+    inequality always holds."""
     if n < 1:
         raise ValueError("need at least one point")
     if any(v <= 0 for v in values):
         raise ValueError("values must be positive")
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = rng.choice(list(values))
-            mat[i][j] = v
-            mat[j][i] = v
-    _closure(mat)
+    edges = [(i, j, rng.choice(list(values))) for i in range(n) for j in range(i + 1, n)]
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
-    return FiniteMetricSpace.from_matrix(mat, labels)
+    return FiniteMetricSpace.from_matrix(_shortest_paths(n, edges), labels)
 
 
 def random_subset(rng: random.Random, n: int, size: Optional[int] = None) -> tuple:

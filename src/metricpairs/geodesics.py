@@ -118,10 +118,11 @@ def geodesicity_audit(
 ) -> GeodesicityAudit:
     """Compare exact distances between interpolants with linear scaling.
 
-    For every ordered grid pair s < t the exact pair distance between the
-    interpolants is computed and set against |t - s| times the endpoint
-    distance.  Mismatches are reported, not raised: the path is geodesic
-    for optimal correspondences, not for arbitrary ones.  ``budget`` caps
+    For every pair s < t of distinct grid times, given in any order, the
+    exact pair distance between the interpolants is computed and set
+    against (t - s) times the endpoint distance.  Mismatches are
+    reported, not raised: the path is geodesic for optimal
+    correspondences, not for arbitrary ones.  ``budget`` caps
     the witness-search nodes of each of these exact solves.
     """
     if grid is None:
@@ -130,6 +131,7 @@ def geodesicity_audit(
     for v in times:
         if not 0 <= v <= 1:
             raise ValueError("grid times must lie in [0, 1]")
+    times = sorted(set(times))
     # only values are kept: the cache's one sure hit, the (0, 1) row
     # repeating the endpoint solve, is served from ``endpoint`` instead
     endpoint = exact_pair_gh(corr.left, corr.right, budget=budget, cache=False).value

@@ -140,31 +140,25 @@ def radius_lp(m):
     return res.value, res.solution
 
 
-def _value2(m, variant) -> Scalar:
-    """Doubled value of a mismatch matrix: its largest entry for the max
-    variant, the max-weight assignment for the sum."""
-    return _max_entry(m) if variant == "max" else _assignment_value2(m)
-
-
-def _radii2(m, variant):
-    """Doubled certificate radii of a mismatch matrix, deterministic split.
+def _value_and_radii(m, variant):
+    """Value and certificate radii of a mismatch matrix of two or more levels.
 
     The max variant puts its value on every level.  From three levels on
     the sum is split by the simplex, which works in exact binary rationals
     of float inputs, so a matrix holding floats gets its radii back as
     floats.
     """
-    nlev = len(m)
     if variant == "max":
-        return (_max_entry(m),) * nlev
-    if nlev == 1:
-        return (m[0][0],)
-    if nlev == 2:
-        return (m[0][0], _assignment_value2(m) - m[0][0])
-    radii2 = radius_lp(m)[1]
-    if all(is_exact(v) for row in m for v in row):
-        return radii2
-    return tuple(float(r) for r in radii2)
+        value = half(_max_entry(m))
+        return value, (value,) * len(m)
+    v2 = _assignment_value2(m)
+    if len(m) == 2:
+        radii2 = (m[0][0], v2 - m[0][0])
+    else:
+        radii2 = radius_lp(m)[1]
+        if not all(is_exact(v) for row in m for v in row):
+            radii2 = tuple(float(r) for r in radii2)
+    return half(v2), tuple(half(r) for r in radii2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +169,14 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     """Branch and bound over all witness assignments.
 
     Slots run innermost level first, left-side points before right-side
-    ones; children are tried in order of their bound, then target index,
-    so the first optimum found is deterministic.  Leaves are priced by
-    _value2; summed tuples of three or more levels also skip a child whose
-    assignment value already reaches the incumbent: its leaves could not
-    replace it.
+    ones; children are tried in order of a key, then target index, so the
+    first optimum found is deterministic.  One value function, _max_entry
+    or _assignment_value2, prices leaves, the lookahead and the skip of a
+    child whose value already reaches the incumbent.  The key, _max_entry
+    or _cheap_value2, never exceeds the value and only orders the
+    children, so their scan stops at the first key that reaches the
+    incumbent; where key and value are equal (max, or at most two
+    levels) the skip never fires.
 
     Every candidate entry of an unplaced slot keeps its row: its worst
     mismatch against the entries placed so far, per level, raised as
@@ -195,9 +192,8 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     Returns the per-level entry lists and the mismatch matrix.
     """
     nlev = len(levels_left)
-    bound_fn = _max_entry if variant == "max" else _cheap_value2
-    priced = variant == "sum" and nlev > 2
-    look_fn = _assignment_value2 if priced else bound_fn
+    value_fn = _max_entry if variant == "max" else _assignment_value2
+    key_fn = _max_entry if variant == "max" else _cheap_value2
 
     slots = []
     for lvl in range(nlev - 1, -1, -1):
@@ -257,7 +253,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
                 if low > target[j]:
                     target[j] = low
                     bound[j][lvl] = low
-        return look_fn(bound)
+        return value_fn(bound)
 
     def run(si):
         nonlocal nodes
@@ -265,7 +261,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
         if nodes > budget:
             raise BudgetExceededError(nodes, budget)
         if si == nslots:
-            v2 = _value2(m, variant)
+            v2 = value_fn(m)
             if best[0] is None or v2 < best[0]:
                 best[0] = v2
                 best[1] = [list(lv) for lv in entries]
@@ -280,15 +276,15 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             # on a tie the saved entry stays
             row_new = [r if r > s else s for r, s in zip(row, saved)]
             place(lvl, row_new)
-            children.append((bound_fn(m), tgt, x, y, row_new))
+            children.append((key_fn(m), tgt, x, y, row_new))
         children.sort(key=lambda c: (c[0], c[1]))
         # every child rewrites row and column lvl whole, and a subtree
         # leaves m as it found it, so one restore after the scan suffices
-        for b2, _tgt, x, y, row_new in children:
-            if best[0] is not None and not b2 < best[0]:
+        for key, _tgt, x, y, row_new in children:
+            if best[0] is not None and not key < best[0]:
                 break
             place(lvl, row_new)
-            if priced and best[0] is not None and not _assignment_value2(m) < best[0]:
+            if best[0] is not None and not value_fn(m) < best[0]:
                 continue
             entries[lvl].append((x, y))
             mark = len(undo)
@@ -326,8 +322,9 @@ class GHResult:
     mismatch: tuple
 
     def _block(self):
-        """``(scale, dx, dy, block)``: the cross block with its factor
-        matrices, on one integer scale when exact (scale None otherwise).
+        """``(scale, tol, dx, dy, block)``: the cross block with its factor
+        matrices and comparison tolerance, on one integer scale when exact
+        (scale None otherwise).
 
         Each witness cell takes its least radius over the levels, and the
         cheapest pass dx[i][x] + t(x, y) + dy[y][j] is a min-plus product
@@ -335,8 +332,8 @@ class GHResult:
         association (dx + t) + dy, and float rounding is monotone, so each
         stage's minimum is the flat minimum's bits.
         """
-        scale, _, dx, dy, (radii,) = _on_integer_scale(
-            0, self.left.space.dist, self.right.space.dist, (self.radii,)
+        scale, tol, dx, dy, (radii,) = _on_integer_scale(
+            None, self.left.space.dist, self.right.space.dist, (self.radii,)
         )
         least = {}
         for t, cells in zip(radii, self.levels):
@@ -351,10 +348,10 @@ class GHResult:
         for dxi in dx:
             via = [(min(dxi[x] + t for x, t in xs), dy[y]) for y, xs in sources.items()]
             block.append([min(a + dyr[j] for a, dyr in via) for j in columns])
-        return scale, dx, dy, block
+        return scale, tol, dx, dy, block
 
     def cross(self) -> CrossMetric:
-        scale, _, _, block = self._block()
+        scale, _, _, _, block = self._block()
         if scale is not None and scale > 1:
             block = [[Fraction(w, scale) for w in row] for row in block]
         return CrossMetric(self.left.space, self.right.space, block)
@@ -362,7 +359,7 @@ class GHResult:
     def certificate_report(self) -> dict:
         """Admissibility, zero cells and Hausdorff terms of the cross
         metric, all read off one block on the integer scale."""
-        scale, dx, dy, block = self._block()
+        scale, tol, dx, dy, block = self._block()
         terms = _hausdorff_terms(block, self.left, self.right)
         if scale is not None and scale > 1:
             terms = tuple(Fraction(w, scale) for w in terms)
@@ -374,7 +371,7 @@ class GHResult:
             if close(v, 0)
         )
         return {
-            "violations": tuple(_cross_violations(dx, dy, block, require_positive=False)),
+            "violations": tuple(_cross_violations(dx, dy, block, tol, require_positive=False)),
             "zero_cells": zero,
             "terms": terms,
             "combined": combined,
@@ -419,8 +416,7 @@ def _finalize(left, right, variant, ents, m):
         left,
         right,
         variant,
-        half(_value2(m, variant)),
-        tuple(half(r) for r in _radii2(m, variant)),
+        *_value_and_radii(m, variant),
         tuple(tuple(sorted(lv)) for lv in ents),
         tuple(tuple(row) for row in m),
     )
@@ -610,8 +606,7 @@ def witness_entries(left, right, maps) -> tuple:
 def witness_reduced_value(left, right, maps, variant: str = "sum"):
     """Value and radii for fixed witness maps via the reduced program."""
     levels = witness_entries(left, right, maps)
-    m = _matrix_from_entries(levels, left.space, right.space)
-    return half(_value2(m, variant)), tuple(half(r) for r in _radii2(m, variant))
+    return _value_and_radii(_matrix_from_entries(levels, left.space, right.space), variant)
 
 
 def build_witness_lp(left, right, maps) -> LinearProgram:

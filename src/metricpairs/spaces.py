@@ -68,15 +68,19 @@ def _on_integer_scale(tol, *matrices):
     """``(scale, tol, *matrices)``, multiplied by one common denominator
     when exact.
 
-    When the tolerance and every entry are int or Fraction, each value v
-    becomes the integer v * scale, with scale the least common multiple
-    of all their denominators; every sum-against-sum comparison then runs
-    on ints with the outcome it has on the rationals, and ``Fraction(w,
+    A ``tol`` of None takes ``tolerance_for`` of the entries.  When the
+    tolerance and every entry are int or Fraction, each value v becomes
+    the integer v * scale, with scale the least common multiple of all
+    their denominators; every sum-against-sum comparison then runs on
+    ints with the outcome it has on the rationals, and ``Fraction(w,
     scale)`` maps a result w back.  Anything else comes back untouched
     with scale None, so float comparisons keep their operands and rounding.
     """
     values = [v for m in matrices for row in m for v in row]
-    if not (is_exact(tol) and all_exact(values)):
+    own = tolerance_for(values)  # an exact 0 exactly when every entry is exact
+    if tol is None:
+        tol = own
+    if not (is_exact(own) and is_exact(tol)):
         return (None, tol, *matrices)
     scale = math.lcm(tol.denominator, *{v.denominator for v in values})
     return (
@@ -105,8 +109,6 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if tol is None:
-        tol = tolerance_for(chain.from_iterable(matrix))
     _, tol, d = _on_integer_scale(tol, matrix)
     for i in range(n):
         for j in range(n):
@@ -242,14 +244,14 @@ def hausdorff(space: FiniteMetricSpace, s_set, t_set) -> Scalar:
     return _cross_hausdorff(space.dist, s, t)
 
 
-def _cross_violations(dx, dy, c, require_positive: bool = True) -> list:
+def _cross_violations(dx, dy, c, tol, require_positive: bool = True) -> list:
     """Violation records of the cross block ``c`` between the factor
-    matrices ``dx`` and ``dy``.  The caller puts exact input on one
-    integer scale first (``_on_integer_scale``), where the tolerance is 0.
+    matrices ``dx`` and ``dy``, compared within ``tol``.  The caller puts
+    all three on one integer scale first when exact, and takes ``tol``
+    from there (``_on_integer_scale``).
 
     One scan serves both sides: on the right it runs over the transposed
     block, and its records keep the left index first."""
-    tol = tolerance_for(chain.from_iterable((*c, *dx, *dy)))
     bad = [
         ("positivity", i, j)
         for i, row in enumerate(c)
@@ -296,8 +298,8 @@ class CrossMetric:
 
     def check(self, require_positive: bool = True) -> list:
         """Return a list of violation records (empty when admissible)."""
-        _, _, c, dx, dy = _on_integer_scale(0, self.cross, self.left.dist, self.right.dist)
-        return _cross_violations(dx, dy, c, require_positive)
+        _, tol, c, dx, dy = _on_integer_scale(None, self.cross, self.left.dist, self.right.dist)
+        return _cross_violations(dx, dy, c, tol, require_positive)
 
     def assemble(self) -> FiniteMetricSpace:
         """Full disjoint-union matrix (left block first)."""

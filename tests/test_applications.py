@@ -65,6 +65,14 @@ def test_hypernet_tuple_space_two_levels():
     assert d01 == Fraction(1, 2)
 
 
+def test_hypernet_tuple_space_keeps_float_weights_float():
+    space = FiniteMetricSpace.from_matrix([[0.0, 1.5], [1.5, 0.0]])
+    net = hypernet_tuple_space(MetricTuple(space, ((0, 1), (0,))))
+    d = net.space.dist[net.nodes.index((0, 0, 0))][net.nodes.index((1, 1, 0))]
+    assert isinstance(d, float)
+    assert d == (1.5 + 1.5 + 0.0) / 2
+
+
 def test_hypernet_distortion_bound_holds():
     rng = random.Random(112)
     for _ in range(40):

@@ -120,6 +120,38 @@ def test_stretch_report_on_dense_circle():
     assert report.worst_ratio < 2.0 ** ApproxParams(2).mu
 
 
+def _uniform(n, d):
+    return FiniteMetricSpace.from_matrix(
+        [[0 if i == j else d for j in range(n)] for i in range(n)]
+    )
+
+
+def test_stretch_report_lists_lower_and_upper_failures():
+    """A graph metric below the base distances fails the lower check on
+    every vertex pair, one far above it the upper check."""
+    pair = _unit_circle_pair(n=8, arc=8)
+    cx = build_complex(pair, ApproxParams(2))
+    n = len(cx.vertices)
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    low = stretch_report(cx, _uniform(n, Fraction(1, 100)))
+    assert low.lower_failures == pairs
+    assert low.upper_failures == ()
+    assert not low.ok
+    high = stretch_report(cx, _uniform(n, 100))
+    assert high.lower_failures == ()
+    assert high.upper_failures == pairs
+    assert not high.ok
+
+
+def test_pipeline_on_a_one_point_pair_has_nothing_to_saturate():
+    """A one-vertex net has no nearest-neighbor gap to push the cutoff."""
+    pair = MetricPair(FiniteMetricSpace.from_matrix([[0]]), (0,))
+    for row in approximation_pipeline(pair).rows:
+        assert row.net_size == 1
+        assert not row.saturated
+        assert row.mismatch == row.covering == 0
+
+
 def test_approximation_bound_value():
     """Frozen: at n = 2 on a diameter-1/2 space the closed-form bound is
     (2^mu - 1)/2 + 1/25, approximately 0.54."""

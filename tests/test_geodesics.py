@@ -143,6 +143,18 @@ def test_audit_rows_cover_ordered_grid_pairs():
         assert row.expected == (row.t - row.s) * audit.endpoint_value
 
 
+def test_audit_sorts_and_dedupes_its_grid():
+    """Rows run over s < t whatever order the times come in; a reversed
+    grid used to give the row (1, 0) a negative expected value."""
+    corr = _collapse_correspondence()
+    want = geodesicity_audit(corr, grid=(0, Fraction(1, 2), 1))
+    got = geodesicity_audit(corr, grid=(1, Fraction(1, 2), 0, 1))
+    assert got == want
+    reversed_ends = geodesicity_audit(corr, grid=(1, 0))
+    assert [(row.s, row.t) for row in reversed_ends.rows] == [(0, 1)]
+    assert reversed_ends.rows[0].expected == reversed_ends.endpoint_value
+
+
 def test_audit_leaves_the_cache_empty():
     clear_cache()
     audit = geodesicity_audit(_collapse_correspondence())

@@ -9,11 +9,14 @@ search must never need more nodes than the reference.
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metricpairs.generators import random_pair, random_tuple
 from metricpairs.oracle import (
     BudgetExceededError,
     _assignment_value2,
@@ -22,7 +25,9 @@ from metricpairs.oracle import (
     _levels_of,
     _max_entry,
     _solve,
-    _value2,
+    exact_pair_gh,
+    exact_pair_gh_max,
+    exact_tuple_gh,
 )
 from metricpairs.spaces import FiniteMetricSpace, MetricPair, MetricTuple
 
@@ -34,6 +39,7 @@ def _reference_search(space_left, space_right, levels_left, levels_right, varian
     dx, dy = space_left.dist, space_right.dist
     nlev = len(levels_left)
     bound_fn = _max_entry if variant == "max" else _cheap_value2
+    value_fn = _max_entry if variant == "max" else _assignment_value2
     priced = variant == "sum" and nlev > 2
 
     slots = []
@@ -60,7 +66,7 @@ def _reference_search(space_left, space_right, levels_left, levels_right, varian
         if nodes > budget:
             raise BudgetExceededError(nodes, budget)
         if si == len(slots):
-            v2 = _value2(m, variant)
+            v2 = value_fn(m)
             if best[0] is None or v2 < best[0]:
                 best[0] = v2
                 best[1] = [list(lv) for lv in entries]
@@ -181,3 +187,34 @@ def test_search_finds_the_reference_witness_within_its_nodes(operands, variant):
     want, nodes = _reference_solve(left, right, variant, levels_l, levels_r)
     got = _solve(left, right, variant, levels_l, levels_r, budget=nodes)
     assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
+
+
+# Nodes the search visits on seeded pairs (seeds 0-5) and tuples of three
+# to five levels (seeds 6-17), (sum, max); the budget refuses on these
+# counts, which the serialized results do not show.
+_PINNED_NODES = {
+    0: (44, 28), 1: (26, 19), 2: (93, 61), 3: (74, 45), 4: (3830, 1400),
+    5: (352, 80), 6: (20, 15), 7: (14, 22), 8: (15, 15), 9: (133, 19),
+    10: (36, 18), 11: (26, 17), 12: (29, 16), 13: (139, 19), 14: (16, 28),
+    15: (35, 27), 16: (19, 16), 17: (44, 19),
+}
+
+
+def _pinned_solve(seed, variant, budget):
+    rng = random.Random(f"nodes:{seed}")
+    if seed < 6:
+        left, right = random_pair(rng, (5, 6)), random_pair(rng, (5, 6))
+        solve = exact_pair_gh if variant == "sum" else exact_pair_gh_max
+        return solve(left, right, budget=budget, cache=False)
+    k = 2 + seed % 3
+    left, right = random_tuple(rng, k, (3, 4)), random_tuple(rng, k, (3, 4))
+    return exact_tuple_gh(left, right, budget=budget, variant=variant)
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_NODES))
+def test_search_visits_the_pinned_number_of_nodes(seed):
+    for variant, nodes in zip(("sum", "max"), _PINNED_NODES[seed]):
+        _pinned_solve(seed, variant, nodes)
+        with pytest.raises(BudgetExceededError) as info:
+            _pinned_solve(seed, variant, nodes - 1)
+        assert info.value.nodes == nodes

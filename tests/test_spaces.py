@@ -39,6 +39,7 @@ def test_validate_metric_flags_each_axiom():
 
     report = validate_metric([[1, 1], [1, 0]])
     assert report.diagonal
+    assert report.summary() == "1 nonzero diagonal entries"
 
     report = validate_metric([[0, 0], [0, 0]])
     assert report.nonpositive
