@@ -152,10 +152,7 @@ def matched_net_bound(
         gap = _density_gap(space, range(space.n), pts, eps)
         if gap is not None:
             raise ValueError(f"{side} net is not strictly eps-dense: point {gap}")
-        if sub_pts:
-            gap = _density_gap(space, subset, sub_pts, eps)
-        else:
-            gap = subset[0]
+        gap = _density_gap(space, subset, sub_pts, eps)
         if gap is not None:
             raise ValueError(
                 f"{side} net is not strictly eps-dense inside the subset: point {gap}"

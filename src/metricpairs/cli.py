@@ -87,42 +87,37 @@ def _exact(args) -> bool:
     return args.mode == "exact"
 
 
-def _load(args, path: str) -> dict:
+def _load(args, path: str, kinds=None) -> dict:
     """The document at ``path``; a CSV file is read as a space document
     whose matrix is checked where it is used, so ``validate --tol`` sees
-    it raw."""
+    it raw.  A document of a kind not in ``kinds``, when given, raises
+    ValueError."""
     if path.endswith(".csv"):
         matrix, labels = matrix_from_csv(path, _exact(args))
         data = {"distances": matrix}
         if labels is not None:
             data["labels"] = list(labels)
-        return data
-    return load_document(path, _exact(args))
+    else:
+        data = load_document(path, _exact(args))
+    if kinds is not None and (found := document_kind(data)) not in kinds:
+        raise ValueError(f"expected a {' or '.join(kinds)} document, found {found}")
+    return data
 
 
 def _load_pair(args, path: str) -> MetricPair:
-    data = _load(args, path)
-    kind = document_kind(data)
-    if kind == "pair":
+    data = _load(args, path, ("pair", "space"))
+    if document_kind(data) == "pair":
         return pair_from_dict(data, _exact(args))
-    if kind == "space":
-        space = space_from_dict(data, _exact(args))
-        return MetricPair(space, tuple(range(space.n)))
-    raise ValueError(f"expected a pair document, found {kind}")
+    space = space_from_dict(data, _exact(args))
+    return MetricPair(space, tuple(range(space.n)))
 
 
 def _load_tuple(args, path: str) -> MetricTuple:
-    data = _load(args, path)
-    if document_kind(data) != "tuple":
-        raise ValueError("expected a tuple document with 'chain'")
-    return tuple_from_dict(data, _exact(args))
+    return tuple_from_dict(_load(args, path, ("tuple",)), _exact(args))
 
 
 def _load_corr(args, path: str):
-    data = _load(args, path)
-    if document_kind(data) != "correspondence":
-        raise ValueError("expected a correspondence document")
-    return correspondence_from_dict(data, _exact(args))
+    return correspondence_from_dict(_load(args, path, ("correspondence",)), _exact(args))
 
 
 def _indices(text: str) -> tuple:
@@ -154,9 +149,12 @@ def cmd_validate(args) -> int:
     kind = document_kind(data)
     payload: dict = {"kind": kind}
     ok = True
-    if kind == "correspondence":
+    if kind in ("correspondence", "complex"):
         try:
-            correspondence_from_dict(data, _exact(args))
+            if kind == "complex":
+                embedded_from_dict(data)
+            else:
+                correspondence_from_dict(data, _exact(args))
             payload["report"] = {}
         except ValueError as exc:
             ok = False
@@ -382,9 +380,8 @@ def cmd_apps_realize(args) -> int:
 
 def cmd_apps_densify(args) -> int:
     _need("applications")
-    data = _load(args, args.input[0])
-    kind = document_kind(data)
-    if kind == "pair":
+    data = _load(args, args.input[0], ("pair", "space"))
+    if document_kind(data) == "pair":
         pair, bound = rational_densify_pair(pair_from_dict(data, _exact(args)), args.q)
         payload = pair_to_dict(pair)
     else:

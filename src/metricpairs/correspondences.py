@@ -19,6 +19,7 @@ from .spaces import (
     CrossMetric,
     MetricPair,
     MetricTuple,
+    _glue_block,
     _level_pairs,
     _sup_abs_diff,
     hausdorff,
@@ -27,7 +28,6 @@ from .spaces import (
 )
 
 _EXHAUSTIVE_CELLS = 16
-_LOCAL_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
     first in include-first order, which prefers a superset to its subsets,
     not the lexicographically smallest.  A cover mask ``g`` with no
     included cell and one open cell in ``g & ~exc`` forces that cell,
-    which is included eagerly; with none open the node is a dead end.
+    which is included eagerly.
     """
     nx, ny = left.space.n, right.space.n
     ncells = nx * ny
@@ -254,15 +254,16 @@ def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
         return s_full, s_sub
 
     def close(pos, inc, exc, included, s_full, s_sub):
-        # Only an exclusion leaves an unmet group with one open cell (or
-        # none: a dead end).  Including a forced cell leaves every group's
-        # open cells as they were, so one pass reaches the closure.
+        # Only an exclusion leaves an unmet group with one open cell, and
+        # never with none: every group starts nonempty, one with a single
+        # open cell is forced in the pass that leaves it so, and an
+        # exclusion takes one open cell from groups that had at least two.
+        # Including a forced cell leaves every group's open cells as they
+        # were, so one pass reaches the closure.
         for g in groups:
             if g & inc:
                 continue
             open_cells = g & ~exc
-            if not open_cells:
-                return
             if open_cells.bit_count() == 1:
                 forced = open_cells.bit_length() - 1
                 s_full, s_sub = fold(forced, included, s_full, s_sub)
@@ -324,8 +325,9 @@ def _heuristic_start(left: MetricPair, right: MetricPair) -> set:
 def _local_search(left: MetricPair, right: MetricPair, objective):
     """Remove one cell at a time while the objective strictly drops: the
     first cell in sorted order whose removal keeps every level covered
-    and lowers the objective goes, then the scan starts over.  Adding a
-    cell never lowers either sup, so no cell is ever added."""
+    and lowers the objective goes, then the scan starts over, until no
+    removal lowers it.  Adding a cell never lowers either sup, so no cell
+    is ever added."""
     dx, dy = left.space.dist, right.space.dist
     ny = right.space.n
     groups = [m for *_, m in _cover_masks(left, right)]
@@ -339,7 +341,7 @@ def _local_search(left: MetricPair, right: MetricPair, objective):
 
     cells = _heuristic_start(left, right)
     value = price(cells)
-    for _ in range(_LOCAL_ITERATIONS):
+    while True:
         rel = _cell_mask(cells, ny)
         for cell in sorted(cells):
             rest = rel & ~_cell_mask((cell,), ny)
@@ -420,19 +422,13 @@ class GlueReport:
 
 
 def _glued(corr: PairCorrespondence, shift: Scalar) -> CrossMetric:
-    """Cross block shift + min over R of dX(x,x') + dY(y',y)."""
+    """Cross block shift + min over R of dX(x,x') + dY(y,y'), glued through
+    R's cells at weight 0.  The kernel builds the transposed block, the
+    least over y' first, so ties resolve in R's sorted order, scalar types
+    included, as a flat scan over R would."""
     sx, sy = corr.left.space, corr.right.space
-    pairs = corr.pairs
-    rows = []
-    for x in range(sx.n):
-        dx_row = sx.dist[x]
-        rows.append(
-            tuple(
-                shift + min(dx_row[i] + dy_col[j] for i, j in pairs)
-                for dy_col in sy.dist
-            )
-        )
-    return CrossMetric(sx, sy, tuple(rows))
+    block = _glue_block(sy.dist, [(j, i, 0) for i, j in corr.pairs], tuple(zip(*sx.dist)))
+    return CrossMetric(sx, sy, [[shift + v for v in col] for col in zip(*block)])
 
 
 def tight_glue(corr: PairCorrespondence, r: Scalar) -> GlueReport:

@@ -31,6 +31,7 @@ from .spaces import (
     MetricPair,
     MetricTuple,
     _cross_violations,
+    _glue_block,
     _hausdorff_terms,
     _levels_of,
     _on_integer_scale,
@@ -62,8 +63,9 @@ class BudgetExceededError(RuntimeError):
 def _cheap_value2(m) -> Scalar:
     """Doubled lower bound on the radius sum: trace and doubled off-diagonals.
 
-    The key the search orders children by and stops a sorted scan at;
-    exact for one or two levels, where it equals _assignment_value2.
+    The key the search orders children by and stops a sorted scan at for
+    summed tuples of three or more levels; for one or two levels it equals
+    _assignment_value2, which keys the search there.
     """
     nlev = len(m)
     total = m[0][0]
@@ -171,12 +173,12 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     Slots run innermost level first, left-side points before right-side
     ones; children are tried in order of a key, then target index, so the
     first optimum found is deterministic.  One value function, _max_entry
-    or _assignment_value2, prices leaves, the lookahead and the skip of a
-    child whose value already reaches the incumbent.  The key, _max_entry
-    or _cheap_value2, never exceeds the value and only orders the
-    children, so their scan stops at the first key that reaches the
-    incumbent; where key and value are equal (max, or at most two
-    levels) the skip never fires.
+    or _assignment_value2, prices leaves and the lookahead and is the key,
+    so the scan of the children stops at the first key that reaches the
+    incumbent.  Summed tuples of three or more levels are keyed by the
+    cheaper _cheap_value2 instead, which never exceeds the value; only
+    there is a child the key lets through priced, and skipped when its
+    value already reaches the incumbent.
 
     Every candidate entry of an unplaced slot keeps its row: its worst
     mismatch against the entries placed so far, per level, raised as
@@ -193,7 +195,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     """
     nlev = len(levels_left)
     value_fn = _max_entry if variant == "max" else _assignment_value2
-    key_fn = _max_entry if variant == "max" else _cheap_value2
+    key_fn = _cheap_value2 if variant == "sum" and nlev > 2 else value_fn
 
     slots = []
     for lvl in range(nlev - 1, -1, -1):
@@ -284,7 +286,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             if best[0] is not None and not key < best[0]:
                 break
             place(lvl, row_new)
-            if best[0] is not None and not value_fn(m) < best[0]:
+            if key_fn is not value_fn and best[0] is not None and not value_fn(m) < best[0]:
                 continue
             entries[lvl].append((x, y))
             mark = len(undo)
@@ -324,13 +326,8 @@ class GHResult:
     def _block(self):
         """``(scale, tol, dx, dy, block)``: the cross block with its factor
         matrices and comparison tolerance, on one integer scale when exact
-        (scale None otherwise).
-
-        Each witness cell takes its least radius over the levels, and the
-        cheapest pass dx[i][x] + t(x, y) + dy[y][j] is a min-plus product
-        in two stages, over x and then over y.  Float input keeps the
-        association (dx + t) + dy, and float rounding is monotone, so each
-        stage's minimum is the flat minimum's bits.
+        (scale None otherwise).  Each witness cell is glued
+        (``_glue_block``) with its least radius over the levels.
         """
         scale, tol, dx, dy, (radii,) = _on_integer_scale(
             None, self.left.space.dist, self.right.space.dist, (self.radii,)
@@ -340,14 +337,7 @@ class GHResult:
             for cell in cells:
                 if cell not in least or t < least[cell]:
                     least[cell] = t
-        sources = {}
-        for (x, y), t in least.items():
-            sources.setdefault(y, []).append((x, t))
-        columns = range(len(dy))
-        block = []
-        for dxi in dx:
-            via = [(min(dxi[x] + t for x, t in xs), dy[y]) for y, xs in sources.items()]
-            block.append([min(a + dyr[j] for a, dyr in via) for j in columns])
+        block = _glue_block(dx, [(x, y, t) for (x, y), t in least.items()], dy)
         return scale, tol, dx, dy, block
 
     def cross(self) -> CrossMetric:

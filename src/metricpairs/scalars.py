@@ -87,6 +87,4 @@ def half(value: Scalar) -> Scalar:
         raise TypeError("boolean is not a scalar")
     if isinstance(value, int):
         return value // 2 if value % 2 == 0 else Fraction(value, 2)
-    if isinstance(value, Fraction):
-        return value / 2
     return value / 2

@@ -278,6 +278,27 @@ def _cross_violations(dx, dy, c, tol, require_positive: bool = True) -> list:
     return bad
 
 
+def _glue_block(dx, cells, dy) -> list:
+    """The cross block whose entry (x, y) is the least dx[x][x'] + t +
+    dy[y'][y] over the weighted cells (x', y', t).
+
+    The cheapest pass is a min-plus product in two stages, over x' and
+    then over y'.  Float input keeps the association (dx + t) + dy, and
+    float rounding is monotone, so each stage's minimum is the flat
+    minimum's bits.  Each stage keeps the first of tied sums, in the order
+    of the cells.
+    """
+    sources = {}
+    for x, y, t in cells:
+        sources.setdefault(y, []).append((x, t))
+    columns = range(len(dy))
+    block = []
+    for dxi in dx:
+        via = [(min(dxi[x] + t for x, t in xs), dy[y]) for y, xs in sources.items()]
+        block.append([min(a + dyr[j] for a, dyr in via) for j in columns])
+    return block
+
+
 @dataclass(frozen=True)
 class CrossMetric:
     """Two factor metrics plus a cross-distance block delta[i][j].
@@ -424,12 +445,6 @@ class NetResult:
 
     members: tuple
     tight: tuple
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
 
 
 def greedy_net(space: FiniteMetricSpace, radius: Scalar, seed=(), tol=None) -> NetResult:

@@ -156,6 +156,24 @@ def test_validate_reads_a_correspondence_once(tmp_path, capsys, monkeypatch, doc
     assert json.loads(out) == {"kind": "correspondence", "ok": code == 0, "report": report}
 
 
+@pytest.mark.parametrize(
+    "doc, code, report",
+    [
+        ({"points": [[0, 0], [1, 0], [0, 1]], "simplices": [[0, 1, 2]]}, 0, {}),
+        (
+            {"points": [[0, 0], [1, 0]], "simplices": [[0, 2]]},
+            1,
+            {"error": "vertex out of range in simplex (0, 2)"},
+        ),
+    ],
+)
+def test_validate_checks_a_complex_document(tmp_path, capsys, doc, code, report):
+    path = _write(tmp_path, "cx.json", doc)
+    got, out, err = _run(capsys, ["validate", "--input", path])
+    assert (got, err) == (code, "")
+    assert json.loads(out) == {"kind": "complex", "ok": code == 0, "report": report}
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = _run(
         capsys, ["validate", "--input", str(tmp_path / "nope.json")]
@@ -277,6 +295,19 @@ def test_gh_bounds_brackets_the_exact_value(tmp_path, capsys):
     assert payload["lower"] == "1"
     assert payload["upper"] == "2"
     assert payload["lower_source"] in ("diameter", "distortion")
+
+
+@pytest.mark.parametrize("command", ["exact", "bounds"])
+def test_gh_reads_a_space_document_as_its_full_pair(tmp_path, capsys, command):
+    outputs = []
+    for name, doc in (("space", PATH3), ("pair", {**PATH3, "subset": [0, 1, 2]})):
+        left = _write(tmp_path, f"{name}.json", doc)
+        right = _write(tmp_path, "big.json", PAIR_BIG)
+        clear_cache()
+        code, out, err = _run(capsys, ["gh", command, "--input", left, right])
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_geodesic_sample_builds_the_interpolant(tmp_path, capsys):
@@ -448,6 +479,13 @@ def test_apps_densify_rounds_onto_the_grid(tmp_path, capsys):
     assert code == 0
     assert payload["q"] == 5
     assert payload["distances"][0][1] == "3/5"
+
+
+def test_apps_densify_refuses_a_tuple_document(tmp_path, capsys):
+    path = _write(tmp_path, "tuple.json", TUPLE_BIG)
+    code, out, err = _run(capsys, ["apps", "densify", "--input", path, "--q", "5"])
+    assert (code, out) == (2, "")
+    assert "expected a pair or space document, found tuple" in err
 
 
 def test_sample_is_seed_deterministic(capsys):

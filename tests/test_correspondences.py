@@ -30,6 +30,7 @@ from metricpairs.generators import (
     random_space,
     random_tuple,
 )
+from metricpairs.scalars import half
 from metricpairs.spaces import (
     FiniteMetricSpace,
     MetricPair,
@@ -391,6 +392,78 @@ def test_classical_glue_hausdorff_sum_is_twice_eta():
         total = pair_hausdorff(glue.cross, corr.left, corr.right)
         assert total == glue.eta + glue.eta
         assert type(total) is type(glue.eta + glue.eta)
+
+
+def _flat_glue(corr, shift):
+    """The glued block as a flat loop over the relation:
+    shift + min over R of dX(x, x') + dY(y, y')."""
+    dx, dy = corr.left.space.dist, corr.right.space.dist
+    return tuple(
+        tuple(shift + min(dx[x][i] + dy[y][j] for i, j in corr.pairs) for y in range(len(dy)))
+        for x in range(len(dx))
+    )
+
+
+def _skewed(rng, pair):
+    """``pair`` with its float distances moved off symmetry by less than
+    the tolerance, so the space still validates."""
+    rows = [
+        [v if i == j else v + rng.choice((0.0, 1e-12, -1e-12, 3e-11)) for j, v in enumerate(row)]
+        for i, row in enumerate(pair.space.dist)
+    ]
+    return MetricPair(FiniteMetricSpace.from_matrix(rows), pair.subset)
+
+
+def test_glues_match_the_flat_loop():
+    """Both glues go through the staged min-plus kernel and give the flat
+    loop's block, bits and scalar types included: also on float spaces
+    that are asymmetric within the tolerance, and on spaces that mix int
+    and Fraction entries, where ties decide the type of an entry."""
+    rng = random.Random(38)
+    skewed = 0
+    for values in _VALUES + ((1, Fraction(1), 2, Fraction(2), Fraction(3, 2)),):
+        for t in range(80):
+            left = random_pair(rng, n_range=(1, 6), values=values)
+            right = random_pair(rng, n_range=(1, 6), values=values)
+            if isinstance(values[0], float) and t % 2:
+                left, right = _skewed(rng, left), _skewed(rng, right)
+                skewed += any(
+                    row[j] != col[i]
+                    for d in (left.space.dist, right.space.dist)
+                    for i, row in enumerate(d)
+                    for j, col in enumerate(d)
+                )
+            corr = random_correspondence(rng, left, right, extra=rng.randint(0, 4))
+            glue = classical_glue(corr)
+            assert repr(glue.cross.cross) == repr(_flat_glue(corr, glue.eta))
+            r = rng.choice(values)
+            report = tight_glue(corr, r)
+            assert repr(report.cross.cross) == repr(_flat_glue(corr, half(r)))
+    assert skewed >= 30
+
+
+def test_local_search_stops_where_no_removal_helps():
+    """On grids past the exhaustive search, no cell of the returned
+    relation can go while every level stays covered and the objective
+    strictly drops."""
+    rng = random.Random(39)
+    for values in _VALUES:
+        for _ in range(6):
+            left = random_pair(rng, n_range=(5, 8), values=values)
+            right = random_pair(rng, n_range=(4, 8), values=values)
+            assert left.space.n * right.space.n > correspondences._EXHAUSTIVE_CELLS
+            for objective in ("distortion", "sup_full"):
+
+                def score(cells):
+                    br = distortion(PairCorrespondence(left, right, cells))
+                    return br.sup_full if objective == "sup_full" else br.value
+
+                cells = correspondences._local_search(left, right, objective)
+                value = score(cells)
+                for cell in cells:
+                    rest = [c for c in cells if c != cell]
+                    if isinstance(validate_correspondence(rest, left, right), PairCorrespondence):
+                        assert not score(rest) < value, (objective, cell)
 
 
 def test_classical_glue_eta_constraints():
