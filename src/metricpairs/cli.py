@@ -156,7 +156,7 @@ def cmd_validate(args) -> int:
             else:
                 correspondence_from_dict(data, _exact(args))
             payload["report"] = {}
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             ok = False
             payload["report"] = {"error": str(exc)}
     else:
@@ -178,7 +178,7 @@ def cmd_validate(args) -> int:
                     pair_on_space(checked, data)
                 elif kind == "tuple":
                     tuple_on_space(checked, data)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             ok = False
             payload["report"] = {"error": str(exc)}
     payload["ok"] = ok

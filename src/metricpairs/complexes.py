@@ -17,6 +17,7 @@ from .scalars import Scalar
 from .spaces import (
     FiniteMetricSpace,
     MetricPair,
+    _on_integer_scale,
     _shortest_paths,
     _sup_abs_diff,
     covering_radius,
@@ -116,7 +117,23 @@ def build_complex(
 
 
 def _graph_apsp(nvert: int, edges, labels) -> FiniteMetricSpace:
-    rows = _shortest_paths(nvert, edges)
+    """Shortest-path metric of the edges; exact weights are searched on
+    one integer scale, whose heap compares ints instead of fractions."""
+    weights = [w for _, _, w in edges]
+    scale, _, ints = _on_integer_scale(0, [weights])
+    if scale is None:
+        rows = _shortest_paths(nvert, edges)
+    else:
+        rows = _shortest_paths(
+            nvert, [(u, v, w) for (u, v, _), w in zip(edges, ints[0])]
+        )
+        if any(isinstance(w, Fraction) for w in weights):
+            # the diagonal stays the int 0 the search starts from
+            rows = [
+                [d if d is None or t == s else Fraction(d, scale)
+                 for t, d in enumerate(row)]
+                for s, row in enumerate(rows)
+            ]
     missing = [
         (src, tgt)
         for src, dist in enumerate(rows)

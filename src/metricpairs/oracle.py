@@ -448,10 +448,25 @@ def cache_size() -> int:
 def canonical_pair_key(pair: MetricPair):
     """Relabel-minimal encoding of a pair plus the minimizing permutation.
 
-    The permutation maps canonical indices to original ones.  Returns None
-    when the space is too large to canonicalize cheaply.  Only the
-    permutations that put the points outside the subset first can have
-    the least flags, so only they are scanned, in lexicographic order.
+    The encoding is ``(n, flags, rows)``, with the distance rows read in
+    the order of the permutation, which maps canonical indices to
+    original ones; of the permutations reaching the least encoding, the
+    lexicographically first is returned.  Returns None when the space is
+    too large to canonicalize cheaply.
+
+    Only the permutations that put the points outside the subset first
+    can have the least flags, and of those only the ones with the least
+    first row can have the least rows.  This is one individualise-and-
+    refine round of partition refinement (McKay & Piperno 2014): the
+    first point p0 comes from the first block (the points outside the
+    subset, or the subset when it is the whole space), the rest of each
+    block follows in increasing distance from p0, and only points tied
+    on that distance are permuted among themselves.  Only the p0 whose
+    sorted first row is least are kept.  Every permutation left out has
+    a larger first row, so the survivors, scanned in lexicographic
+    order, give the full scan's encoding and permutation.  When all
+    distances are equal nothing is pruned and every permutation with the
+    least flags is scanned.
     """
     n = pair.space.n
     if n > _CACHE_SIZE_LIMIT:
@@ -460,13 +475,31 @@ def canonical_pair_key(pair: MetricPair):
     outside = tuple(i for i in range(n) if i not in inside)
     flags = (0,) * len(outside) + (1,) * len(inside)
     dist = pair.space.dist
+    blocks = (outside, inside) if outside else (inside,)
+    starts = []
+    for p0 in blocks[0]:
+        row = dist[p0]
+        first = [row[p0]]
+        ties = []
+        for block in blocks:
+            rest = sorted((j for j in block if j != p0), key=row.__getitem__)
+            for a, b in zip([None] + rest, rest):
+                if a is None or row[a] != row[b]:
+                    ties.append([])
+                ties[-1].append(b)
+            first += map(row.__getitem__, rest)
+        starts.append((first, p0, ties))
+    least = min(first for first, _, _ in starts)
     best = None
-    for head, tail in product(permutations(outside), permutations(inside)):
-        perm = head + tail
-        rows = tuple(tuple(map(dist[i].__getitem__, perm)) for i in perm)
-        enc = (n, flags, rows)
-        if best is None or enc < best[0]:
-            best = (enc, perm)
+    for first, p0, ties in starts:
+        if first != least:
+            continue
+        for parts in product(*map(permutations, ties)):
+            perm = sum(parts, (p0,))
+            rows = tuple(tuple(map(dist[i].__getitem__, perm)) for i in perm)
+            enc = (n, flags, rows)
+            if best is None or enc < best[0]:
+                best = (enc, perm)
     return best
 
 

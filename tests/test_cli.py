@@ -174,6 +174,34 @@ def test_validate_checks_a_complex_document(tmp_path, capsys, doc, code, report)
     assert json.loads(out) == {"kind": "complex", "ok": code == 0, "report": report}
 
 
+@pytest.mark.parametrize(
+    "kind, doc, error",
+    [
+        (
+            "complex",
+            {"points": [[0, 0], [1, 0]], "simplices": 5},
+            "'int' object is not iterable",
+        ),
+        ("correspondence", {**CORR_IDENTITY, "pairs": 3}, "'int' object is not iterable"),
+        (
+            "complex",
+            {"points": [[0, 0], [1, 0]], "simplices": [[0, [1]]]},
+            "int() argument must be",
+        ),
+        ("pair", {**PAIR_BIG, "distances": 5}, "'int' object is not iterable"),
+    ],
+)
+def test_validate_reports_a_wrongly_typed_document(tmp_path, capsys, kind, doc, error):
+    """A field of the wrong type makes the document invalid (exit 1), not
+    the command line wrong (exit 2)."""
+    path = _write(tmp_path, "typed.json", doc)
+    got, out, err = _run(capsys, ["validate", "--input", path])
+    assert (got, err) == (1, "")
+    payload = json.loads(out)
+    assert (payload["kind"], payload["ok"]) == (kind, False)
+    assert payload["report"]["error"].startswith(error)
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = _run(
         capsys, ["validate", "--input", str(tmp_path / "nope.json")]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import heapq
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from metricpairs.complexes import (
     ApproxParams,
     DisconnectedComplexError,
+    _graph_apsp,
     approximation_bound,
     approximation_pipeline,
     build_complex,
@@ -217,3 +220,63 @@ def test_bound_past_the_float_range_is_a_value_error():
     )
     with pytest.raises(ValueError, match="float range"):
         approximation_pipeline(huge, levels=(2,))
+
+
+def _reference_shortest_paths(n, edges):
+    """Dijkstra from every vertex on the weights as given, the heap
+    comparing them directly (fractions for exact weights)."""
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    rows = []
+    for src in range(n):
+        dist = [None] * n
+        heap = [(0, src)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if dist[node] is not None:
+                continue
+            dist[node] = d
+            for nxt, w in adj[node]:
+                if dist[nxt] is None:
+                    heapq.heappush(heap, (d + w, nxt))
+        rows.append(dist)
+    return rows
+
+
+_WEIGHTS = {
+    "int": lambda rng: rng.randint(1, 6),
+    "fraction": lambda rng: Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 7, 125))),
+    "integral fraction": lambda rng: Fraction(rng.randint(1, 6)),
+    "float": lambda rng: rng.uniform(0.1, 3.0),
+    "mixed": lambda rng: rng.choice((rng.randint(1, 6), Fraction(rng.randint(1, 12), 5))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WEIGHTS))
+def test_graph_distances_on_the_integer_scale_match_the_reference(kind):
+    """Exact weights are searched as ints and mapped back; the values are
+    the Dijkstra's on the weights as given, float weights keep every bit,
+    and only mixed int and fraction weights may come back as fractions
+    where the reference has ints."""
+    rng = random.Random(f"graph-apsp:{kind}")
+    draw = _WEIGHTS[kind]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        edges = [(rng.randrange(v), v, draw(rng)) for v in range(1, n)]
+        edges += [
+            (u, v, draw(rng))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.3
+        ]
+        want = _reference_shortest_paths(n, edges)
+        got = _graph_apsp(n, edges, tuple(range(n))).dist
+        for got_row, want_row in zip(got, want):
+            assert list(got_row) == want_row
+            for g, w in zip(got_row, want_row):
+                if kind == "float":
+                    assert float(g).hex() == float(w).hex()
+                if kind != "mixed":
+                    assert type(g) is type(w)

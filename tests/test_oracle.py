@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
 from metricpairs.correspondences import brute_force_min_distortion
-from metricpairs.families import enumerate_family
+from metricpairs.families import enumerate_family, family_iso_classes
 from metricpairs.generators import random_pair, random_permuted_pair
 from metricpairs.lp import solve_lp
 from metricpairs.oracle import (
@@ -485,6 +487,112 @@ def test_canonical_pair_key_matches_the_full_scan():
         )
         pair = MetricPair(space, (1, 3))
         assert canonical_pair_key(pair) == _full_scan_key(pair)
+
+
+def _product_scan_key(pair):
+    """Every permutation of the points outside the subset followed by every
+    permutation of the subset, in lexicographic order: the scan the pruned
+    key must agree with, encoding and permutation alike."""
+    n = pair.space.n
+    inside = pair.subset
+    outside = tuple(i for i in range(n) if i not in inside)
+    flags = (0,) * len(outside) + (1,) * len(inside)
+    dist = pair.space.dist
+    best = None
+    for head, tail in product(permutations(outside), permutations(inside)):
+        perm = head + tail
+        rows = tuple(tuple(map(dist[i].__getitem__, perm)) for i in perm)
+        enc = (n, flags, rows)
+        if best is None or enc < best[0]:
+            best = (enc, perm)
+    return best
+
+
+def _exact_hard_pairs():
+    """Every pair operand of the first 800 ``exact_hard`` benchmark cases,
+    the correspondences' sides included."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    pairs = []
+    for index in range(800):
+        kind, operands = instances.exact_hard_case(index)
+        if kind in ("pair5", "pair6"):
+            pairs.extend(operands)
+        elif kind == "audit":
+            pairs.extend((operands[0].left, operands[0].right))
+    return pairs
+
+
+def _within_tolerance(rng, pair):
+    """A float copy of ``pair`` whose entries are moved by less than the
+    float tolerance: asymmetric, with a nonzero diagonal, and with ties
+    that only the last bits break."""
+    rows = [
+        [float(v) + rng.choice((0.0, 1e-10, 2e-10)) for v in row]
+        for row in pair.space.dist
+    ]
+    return MetricPair(FiniteMetricSpace.from_matrix(rows), pair.subset)
+
+
+def _key_corpus():
+    pairs = _exact_hard_pairs()
+    rng = random.Random(66)
+    for values in (
+        (1,),
+        (1, 2),
+        (1, 2, 3),
+        (1, 2, 3, 4, 5, 6),
+        (Fraction(1, 2), 1, Fraction(3, 2)),
+        (1.0, 1.5, 2.0),
+    ):
+        for _ in range(400):
+            pair = random_pair(rng, n_range=(1, 6), values=values)
+            n = pair.space.n
+            pairs.append(pair)
+            pairs.append(MetricPair(pair.space, range(n)))
+            pairs.append(MetricPair(pair.space, (rng.randrange(n),)))
+    for _ in range(300):
+        pairs.append(_within_tolerance(rng, random_pair(rng, n_range=(1, 6))))
+    for n in range(1, 7):
+        # all distances equal: nothing is pruned
+        space = FiniteMetricSpace.from_matrix(
+            [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+        )
+        for subset in {tuple(range(n)), (0,), (n - 1,), tuple(range(0, n, 2))}:
+            pairs.append(MetricPair(space, subset))
+    return pairs
+
+
+def test_canonical_pair_key_matches_the_product_scan():
+    """Permutations whose first row cannot be least are never scanned;
+    the encoding and the first minimizing permutation stay the same."""
+    for pair in _key_corpus():
+        assert canonical_pair_key(pair) == _product_scan_key(pair)
+
+
+def test_canonical_pair_key_sees_through_relabelling():
+    """A relabelled pair has the same encoding, and its permutation reads
+    the canonical flags and rows back off its own subset and distances."""
+    rng = random.Random(67)
+    for pair in _key_corpus()[::4]:
+        relabelled = random_permuted_pair(rng, pair)
+        enc, perm = canonical_pair_key(relabelled)
+        assert enc == canonical_pair_key(pair)[0]
+        n, flags, rows = enc
+        dist = relabelled.space.dist
+        assert sorted(perm) == list(range(n))
+        assert flags == tuple(int(i in relabelled.subset) for i in perm)
+        assert rows == tuple(tuple(dist[i][j] for j in perm) for i in perm)
+
+
+def test_family_iso_classes_match_the_product_scan():
+    family = enumerate_family()
+    groups: dict = {}
+    for idx, pair in enumerate(family):
+        groups.setdefault(_product_scan_key(pair)[0], []).append(idx)
+    assert family_iso_classes(family) == [groups[k] for k in sorted(groups)]
 
 
 def test_as_dict_serializes_scalars():
