@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a checked mathematical property fails
-(invalid input metric under ``validate``, a failed certificate under the
+(an invalid document under ``validate``, a failed certificate under the
 ``apps`` checks), 2 for usage, file or budget problems.  All output is
 byte-deterministic: JSON keys are sorted and exact scalars print as
 "p/q" strings.
@@ -26,11 +26,9 @@ from . import _EXPORTS, DEFAULT_BUDGET
 _LIBRARY = {
     **_EXPORTS,
     "serialization": (
-        "correspondence_from_dict", "correspondence_to_dict", "document_kind",
-        "dump_json", "embedded_from_dict", "format_csv", "load_document",
-        "matrix_from_csv", "pair_from_dict", "pair_on_space", "pair_to_dict",
-        "space_from_dict", "space_to_dict", "tuple_from_dict", "tuple_on_space",
-        "tuple_to_dict",
+        "correspondence_to_dict", "document_kind", "dump_json", "format_csv",
+        "from_document", "load_document", "matrix_from_csv", "pair_to_dict",
+        "space_from_dict", "space_to_dict", "tuple_to_dict",
     ),
 }
 # every command reads or writes a document
@@ -87,37 +85,29 @@ def _exact(args) -> bool:
     return args.mode == "exact"
 
 
-def _load(args, path: str, kinds=None) -> dict:
+def _load(args, path: str) -> dict:
     """The document at ``path``; a CSV file is read as a space document
     whose matrix is checked where it is used, so ``validate --tol`` sees
-    it raw.  A document of a kind not in ``kinds``, when given, raises
-    ValueError."""
+    it raw."""
     if path.endswith(".csv"):
         matrix, labels = matrix_from_csv(path, _exact(args))
         data = {"distances": matrix}
         if labels is not None:
             data["labels"] = list(labels)
-    else:
-        data = load_document(path, _exact(args))
-    if kinds is not None and (found := document_kind(data)) not in kinds:
-        raise ValueError(f"expected a {' or '.join(kinds)} document, found {found}")
-    return data
+        return data
+    return load_document(path, _exact(args))
 
 
-def _load_pair(args, path: str) -> MetricPair:
-    data = _load(args, path, ("pair", "space"))
-    if document_kind(data) == "pair":
-        return pair_from_dict(data, _exact(args))
-    space = space_from_dict(data, _exact(args))
-    return MetricPair(space, tuple(range(space.n)))
-
-
-def _load_tuple(args, path: str) -> MetricTuple:
-    return tuple_from_dict(_load(args, path, ("tuple",)), _exact(args))
-
-
-def _load_corr(args, path: str):
-    return correspondence_from_dict(_load(args, path, ("correspondence",)), _exact(args))
+def _read(args, path: str, *kinds: str):
+    """The object the document at ``path`` describes, which must be of one
+    of ``kinds``.  A space document read as a pair is its whole-space pair."""
+    data = _load(args, path)
+    found = document_kind(data)
+    accepted = (*kinds, "space") if kinds == ("pair",) else kinds
+    if found not in accepted:
+        raise ValueError(f"expected a {' or '.join(accepted)} document, found {found}")
+    value = from_document(data, _exact(args))
+    return value if found in kinds else MetricPair(value, tuple(range(value.n)))
 
 
 def _indices(text: str) -> tuple:
@@ -145,45 +135,19 @@ def _result_payload(result) -> dict:
 
 def cmd_validate(args) -> int:
     _need()
+    # outside the try: a missing file or bad JSON is a usage error
     data = _load(args, args.input[0])
-    kind = document_kind(data)
-    payload: dict = {"kind": kind}
-    ok = True
-    if kind in ("correspondence", "complex"):
-        try:
-            if kind == "complex":
-                embedded_from_dict(data)
-            else:
-                correspondence_from_dict(data, _exact(args))
-            payload["report"] = {}
-        except (ValueError, TypeError) as exc:
-            ok = False
-            payload["report"] = {"error": str(exc)}
-    else:
-        try:
-            checked = validate_metric(
-                [
-                    [parse_scalar(v, _exact(args)) for v in row]
-                    for row in data["distances"]
-                ],
-                tol=args.tol,
-            )
-            if isinstance(checked, MetricViolations):
-                ok = False
-                payload["report"] = checked.as_dict()
-            else:
-                payload["report"] = {}
-                # the subset or chain goes on the space checked at --tol
-                if kind == "pair":
-                    pair_on_space(checked, data)
-                elif kind == "tuple":
-                    tuple_on_space(checked, data)
-        except (ValueError, TypeError) as exc:
-            ok = False
-            payload["report"] = {"error": str(exc)}
-    payload["ok"] = ok
+    payload: dict = {"kind": None, "report": {}}
+    try:
+        payload["kind"] = document_kind(data)
+        from_document(data, _exact(args), args.tol)
+    except InvalidMetricError as exc:
+        payload["report"] = exc.report.as_dict()
+    except (ValueError, TypeError, OverflowError) as exc:
+        payload["report"] = {"error": str(exc)}
+    payload["ok"] = not payload["report"]
     _emit(args, payload)
-    return 0 if ok else 1
+    return 0 if payload["ok"] else 1
 
 
 def cmd_hausdorff(args) -> int:
@@ -199,8 +163,8 @@ def cmd_hausdorff(args) -> int:
 
 def cmd_gh_exact(args) -> int:
     _need("oracle")
-    left = _load_pair(args, args.input[0])
-    right = _load_pair(args, args.input[1])
+    left = _read(args, args.input[0], "pair")
+    right = _read(args, args.input[1], "pair")
     fn = exact_pair_gh_max if args.variant == "max" else exact_pair_gh
     # one oracle call per process: a cache lookup here could only miss
     result = fn(left, right, budget=args.budget, cache=False)
@@ -210,8 +174,8 @@ def cmd_gh_exact(args) -> int:
 
 def cmd_gh_tuple(args) -> int:
     _need("oracle")
-    left = _load_tuple(args, args.input[0])
-    right = _load_tuple(args, args.input[1])
+    left = _read(args, args.input[0], "tuple")
+    right = _read(args, args.input[1], "tuple")
     result = exact_tuple_gh(left, right, budget=args.budget, variant=args.variant)
     _emit(args, _result_payload(result))
     return 0
@@ -220,14 +184,14 @@ def cmd_gh_tuple(args) -> int:
 def cmd_gh_corr(args) -> int:
     _need("correspondences")
     if len(args.input) == 1:
-        corr = _load_corr(args, args.input[0])
+        corr = _read(args, args.input[0], "correspondence")
         payload = {
             "pairs": [[i, j] for i, j in corr.pairs],
             "distortion": distortion(corr).as_dict(),
         }
     else:
-        left = _load_pair(args, args.input[0])
-        right = _load_pair(args, args.input[1])
+        left = _read(args, args.input[0], "pair")
+        right = _read(args, args.input[1], "pair")
         res = min_distortion(left, right, objective=args.objective)
         payload = {
             "pairs": [[i, j] for i, j in res.correspondence.pairs],
@@ -240,8 +204,8 @@ def cmd_gh_corr(args) -> int:
 
 def cmd_gh_bounds(args) -> int:
     _need("bounds")
-    left = _load_pair(args, args.input[0])
-    right = _load_pair(args, args.input[1])
+    left = _read(args, args.input[0], "pair")
+    right = _read(args, args.input[1], "pair")
     interval = gh_bounds(left, right)
     _emit(
         args,
@@ -261,7 +225,7 @@ def cmd_gh_bounds(args) -> int:
 
 def cmd_geodesic_sample(args) -> int:
     _need("geodesics")
-    corr = _load_corr(args, args.input[0])
+    corr = _read(args, args.input[0], "correspondence")
     t = parse_scalar(args.t, _exact(args))
     pair = interpolate(corr, t)
     _emit(args, pair_to_dict(pair))
@@ -270,7 +234,7 @@ def cmd_geodesic_sample(args) -> int:
 
 def cmd_geodesic_audit(args) -> int:
     _need("geodesics")
-    corr = _load_corr(args, args.input[0])
+    corr = _read(args, args.input[0], "correspondence")
     grid = None
     if args.grid:
         grid = [parse_scalar(part, _exact(args)) for part in args.grid.split(",")]
@@ -301,7 +265,7 @@ def cmd_geodesic_audit(args) -> int:
 
 def cmd_cassorla_run(args) -> int:
     _need("complexes")
-    pair = _load_pair(args, args.input[0])
+    pair = _read(args, args.input[0], "pair")
     result = approximation_pipeline(
         pair, levels=args.levels, saturate=not args.no_saturate
     )
@@ -330,7 +294,7 @@ def cmd_cassorla_run(args) -> int:
 
 def cmd_apps_hypernet(args) -> int:
     _need("applications")
-    corr = _load_corr(args, args.input[0])
+    corr = _read(args, args.input[0], "correspondence")
     report = hypernet_distortion(corr)
     _emit(
         args,
@@ -346,8 +310,8 @@ def cmd_apps_hypernet(args) -> int:
 
 def cmd_apps_tilde(args) -> int:
     _need("applications")
-    left = _load_pair(args, args.input[0])
-    right = _load_pair(args, args.input[1])
+    left = _read(args, args.input[0], "pair")
+    right = _read(args, args.input[1], "pair")
     report = variant_sandwich(left, right, budget=args.budget)
     _emit(
         args,
@@ -364,8 +328,8 @@ def cmd_apps_tilde(args) -> int:
 
 def cmd_apps_realize(args) -> int:
     _need("realization")
-    a = embedded_from_dict(_load(args, args.input[0]))
-    b = embedded_from_dict(_load(args, args.input[1]))
+    a = _read(args, args.input[0], "complex")
+    b = _read(args, args.input[1], "complex")
     interval = realization_hausdorff(a, b, args.step)
     _emit(
         args,
@@ -380,12 +344,12 @@ def cmd_apps_realize(args) -> int:
 
 def cmd_apps_densify(args) -> int:
     _need("applications")
-    data = _load(args, args.input[0], ("pair", "space"))
-    if document_kind(data) == "pair":
-        pair, bound = rational_densify_pair(pair_from_dict(data, _exact(args)), args.q)
+    found = _read(args, args.input[0], "pair", "space")
+    if isinstance(found, MetricPair):
+        pair, bound = rational_densify_pair(found, args.q)
         payload = pair_to_dict(pair)
     else:
-        res = rational_densify(space_from_dict(data, _exact(args)), args.q)
+        res = rational_densify(found, args.q)
         bound = res.bound
         payload = space_to_dict(res.space)
     payload["bound"] = format_scalar(bound)

@@ -1,9 +1,15 @@
 """JSON and CSV input/output with exact rationals.
 
-Distances may appear as integers, decimals or "p/q" strings; in exact
-mode decimals are parsed as exact rationals before any float rounding can
-happen.  Output renders exact scalars as "p/q" strings and sorts object
-keys, so serialized results are byte-deterministic.
+This module is the only code that knows the document format: every
+command, ``validate`` included, reads a document through
+``from_document`` or the reader of its kind, so a document ``validate``
+accepts is one the commands accept.  Distances may appear as integers,
+decimals or "p/q" strings; in exact mode decimals are parsed as exact
+rationals before any float rounding can happen.  ``labels``, when
+given, is a list of one label per point.  A reader's ``tol`` goes to
+``validate_metric`` unchanged.  Output renders exact scalars as "p/q"
+strings and sorts object keys, so serialized results are
+byte-deterministic.
 """
 from __future__ import annotations
 
@@ -47,7 +53,7 @@ def document_kind(data: dict) -> str:
     raise ValueError("unrecognized document shape")
 
 
-def space_from_dict(data: dict, exact: bool = True) -> FiniteMetricSpace:
+def space_from_dict(data: dict, exact: bool = True, tol=None) -> FiniteMetricSpace:
     if "distances" not in data:
         raise ValueError("missing 'distances'")
     rows = [
@@ -55,40 +61,34 @@ def space_from_dict(data: dict, exact: bool = True) -> FiniteMetricSpace:
     ]
     labels = data.get("labels")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise ValueError("'labels' must be a list")
         labels = tuple(str(l) for l in labels)
-    return FiniteMetricSpace.from_matrix(rows, labels)
+    return FiniteMetricSpace.from_matrix(rows, labels, tol)
 
 
-def pair_from_dict(data: dict, exact: bool = True) -> MetricPair:
-    return pair_on_space(space_from_dict(data, exact), data)
-
-
-def pair_on_space(space: FiniteMetricSpace, data: dict) -> MetricPair:
-    """The pair that the document's 'subset' marks on an already built space."""
+def pair_from_dict(data: dict, exact: bool = True, tol=None) -> MetricPair:
+    space = space_from_dict(data, exact, tol)
     if "subset" not in data:
         raise ValueError("missing 'subset'")
     return MetricPair(space, tuple(int(i) for i in data["subset"]))
 
 
-def tuple_from_dict(data: dict, exact: bool = True) -> MetricTuple:
-    return tuple_on_space(space_from_dict(data, exact), data)
-
-
-def tuple_on_space(space: FiniteMetricSpace, data: dict) -> MetricTuple:
-    """The tuple that the document's 'chain' marks on an already built space."""
+def tuple_from_dict(data: dict, exact: bool = True, tol=None) -> MetricTuple:
+    space = space_from_dict(data, exact, tol)
     if "chain" not in data:
         raise ValueError("missing 'chain'")
     chain = tuple(tuple(int(i) for i in level) for level in data["chain"])
     return MetricTuple(space, chain)
 
 
-def correspondence_from_dict(data: dict, exact: bool = True) -> PairCorrespondence:
+def correspondence_from_dict(data: dict, exact: bool = True, tol=None) -> PairCorrespondence:
     # imported here, like realization below, so a command reading other
     # documents does not load it
     from .correspondences import PairCorrespondence
 
-    left = pair_from_dict(data["left"], exact)
-    right = pair_from_dict(data["right"], exact)
+    left = pair_from_dict(data["left"], exact, tol)
+    right = pair_from_dict(data["right"], exact, tol)
     cells = [(int(i), int(j)) for i, j in data["pairs"]]
     return PairCorrespondence(left, right, cells)
 
@@ -103,6 +103,20 @@ def embedded_from_dict(data: dict) -> EmbeddedComplex:
         data["simplices"],
         data.get("depths"),
     )
+
+
+def from_document(data: dict, exact: bool = True, tol=None):
+    """The object ``data`` describes, read by its ``document_kind``."""
+    kind = document_kind(data)
+    if kind == "complex":
+        return embedded_from_dict(data)
+    reader = {
+        "space": space_from_dict,
+        "pair": pair_from_dict,
+        "tuple": tuple_from_dict,
+        "correspondence": correspondence_from_dict,
+    }[kind]
+    return reader(data, exact, tol)
 
 
 def space_to_dict(space: FiniteMetricSpace) -> dict:

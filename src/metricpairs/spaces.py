@@ -97,9 +97,9 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
     """Validate a square matrix as a finite metric.
 
     Returns the space when every axiom holds, otherwise a MetricViolations
-    report listing each failure.  Non-square input, negative or
-    non-finite entries and a ``tol`` that is not a finite number >= 0
-    raise ValueError.
+    report listing each failure.  Non-square input, ``labels`` not one
+    per point, negative or non-finite entries and a ``tol`` that is not a
+    finite number >= 0 raise ValueError.
     """
     if tol is not None and not (tol >= 0 and (is_exact(tol) or math.isfinite(tol))):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
@@ -109,6 +109,8 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
+    if labels is not None and len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} points")
     _, tol, d = _on_integer_scale(tol, matrix)
     for i in range(n):
         for j in range(n):
@@ -155,8 +157,8 @@ class FiniteMetricSpace:
     dist: tuple
 
     @classmethod
-    def from_matrix(cls, matrix, labels=None) -> "FiniteMetricSpace":
-        result = validate_metric(matrix, labels=labels)
+    def from_matrix(cls, matrix, labels=None, tol=None) -> "FiniteMetricSpace":
+        result = validate_metric(matrix, labels, tol)
         if isinstance(result, MetricViolations):
             raise InvalidMetricError(result)
         return result

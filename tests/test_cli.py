@@ -138,6 +138,14 @@ def test_validate_reports_a_bad_subset(tmp_path, capsys):
                 "'uncovered_subset_right': [1], 'ok': False}"
             },
         ),
+        (
+            {**CORR_IDENTITY, "left": {**BAD_TRIANGLE, "subset": [0]}},
+            1,
+            {
+                "size": 3, "asymmetric": [], "diagonal": [], "nonpositive": [],
+                "triangles": [[0, 1, 2]], "ok": False,
+            },
+        ),
     ],
 )
 def test_validate_reads_a_correspondence_once(tmp_path, capsys, monkeypatch, doc, code, report):
@@ -189,11 +197,22 @@ def test_validate_checks_a_complex_document(tmp_path, capsys, doc, code, report)
             "int() argument must be",
         ),
         ("pair", {**PAIR_BIG, "distances": 5}, "'int' object is not iterable"),
+        ("pair", {"subset": [0]}, "missing 'distances'"),
+        ("space", {**PATH3, "labels": 5}, "'labels' must be a list"),
+        (None, {}, "unrecognized document shape"),
+        (None, {"labels": ["a"]}, "unrecognized document shape"),
+        (None, {"pairs": [], "left": {}}, "unrecognized document shape"),
+        (
+            "complex",
+            {"points": [[0, 10**400], [1, 0]], "simplices": [[0, 1]]},
+            "int too large to convert to float",
+        ),
     ],
 )
 def test_validate_reports_a_wrongly_typed_document(tmp_path, capsys, kind, doc, error):
-    """A field of the wrong type makes the document invalid (exit 1), not
-    the command line wrong (exit 2)."""
+    """A field missing or of the wrong type, or an object of no known
+    kind, makes the document invalid (exit 1), not the command line wrong
+    (exit 2)."""
     path = _write(tmp_path, "typed.json", doc)
     got, out, err = _run(capsys, ["validate", "--input", path])
     assert (got, err) == (1, "")
@@ -612,7 +631,7 @@ def test_every_library_name_resolves_on_cli_to_its_module_object():
     )
     assert result.returncode == 0, result.stderr
     count, wrong = json.loads(result.stdout)
-    assert count == 108 + 16
+    assert count == 108 + 11
     assert wrong == []
 
 
@@ -642,6 +661,7 @@ _IMPORT_TABLE = [
     (["gh", "bounds", "--input", "PAIR", "PAIR"], ("oracle", "lp")),
     (["cassorla", "run", "--input", "PAIR"], ("oracle", "lp", "correspondences", "realization")),
     (["apps", "realize", "--input", "LOW", "HIGH"], ("oracle", "lp", "correspondences", "complexes")),
+    (["validate", "--input", "LOW"], ("oracle", "lp", "correspondences", "complexes")),
     (["sample", "pair"], ("oracle", "lp", "complexes", "realization")),
     (["gh", "corr", "--input", "PAIR", "PAIR"], ("oracle", "lp")),
     (["validate", "--input", "CORR"], ("oracle", "lp", "complexes", "realization")),

@@ -59,6 +59,9 @@ BROKEN = {
     "subset_duplicate": _space([[0, 1], [1, 0]], subset=[0, 0]),
     "subset_not_int": _space([[0, 1], [1, 0]], subset=["a"]),
     "subset_not_list": _space([[0, 1], [1, 0]], subset=3),
+    "labels_too_few": _space([[0, 1], [1, 0]], subset=[0], labels=["a"]),
+    "labels_too_many": _space([[0, 1], [1, 0]], subset=[0], labels=["a", "b", "c"]),
+    "labels_not_list": _space([[0, 1], [1, 0]], subset=[0], labels=5),
     "chain_empty": _space([[0, 1], [1, 0]], chain=[]),
     "chain_not_nested": _space([[0, 1], [1, 0]], chain=[[0], [0, 1]]),
     "chain_out_of_range": _space([[0, 1], [1, 0]], chain=[[0, 5]]),
@@ -202,6 +205,11 @@ def _contract(capsys, argv) -> int:
     """Exit code of ``main(argv)``; fails on a code outside 0-2, an
     exception that escapes ``main``, or a successful run whose output is
     not strict JSON (``Infinity`` and ``NaN`` are not)."""
+    return _contract_output(capsys, argv)[0]
+
+
+def _contract_output(capsys, argv) -> tuple:
+    """``_contract``, and the standard output of the run."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse usage errors
@@ -213,7 +221,7 @@ def _contract(capsys, argv) -> int:
         assert err.strip(), argv
     if code == 0:
         json.loads(out, parse_constant=_no_constant)
-    return code
+    return code, out
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -282,3 +290,80 @@ def test_fresh_process_maps_errors_to_exit_2(docs, argv, message):
     assert done.stdout == ""
     assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+# The mutation contract: one-field mutations of a valid document of each
+# kind, nested correspondence sides included, each field deleted or set
+# to one of WRONG_VALUES.  ``validate`` reads a document exactly as the
+# commands do, so it never calls a JSON object a usage error, and a
+# document it accepts as kind K is never refused by a command reading K.
+LABELLED_PAIR = {**GOOD_PAIR, "labels": ["a", "b", "c"]}
+VALID = {
+    "space": {"labels": ["a", "b", "c"], "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+    "pair": LABELLED_PAIR,
+    "tuple": {**GOOD_TUPLE, "labels": ["a", "b"]},
+    "correspondence": {**GOOD_CORR, "left": LABELLED_PAIR, "right": LABELLED_PAIR},
+    "complex": {**GOOD_COMPLEX, "depths": [0]},
+}
+DELETED = object()
+# [inf] is written [Infinity], a JSON extension, and int() takes no inf
+WRONG_VALUES = (
+    None, True, 0, -1, 2.5, "x", "", "1/2", [], [0], [float("inf")], [[0]], [[0, 1]], {},
+)
+
+# argv of each command that reads a document, DOC standing for it
+READERS = {
+    "hausdorff": ["hausdorff", "--input", "DOC", "--left", "0", "--right", "0"],
+    "gh_bounds": ["gh", "bounds", "--input", "DOC", "DOC"],
+    "gh_tuple": ["gh", "tuple", "--input", "DOC", "DOC"],
+    "gh_corr": ["gh", "corr", "--input", "DOC"],
+    "apps_realize": ["apps", "realize", "--input", "DOC", "DOC"],
+}
+CONSUMERS = {
+    "space": ("hausdorff", "gh_bounds"),
+    "pair": ("hausdorff", "gh_bounds"),
+    "tuple": ("hausdorff", "gh_tuple"),
+    "correspondence": ("gh_corr",),
+    "complex": ("apps_realize",),
+}
+
+
+def _mutations():
+    """(kind, name, document) for every one-field mutation of VALID."""
+    for kind, doc in VALID.items():
+        fields = [(key,) for key in doc]
+        fields += [(key, sub) for key in doc if isinstance(doc[key], dict) for sub in doc[key]]
+        for field in fields:
+            for value in (DELETED, *WRONG_VALUES):
+                mutated = json.loads(json.dumps(doc))
+                *outer, last = field
+                target = mutated[outer[0]] if outer else mutated
+                if value is DELETED:
+                    del target[last]
+                else:
+                    target[last] = value
+                label = "deleted" if value is DELETED else json.dumps(value)
+                yield kind, f"{kind}.{'.'.join(field)}={label}", mutated
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_validate_accepts_only_what_the_commands_read(tmp_path, capsys, mode):
+    """Each mutation runs through ``validate`` and through the commands
+    that read its kind before and after the mutation."""
+    path = str(tmp_path / "doc.json")
+    usage_errors, refused = [], []
+    mutations = list(_mutations())
+    assert len(mutations) == 15 * (2 + 3 + 3 + 9 + 3)
+    for original, name, doc in mutations:
+        Path(path).write_text(json.dumps(doc))
+        code, out = _contract_output(capsys, ["validate", "--input", path, "--mode", mode])
+        if code == 2:
+            usage_errors.append(name)
+        kind = json.loads(out)["kind"] if code == 0 else None
+        readers = dict.fromkeys(CONSUMERS[original] + CONSUMERS.get(kind, ()))
+        for reader in readers:
+            argv = [path if arg == "DOC" else arg for arg in READERS[reader]]
+            if _contract(capsys, argv + ["--mode", mode]) == 2 and reader in CONSUMERS.get(kind, ()):
+                refused.append(f"{name} by {reader}")
+    assert usage_errors == []
+    assert refused == []

@@ -15,6 +15,7 @@ from metricpairs.serialization import (
     dump_json,
     embedded_from_dict,
     format_csv,
+    from_document,
     load_document,
     matrix_from_csv,
     pair_from_dict,
@@ -24,7 +25,7 @@ from metricpairs.serialization import (
     tuple_from_dict,
     tuple_to_dict,
 )
-from metricpairs.spaces import FiniteMetricSpace, MetricPair
+from metricpairs.spaces import FiniteMetricSpace, InvalidMetricError, MetricPair
 
 
 def test_space_round_trip_exact():
@@ -88,6 +89,53 @@ def test_document_kind_dispatch():
     assert document_kind({"points": [[0, 0]], "simplices": [[0]]}) == "complex"
     with pytest.raises(ValueError):
         document_kind({"whatever": 1})
+
+
+def test_from_document_reads_each_kind():
+    rng = random.Random(122)
+    pair = random_pair(rng, n_range=(2, 4))
+    tup = random_tuple(rng, 2)
+    corr = random_correspondence(rng, pair, random_pair(rng, n_range=(2, 4)))
+    for value, doc in [
+        (pair.space, space_to_dict(pair.space)),
+        (pair, pair_to_dict(pair)),
+        (tup, tuple_to_dict(tup)),
+        (corr, correspondence_to_dict(corr)),
+    ]:
+        assert from_document(doc) == value
+    cx = from_document({"points": [[0.0, 0.0], [1.0, 0.0]], "simplices": [[0, 1]]})
+    assert cx.simplices == ((0, 1),)
+
+
+@pytest.mark.parametrize(
+    "labels, error",
+    [
+        (["a"], "1 labels for 2 points"),
+        (["a", "b", "c"], "3 labels for 2 points"),
+        ("ab", "'labels' must be a list"),
+        (5, "'labels' must be a list"),
+    ],
+)
+def test_labels_are_a_list_of_one_per_point(labels, error):
+    doc = {"distances": [[0, 1], [1, 0]], "labels": labels, "subset": [0]}
+    for reader in (space_from_dict, pair_from_dict, from_document):
+        with pytest.raises(ValueError, match=error):
+            reader(doc)
+
+
+def test_tol_reaches_every_reader():
+    # d(0,1) = 5/2 exceeds d(0,2) + d(2,1) = 2 by less than the tolerance
+    side = {"distances": [[0, "5/2", 1], ["5/2", 0, 1], [1, 1, 0]], "subset": [0, 1, 2]}
+    docs = [
+        {"distances": side["distances"]},
+        side,
+        {"distances": side["distances"], "chain": [[0, 1, 2], [0]]},
+        {"left": side, "right": side, "pairs": [[0, 0], [1, 1], [2, 2]]},
+    ]
+    for doc in docs:
+        from_document(doc, tol=Fraction(3, 4))
+        with pytest.raises(InvalidMetricError):
+            from_document(doc)
 
 
 def test_document_from_json_exact_decimals():
