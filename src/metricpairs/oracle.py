@@ -9,11 +9,15 @@ for up to two levels and a subset dynamic program for more.  The outer
 search over witness maps is a depth-first branch and bound; the reduced
 value only grows as entries accumulate, so it prunes against the
 incumbent safely, both on the slot being filled and, looking ahead, on
-the least entry every unplaced slot must still add.  Exact distances are
-searched on one integer scale (``spaces._on_integer_scale``) and the
-optimum mapped back.  The simplex (``lp``, on a fraction-free integer
-tableau) runs once per summed solve of three or more levels, to split
-the optimal value into certificate radii.  The certificate's cross
+the least entry every unplaced slot must still add.  A floor, built
+once per solve from the sets of distances each point sees at each level
+(the pair form of Memoli's local distance-set bound), is worth no more
+than any leaf, so the search ends at the first leaf that reaches it.
+Exact distances are searched on one integer scale
+(``spaces._on_integer_scale``) and the optimum mapped back.  The simplex
+(``lp``, on a fraction-free integer tableau) runs once per summed solve
+of three or more levels, to split the optimal value into certificate
+radii.  The certificate's cross
 metric is a min-plus product through the witness cells, built and
 checked on the integer scale as well.
 """
@@ -163,6 +167,50 @@ def _value_and_radii(m, variant):
     return half(v2), tuple(half(r) for r in radii2)
 
 
+def _distance_sets(dx, dy, levels_left, levels_right):
+    """Least mismatch matrix M: ``M[a][b] <= m[a][b]`` for every witness.
+
+    The profile of x at level b is the set of distances from x to the
+    level-b points.  A level-a entry (x, y) meets every level-b point of
+    either side through level-b entries, so m[a][b] is at least the
+    Hausdorff distance in the line between the profiles of x and y; and
+    every level-a point lies in some level-a entry, so m[a][b] is at
+    least the largest over the points of either side of level a of the
+    least such distance to a partner, and likewise with a and b swapped.
+    Points with one profile count once, and the distance of two profiles
+    is computed once per solve.  This is the pair form of Memoli's local
+    distance-set bound (DCG 2012).  Its differences are the search's own
+    when the distances are symmetric, so in floats too it never exceeds
+    a leaf's entry there.
+    """
+    nlev = len(levels_left)
+
+    def spread(d):
+        """Hausdorff distance of two sets from their pairwise distances."""
+        return max(max(map(min, d)), max(map(min, zip(*d))))
+
+    def profiles(dist, levels):
+        return [[frozenset(map(row.__getitem__, level)) for level in levels] for row in dist]
+
+    gaps = {}
+
+    def gap(p, q):
+        if (p, q) not in gaps:
+            gaps[p, q] = spread([[abs(u - v) for v in q] for u in p])
+        return gaps[p, q]
+
+    px, py = profiles(dx, levels_left), profiles(dy, levels_right)
+
+    def least(a, b):
+        """The bound on m[a][b] from the level-a points' profiles at b."""
+        ps = {px[x][b] for x in levels_left[a]}
+        qs = {py[y][b] for y in levels_right[a]}
+        return spread([[gap(p, q) for q in qs] for p in ps])
+
+    d = [[least(a, b) for b in range(nlev)] for a in range(nlev)]
+    return [[max(d[a][b], d[b][a]) for b in range(nlev)] for a in range(nlev)]
+
+
 # ---------------------------------------------------------------------------
 # witness search
 
@@ -188,14 +236,26 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     among its candidates bounds every leaf below, since m only grows,
     so the node is cut when that bound reaches the incumbent.  A leaf
     replaces the incumbent only when strictly better, so the cuts never
-    change which optimum is found first.  ``dx`` and ``dy`` are distance
-    matrices, on one integer scale when exact, and ``zero`` seeds m.  Raises
-    BudgetExceededError once more than ``budget`` nodes are visited.
-    Returns the per-level entry lists and the mismatch matrix.
+    change which optimum is found first.
+
+    The floor is value_fn of the distance-set matrix (_distance_sets),
+    built once per solve; no leaf is worth less.  So the first leaf whose
+    value is not above the floor is optimal, and, as the first optimum
+    found, it is the witness a full search would return: the search stops
+    there.  The floor needs symmetric distances, which a positive
+    tolerance need not give; with asymmetric ones no leaf stops the search.
+
+    ``dx`` and ``dy`` are distance matrices, on one integer scale when
+    exact, and ``zero`` seeds m.  Raises BudgetExceededError once more
+    than ``budget`` nodes are visited.  Returns the per-level entry lists
+    and the mismatch matrix.
     """
     nlev = len(levels_left)
     value_fn = _max_entry if variant == "max" else _assignment_value2
     key_fn = _cheap_value2 if variant == "sum" and nlev > 2 else value_fn
+    floor = -1  # no leaf is worth less than 0, so none stops the search
+    if all(list(row) == list(col) for d in (dx, dy) for row, col in zip(d, zip(*d))):
+        floor = value_fn(_distance_sets(dx, dy, levels_left, levels_right))
 
     slots = []
     for lvl in range(nlev - 1, -1, -1):
@@ -258,6 +318,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
         return value_fn(bound)
 
     def run(si):
+        """Search below slot si; True once a leaf reaches the floor."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -268,9 +329,9 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
                 best[0] = v2
                 best[1] = [list(lv) for lv in entries]
                 best[2] = [row[:] for row in m]
-            return
+            return not v2 > floor
         if best[0] is not None and not look_ahead(si) < best[0]:
-            return
+            return False
         lvl = slots[si][0]
         saved = list(m[lvl])
         children = []
@@ -291,12 +352,14 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             entries[lvl].append((x, y))
             mark = len(undo)
             raise_rows(si, lvl, x, y)
-            run(si + 1)
+            if run(si + 1):
+                return True
             while len(undo) > mark:
                 row, j, old = undo.pop()
                 row[j] = old
             entries[lvl].pop()
         place(lvl, saved)
+        return False
 
     run(0)
     return best[1], best[2]

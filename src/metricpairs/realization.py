@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalars import check_positive
+from .scalars import as_index, check_positive
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class EmbeddedComplex:
             raise ValueError("point coordinates must be finite")
         simp = []
         for s in simplices:
-            s = tuple(int(v) for v in s)
+            s = tuple(as_index(v, "simplex vertex") for v in s)
             if not 1 <= len(s) <= 3:
                 raise ValueError("simplices must have one to three vertices")
             if len(set(s)) != len(s):
@@ -76,7 +76,7 @@ class EmbeddedComplex:
             raise ValueError("need at least one simplex")
         if depths is None:
             depths = [0] * len(simp)
-        depths = [int(d) for d in depths]
+        depths = [as_index(d, "depth") for d in depths]
         if len(depths) != len(simp) or any(d < 0 for d in depths):
             raise ValueError("one nonnegative depth per simplex expected")
         self.points = pts

@@ -62,6 +62,16 @@ def check_positive(value: Scalar, name: str) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
+def as_index(value, name: str) -> int:
+    """``value`` if it is an int.  What ``int`` would truncate or parse
+    instead (a bool, a float or fraction, whole or not, a digit string)
+    raises ValueError; what ``int`` cannot read at all keeps its error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        int(value)
+        raise ValueError(f"{name} must be an integer index, got {value!r}")
+    return value
+
+
 def format_scalar(value: Scalar):
     """Render for JSON: rationals as 'p/q' in lowest terms, floats as-is."""
     if isinstance(value, float):

@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .scalars import format_scalar, parse_scalar
+from .scalars import as_index, format_scalar, parse_scalar
 from .spaces import FiniteMetricSpace, MetricPair, MetricTuple
 
 if TYPE_CHECKING:
@@ -71,14 +71,14 @@ def pair_from_dict(data: dict, exact: bool = True, tol=None) -> MetricPair:
     space = space_from_dict(data, exact, tol)
     if "subset" not in data:
         raise ValueError("missing 'subset'")
-    return MetricPair(space, tuple(int(i) for i in data["subset"]))
+    return MetricPair(space, tuple(as_index(i, "subset") for i in data["subset"]))
 
 
 def tuple_from_dict(data: dict, exact: bool = True, tol=None) -> MetricTuple:
     space = space_from_dict(data, exact, tol)
     if "chain" not in data:
         raise ValueError("missing 'chain'")
-    chain = tuple(tuple(int(i) for i in level) for level in data["chain"])
+    chain = tuple(tuple(as_index(i, "chain") for i in level) for level in data["chain"])
     return MetricTuple(space, chain)
 
 
@@ -89,7 +89,7 @@ def correspondence_from_dict(data: dict, exact: bool = True, tol=None) -> PairCo
 
     left = pair_from_dict(data["left"], exact, tol)
     right = pair_from_dict(data["right"], exact, tol)
-    cells = [(int(i), int(j)) for i, j in data["pairs"]]
+    cells = [(as_index(i, "pairs"), as_index(j, "pairs")) for i, j in data["pairs"]]
     return PairCorrespondence(left, right, cells)
 
 

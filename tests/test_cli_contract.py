@@ -59,6 +59,9 @@ BROKEN = {
     "subset_duplicate": _space([[0, 1], [1, 0]], subset=[0, 0]),
     "subset_not_int": _space([[0, 1], [1, 0]], subset=["a"]),
     "subset_not_list": _space([[0, 1], [1, 0]], subset=3),
+    "subset_fraction_and_bool": _space([[0, 1], [1, 0]], subset=[0.9, True]),
+    "subset_whole_float": _space([[0, 1], [1, 0]], subset=[1.0]),
+    "subset_string_index": _space([[0, 1], [1, 0]], subset=["1"]),
     "labels_too_few": _space([[0, 1], [1, 0]], subset=[0], labels=["a"]),
     "labels_too_many": _space([[0, 1], [1, 0]], subset=[0], labels=["a", "b", "c"]),
     "labels_not_list": _space([[0, 1], [1, 0]], subset=[0], labels=5),
@@ -66,9 +69,13 @@ BROKEN = {
     "chain_not_nested": _space([[0, 1], [1, 0]], chain=[[0], [0, 1]]),
     "chain_out_of_range": _space([[0, 1], [1, 0]], chain=[[0, 5]]),
     "chain_empty_level": _space([[0, 1], [1, 0]], chain=[[0], []]),
+    "chain_float_index": _space([[0, 1], [1, 0]], chain=[[0, 1.0]]),
+    "chain_bool_index": _space([[0, 1], [1, 0]], chain=[[False]]),
     "corr_not_covering": {**GOOD_CORR, "pairs": [[0, 0]]},
     "corr_out_of_range": {**GOOD_CORR, "pairs": [[0, 0], [1, 1], [2, 2], [9, 0]]},
     "corr_bad_cell": {**GOOD_CORR, "pairs": [[0], [1, 1]]},
+    "corr_float_cell": {**GOOD_CORR, "pairs": [[0, 0], [1, 1], [2, 2.5]]},
+    "corr_bool_cell": {**GOOD_CORR, "pairs": [[0, 0], [True, 1], [2, 2]]},
     "corr_broken_side": {**GOOD_CORR, "left": _space([[0, 1], [2, 0]], subset=[0])},
     "corr_side_not_pair": {**GOOD_CORR, "right": _space([[0, 1], [1, 0]])},
     "complex_no_simplices": {"points": [[0.0, 0.0]]},
@@ -77,6 +84,8 @@ BROKEN = {
     "complex_string_points": {"points": ["12", "34"], "simplices": [[0, 1]]},
     "complex_nan": {"points": [[0.0, "nan"], [1.0, 0.0]], "simplices": [[0, 1]]},
     "complex_index": {"points": [[0.0, 0.0], [1.0, 0.0]], "simplices": [[0, 5]]},
+    "complex_float_vertex": {"points": [[0.0, 0.0], [1.0, 0.0]], "simplices": [[0, 1.0]]},
+    "complex_bool_depth": {"points": [[0.0, 0.0], [1.0, 0.0]], "simplices": [[0, 1]], "depths": [True]},
     "complex_big_simplex": {
         "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
         "simplices": [[0, 1, 2, 3]],
@@ -245,6 +254,25 @@ def test_validate_rejects_a_tolerance_that_switches_checks_off(docs, capsys):
     for tol in ("nan", "-1", "inf", "-inf"):
         argv = ["validate", "--input", docs["triangle"], "--tol", tol]
         assert _contract(capsys, argv) == 2, tol
+
+
+INDEX_FIELDS = [
+    "subset_fraction_and_bool", "subset_whole_float", "subset_string_index",
+    "chain_float_index", "chain_bool_index", "corr_float_cell", "corr_bool_cell",
+    "complex_float_vertex", "complex_bool_depth",
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", INDEX_FIELDS)
+def test_index_fields_that_are_not_integers_are_refused(docs, capsys, name, mode):
+    """``0.9``, ``1.0``, ``true`` or ``"1"`` where an index belongs is
+    refused, not truncated to an index."""
+    code, out = _contract_output(capsys, ["validate", "--input", docs[name], "--mode", mode])
+    assert code == 1 and json.loads(out)["ok"] is False, out
+    if name.startswith("subset_"):
+        argv = ["apps", "densify", "--input", docs[name], "--q", "2", "--mode", mode]
+        assert _contract(capsys, argv) == 2
 
 
 def test_realize_rejects_a_step_that_is_not_finite_and_positive(docs, capsys):

@@ -12,6 +12,7 @@ from metricpairs.correspondences import (
     distortion,
     min_distortion,
 )
+from metricpairs import geodesics
 from metricpairs.generators import random_correspondence, random_pair
 from metricpairs.geodesics import (
     DEFAULT_GRID,
@@ -21,7 +22,8 @@ from metricpairs.geodesics import (
     interpolate,
 )
 from metricpairs.oracle import cache_size, clear_cache, exact_pair_gh
-from metricpairs.spaces import FiniteMetricSpace, MetricPair
+from metricpairs.scalars import close
+from metricpairs.spaces import FiniteMetricSpace, MetricPair, _sup_abs_diff
 
 
 def _collapse_correspondence():
@@ -184,3 +186,93 @@ def test_audit_can_report_mismatches():
 
 def test_default_grid_is_the_quarter_grid():
     assert DEFAULT_GRID == (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
+
+
+def _audit_every_row(corr, grid, budget):
+    """The audit with one solve per row: (endpoint, rows as tuples)."""
+    times = sorted(set(grid))
+    endpoint = exact_pair_gh(corr.left, corr.right, budget=budget, cache=False).value
+    samples = {t: interpolate(corr, t) for t in times}
+    rows = []
+    for i, s in enumerate(times):
+        for t in times[i + 1 :]:
+            if (s, t) == (0, 1):
+                value = endpoint
+            else:
+                value = exact_pair_gh(samples[s], samples[t], budget=budget, cache=False).value
+            expected = (t - s) * endpoint
+            rows.append((s, t, value, expected, close(value, expected)))
+    return endpoint, rows
+
+
+def _counting_solves(monkeypatch):
+    """Count the exact solves the audit runs, through the name it calls."""
+    calls = []
+    solve = geodesics.exact_pair_gh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "exact_pair_gh", counted)
+    return calls
+
+
+_GRIDS = (
+    DEFAULT_GRID,
+    (0, Fraction(1, 3), Fraction(2, 3), 1),
+    (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)),
+    (0, Fraction(1, 2), Fraction(3, 4)),
+    (Fraction(1, 4), Fraction(3, 5), 1),
+)
+
+
+def test_proven_rows_equal_the_rows_every_solve_gives(monkeypatch):
+    """Seeded correspondences, optimal and not, on grids with and without
+    the endpoints: values and verdicts equal the audit that solves every
+    row, and the proven rows run no solve."""
+    calls = _counting_solves(monkeypatch)
+    rng = random.Random(22)
+    kinds = set()
+    solved = rows = 0
+    for case in range(40):
+        left, right = random_pair(rng, (2, 3)), random_pair(rng, (2, 2))
+        if case % 4 == 0:
+            corr = min_distortion(left, right).correspondence
+        else:
+            corr = random_correspondence(rng, left, right, extra=case % 2)
+        sup = _sup_abs_diff(corr.pairs, corr.left.space.dist, corr.right.space.dist)
+        for grid in _GRIDS:
+            calls.clear()
+            audit = geodesicity_audit(corr, grid=grid, budget=10**6)
+            endpoint, want = _audit_every_row(corr, grid, 10**6)
+            got = [(r.s, r.t, r.value, r.expected, r.matches) for r in audit.rows]
+            assert (audit.endpoint_value, got) == (endpoint, want), (case, grid)
+            kinds.add(endpoint == sup)
+            rows += len(want)
+            solved += len(calls) - 1  # the endpoint solve is no row's
+    assert kinds == {True, False}
+    assert 0 < solved < rows
+
+
+def test_exact_audit_of_a_tight_endpoint_runs_one_solve(monkeypatch):
+    """When the endpoint meets its bound every row is proven."""
+    calls = _counting_solves(monkeypatch)
+    audit = geodesicity_audit(_collapse_correspondence())
+    assert len(calls) == 1 and audit.all_match and len(audit.rows) == 10
+
+
+def test_float_audits_solve_every_row(monkeypatch):
+    """Float distances or float times: no row is proven."""
+    calls = _counting_solves(monkeypatch)
+    corr = _collapse_correspondence()
+    geodesicity_audit(corr, grid=(0, 0.25, 0.5, 0.75, 1))
+    assert len(calls) == 1 + 9
+    two = FiniteMetricSpace.from_matrix([[0.0, 2.0], [2.0, 0.0]])
+    one = FiniteMetricSpace.from_matrix([[0.0]])
+    floats = PairCorrespondence(
+        MetricPair(two, (0, 1)), MetricPair(one, (0,)), ((0, 0), (1, 0))
+    )
+    calls.clear()
+    audit = geodesicity_audit(floats)
+    assert len(calls) == 1 + 9 and audit.all_match

@@ -16,11 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metricpairs import oracle
+from metricpairs.families import enumerate_family, family_iso_classes
 from metricpairs.generators import random_pair, random_tuple
 from metricpairs.oracle import (
     BudgetExceededError,
     _assignment_value2,
     _cheap_value2,
+    _distance_sets,
     _finalize,
     _levels_of,
     _max_entry,
@@ -189,14 +192,76 @@ def test_search_finds_the_reference_witness_within_its_nodes(operands, variant):
     assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
 
 
+def _floor(left, right, variant):
+    """The search's floor on the operands' own distances, doubled like
+    the values the search compares."""
+    value_fn = _max_entry if variant == "max" else _assignment_value2
+    m = _distance_sets(left.space.dist, right.space.dist, _levels_of(left), _levels_of(right))
+    return value_fn(m)
+
+
+def _exact(left, right, variant):
+    if isinstance(left, MetricPair):
+        solve = exact_pair_gh if variant == "sum" else exact_pair_gh_max
+        return solve(left, right, budget=10**7, cache=False).value
+    return exact_tuple_gh(left, right, budget=10**7, variant=variant).value
+
+
+def test_floor_never_exceeds_the_value_on_the_census():
+    """Every ordered pair of the at most 3-point census, one member per
+    isometry class (floor and value are both invariant under relabelling)."""
+    family = enumerate_family()
+    members = [family[group[0]] for group in family_iso_classes(family)]
+    for left in members:
+        for right in members:
+            for variant in ("sum", "max"):
+                assert _floor(left, right, variant) <= 2 * _exact(left, right, variant)
+
+
+@st.composite
+def _floor_operands(draw):
+    """Pairs, or tuples of one to three links, of up to five points."""
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    links = draw(st.integers(min_value=1, max_value=3))
+    pair = links == 1 and draw(st.booleans())
+    sides = []
+    for _ in range(2):
+        n = draw(st.integers(min_value=1, max_value=5))
+        space = draw(_space(kind, n))
+        chain = draw(_chain(n, links))
+        sides.append(MetricPair(space, chain[0]) if pair else MetricTuple(space, chain))
+    return sides
+
+
+@_BOUNDED
+@given(_floor_operands(), st.sampled_from(("sum", "max")))
+def test_floor_never_exceeds_the_value(operands, variant):
+    left, right = operands
+    assert _floor(left, right, variant) <= 2 * _exact(left, right, variant)
+
+
+def test_asymmetric_distances_get_no_floor(monkeypatch):
+    """A positive tolerance admits asymmetric distances, on which the
+    distance sets can exceed the optimum; the search then builds no
+    floor and runs to its end."""
+    left = MetricPair(FiniteMetricSpace.from_matrix([[0, 6], [5, 0]], tol=3), (0,))
+    right = MetricPair(FiniteMetricSpace.from_matrix([[0, 4], [6, 0]], tol=3), (0,))
+    value = exact_pair_gh(left, right, cache=False).value
+    assert _floor(left, right, "sum") > 2 * value
+    built = []
+    monkeypatch.setattr(oracle, "_distance_sets", lambda *args: built.append(args))
+    assert exact_pair_gh(left, right, cache=False).value == value
+    assert built == []
+
+
 # Nodes the search visits on seeded pairs (seeds 0-5) and tuples of three
 # to five levels (seeds 6-17), (sum, max); the budget refuses on these
 # counts, which the serialized results do not show.
 _PINNED_NODES = {
-    0: (44, 28), 1: (26, 19), 2: (93, 61), 3: (74, 45), 4: (3830, 1400),
-    5: (352, 80), 6: (20, 15), 7: (14, 22), 8: (15, 15), 9: (133, 19),
-    10: (36, 18), 11: (26, 17), 12: (29, 16), 13: (139, 19), 14: (16, 28),
-    15: (35, 27), 16: (19, 16), 17: (44, 19),
+    0: (18, 18), 1: (16, 16), 2: (34, 34), 3: (65, 41), 4: (20, 20),
+    5: (352, 80), 6: (20, 15), 7: (14, 22), 8: (15, 15), 9: (133, 17),
+    10: (36, 18), 11: (23, 17), 12: (29, 15), 13: (139, 19), 14: (16, 28),
+    15: (29, 26), 16: (16, 16), 17: (24, 19),
 }
 
 
