@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from metricpairs import geodesics
 from metricpairs.correspondences import (
     PairCorrespondence,
     UncoveredRelationError,
     distortion,
     min_distortion,
 )
-from metricpairs import geodesics
 from metricpairs.generators import random_correspondence, random_pair
 from metricpairs.geodesics import (
     DEFAULT_GRID,
