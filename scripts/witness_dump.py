@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Dump every witness of a fixed set of exact solves, for comparing checkouts.
+
+    python3 scripts/witness_dump.py OUT
+
+Run from the root of a checkout: the library comes from ``src/`` and the
+benchmark instances from ``perfbench/instances.py``, which are only read.
+Every solve gets the same budget of BUDGET search nodes and is written as
+its ``as_dict()``, or as ``"refused"`` when it runs over the budget.  The
+groups are:
+
+- ``pool`` and ``tail``: every ``exact_hard`` instance, split as the
+  benchmark splits it by recorded solve time; pairs and tuples in both
+  variants, and the values of the audits;
+- ``float``: copies of the pool's pairs and tuples with their distances
+  scaled into floats, two scalings, both variants;
+- ``tuples``: seeded tuples of 2 to 4 links on 3 to 5 points, with integer
+  and with float distances, both variants.
+
+Writes one JSON object per group to OUT and prints one sha256 per group.
+Two checkouts whose search visits other nodes but finds the same first
+optimum print the same hashes, except where one of them refuses a solve.
+Takes a few minutes.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path.cwd()
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import metricpairs as mp  # noqa: E402
+from metricpairs import oracle  # noqa: E402
+from metricpairs.scalars import format_scalar  # noqa: E402
+
+import instances as inst  # noqa: E402
+from workloads import POOL_MS, load_expected  # noqa: E402
+
+BUDGET = 2 * 10**4
+SCALINGS = (0.1, 1 / 3)
+TUPLE_SEEDS = 600
+FLOAT_VALUES = (0.7, 0.9, 1.3, 2.1)
+
+
+def solved(solve):
+    try:
+        return solve()
+    except mp.BudgetExceededError:
+        return "refused"
+
+
+def both_variants(out, label, left, right):
+    for variant in ("sum", "max"):
+        if isinstance(left, mp.MetricTuple):
+            result = solved(lambda: mp.exact_tuple_gh(left, right, BUDGET, variant))
+        else:
+            pick = mp.exact_pair_gh if variant == "sum" else mp.exact_pair_gh_max
+            result = solved(lambda: pick(left, right, BUDGET, cache=False))
+        out[f"{label}:{variant}"] = result if result == "refused" else result.as_dict()
+
+
+def audit_values(corr):
+    oracle.clear_cache()
+    audit = solved(lambda: mp.geodesicity_audit(corr, budget=BUDGET))
+    if audit == "refused":
+        return audit
+    return [format_scalar(audit.endpoint_value)] + [format_scalar(row.value) for row in audit.rows]
+
+
+def scaled(side, factor):
+    space = mp.FiniteMetricSpace.from_matrix(
+        [[float(v) * factor for v in row] for row in side.space.dist]
+    )
+    if isinstance(side, mp.MetricTuple):
+        return mp.MetricTuple(space, side.chain)
+    return mp.MetricPair(space, side.subset)
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    groups = {"pool": {}, "tail": {}, "float": {}, "tuples": {}}
+    recorded = load_expected("exact_hard")["instances"]
+    for index, (ms, _) in enumerate(recorded):
+        group = groups["pool" if ms is not None and ms <= POOL_MS else "tail"]
+        kind, operands = inst.exact_hard_case(index)
+        label = f"{kind}:{index}"
+        if kind == "audit":
+            group[label] = audit_values(operands[0])
+            continue
+        both_variants(group, label, *operands)
+        if group is groups["pool"]:
+            for factor in SCALINGS:
+                left, right = (scaled(side, factor) for side in operands)
+                both_variants(groups["float"], f"{label}:x{factor:.4g}", left, right)
+    for seed in range(TUPLE_SEEDS):
+        rng = random.Random(f"witness_dump:{seed}")
+        k = 2 + seed % 3
+        for name, values in (("int", (1, 2, 3)), ("float", FLOAT_VALUES)):
+            left, right = (mp.random_tuple(rng, k, (3, 5), values) for _ in range(2))
+            both_variants(groups["tuples"], f"{name}:{seed}", left, right)
+    Path(sys.argv[1]).write_text(json.dumps(groups, indent=1) + "\n", encoding="utf-8")
+    for name, group in groups.items():
+        refused = sum(1 for result in group.values() if result == "refused")
+        digest = hashlib.sha256(json.dumps(group).encode()).hexdigest()
+        print(f"{name}: {len(group)} entries, {refused} refused, sha256 {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

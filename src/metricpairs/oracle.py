@@ -9,17 +9,19 @@ for up to two levels and a subset dynamic program for more.  The outer
 search over witness maps is a depth-first branch and bound; the reduced
 value only grows as entries accumulate, so it prunes against the
 incumbent safely, both on the slot being filled and, looking ahead, on
-the least entry every unplaced slot must still add.  A floor, built
-once per solve from the sets of distances each point sees at each level
-(the pair form of Memoli's local distance-set bound), is worth no more
-than any leaf, so the search ends at the first leaf that reaches it.
-Exact distances are searched on one integer scale
-(``spaces._on_integer_scale``) and the optimum mapped back.  The simplex
-(``lp``, on a fraction-free integer tableau) runs once per summed solve
-of three or more levels, to split the optimal value into certificate
-radii.  The certificate's cross
-metric is a min-plus product through the witness cells, built and
-checked on the integer scale as well.
+the least entry every unplaced slot must still add.  Each placed entry
+also drops the candidates of later slots that it alone brings to the
+incumbent (forward checking), and a slot left with none cuts the
+branch.  A floor, built once per solve from the sets of distances each
+point sees at each level (the pair form of Memoli's local distance-set
+bound), is worth no more than any leaf, so the search ends at the first
+leaf that reaches it.  Exact distances are searched on one integer
+scale (``spaces._on_integer_scale``) and the optimum mapped back.  The
+simplex (``lp``, on a fraction-free integer tableau) runs once per
+summed solve of three or more levels, to split the optimal value into
+certificate radii.  The certificate's cross metric is a min-plus product
+through the witness cells, built and checked on the integer scale as
+well.
 """
 from __future__ import annotations
 
@@ -234,9 +236,28 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     row is read from it, and once there is an incumbent each node looks
     ahead: m with every unplaced slot's level raised by the least row
     among its candidates bounds every leaf below, since m only grows,
-    so the node is cut when that bound reaches the incumbent.  A leaf
-    replaces the incumbent only when strictly better, so the cuts never
-    change which optimum is found first.
+    so the node is cut when that bound reaches the incumbent.
+
+    Forward checking: once there is an incumbent, raise_rows also drops
+    every dead candidate, one whose new row entry r at the placed level
+    lvl alone brings the value to the incumbent.  That is r for max; for
+    a sum, 2r on a slot of another level, and on a slot of level lvl the
+    trace with its diagonal raised to r: r plus the diagonal entries of
+    the levels above lvl, as those below have no entry yet.  It is added,
+    never found by subtracting from the incumbent, which rounds in
+    floats; and as a float sum of two or more entries can round above
+    the trace, there the largest of them stands in for their sum.  Each
+    slot keeps its live candidates as one list, swapped on the undo
+    trail; the children and the lookahead's least rows read only those,
+    and a slot whose list shrinks gets its least row recomputed over it
+    for every level.  A slot left with no live candidate cuts the child
+    before it becomes a node.  Before the first leaf the plain fold
+    runs, as there is nothing to test against.
+
+    Rows and m only grow down a path and the incumbent only falls, so no
+    cut or dead candidate hides a strictly better leaf; a leaf replaces
+    the incumbent only when strictly better, so the cuts never change
+    which optimum is found first, only the nodes visited.
 
     The floor is value_fn of the distance-set matrix (_distance_sets),
     built once per solve; no leaf is worth less.  So the first leaf whose
@@ -288,23 +309,72 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
 
     def raise_rows(si, lvl, x, y):
         """Fold the entry (x, y), placed at level lvl, into the rows of
-        every slot after si."""
+        every slot after si, and once there is an incumbent drop the
+        candidates that entry kills.  False when it leaves a slot with
+        no live candidate."""
+        inc = best[0]
+        if inc is not None and variant == "sum":
+            # what the trace adds to r on a slot of level lvl; summed
+            # ahead, that is exact on the integer scale or as one entry
+            rest = [m[b][b] for b in range(lvl + 1, nlev)]
+            extra = sum(rest) if len(rest) < 2 or isinstance(zero, int) else max(rest)
         for s in range(si + 1, nslots):
+            live = cands[s]
             low = None
-            for c in cands[s]:
-                diff = c[3][x] - c[4][y]
-                if diff < 0:
-                    diff = -diff
-                row = c[5]
-                if diff > row[lvl]:
-                    undo.append((row, lvl, row[lvl]))
-                    row[lvl] = diff
-                if low is None or row[lvl] < low:
-                    low = row[lvl]
+            if inc is None:
+                for c in live:
+                    diff = c[3][x] - c[4][y]
+                    if diff < 0:
+                        diff = -diff
+                    row = c[5]
+                    r = row[lvl]
+                    if diff > r:
+                        undo.append((row, lvl, r))
+                        row[lvl] = r = diff
+                    if low is None or r < low:
+                        low = r
+            else:
+                # dead: the candidate's entry r alone brings the value to
+                # the incumbent; adding the int 0 never rounds
+                if variant == "max":
+                    weight, add = 1, 0
+                elif slots[s][0] != lvl:
+                    weight, add = 2, 0
+                else:
+                    weight, add = 1, extra
+                dead = False
+                for c in live:
+                    diff = c[3][x] - c[4][y]
+                    if diff < 0:
+                        diff = -diff
+                    row = c[5]
+                    r = row[lvl]
+                    if diff > r:
+                        undo.append((row, lvl, r))
+                        row[lvl] = r = diff
+                    if weight * r + add < inc:
+                        if low is None or r < low:
+                            low = r
+                    else:
+                        dead = True
+                if dead:
+                    kept = [c for c in live if weight * c[5][lvl] + add < inc]
+                    if not kept:
+                        return False
+                    undo.append((cands, s, live))
+                    cands[s] = kept
+                    slot_low = lows[s]
+                    for j in range(nlev):
+                        low = min([c[5][j] for c in kept])
+                        if low > slot_low[j]:
+                            undo.append((slot_low, j, slot_low[j]))
+                            slot_low[j] = low
+                    continue
             slot_low = lows[s]
             if low > slot_low[lvl]:
                 undo.append((slot_low, lvl, slot_low[lvl]))
                 slot_low[lvl] = low
+        return True
 
     def look_ahead(si):
         bound = [row[:] for row in m]
@@ -351,8 +421,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
                 continue
             entries[lvl].append((x, y))
             mark = len(undo)
-            raise_rows(si, lvl, x, y)
-            if run(si + 1):
+            if raise_rows(si, lvl, x, y) and run(si + 1):
                 return True
             while len(undo) > mark:
                 row, j, old = undo.pop()

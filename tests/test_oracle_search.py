@@ -8,6 +8,7 @@ search must never need more nodes than the reference.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -258,11 +259,14 @@ def test_asymmetric_distances_get_no_floor(monkeypatch):
 # to five levels (seeds 6-17), (sum, max); the budget refuses on these
 # counts, which the serialized results do not show.
 _PINNED_NODES = {
-    0: (18, 18), 1: (16, 16), 2: (34, 34), 3: (65, 41), 4: (20, 20),
-    5: (352, 80), 6: (20, 15), 7: (14, 22), 8: (15, 15), 9: (133, 17),
-    10: (36, 18), 11: (23, 17), 12: (29, 15), 13: (139, 19), 14: (16, 28),
-    15: (29, 26), 16: (16, 16), 17: (24, 19),
+    0: (18, 18), 1: (16, 16), 2: (26, 26), 3: (38, 38), 4: (20, 20),
+    5: (80, 45), 6: (19, 15), 7: (14, 19), 8: (15, 15), 9: (91, 17),
+    10: (27, 18), 11: (23, 17), 12: (24, 15), 13: (139, 19), 14: (16, 23),
+    15: (26, 23), 16: (16, 16), 17: (24, 19),
 }
+# sha256 of the serialized results of those solves, seeds in order, sum
+# then max: the witnesses of 5- and 6-point pairs, which pruning must keep
+_PINNED_WITNESSES = "34fab0bde17b808ad944dde541381a962609b945f721fe73fd710789cef70545"
 
 
 def _pinned_solve(seed, variant, budget):
@@ -283,3 +287,11 @@ def test_search_visits_the_pinned_number_of_nodes(seed):
         with pytest.raises(BudgetExceededError) as info:
             _pinned_solve(seed, variant, nodes - 1)
         assert info.value.nodes == nodes
+
+
+def test_pinned_solves_keep_their_witnesses():
+    digest = hashlib.sha256()
+    for seed in sorted(_PINNED_NODES):
+        for variant in ("sum", "max"):
+            digest.update(json.dumps(_pinned_solve(seed, variant, 10**6).as_dict()).encode())
+    assert digest.hexdigest() == _PINNED_WITNESSES
