@@ -15,7 +15,7 @@ from typing import Optional
 
 from .correspondences import PairCorrespondence, distortion
 from .oracle import DEFAULT_BUDGET, exact_pair_gh, exact_pair_gh_max
-from .scalars import Scalar, half, is_exact
+from .scalars import Scalar, as_index, half, is_exact
 from .spaces import FiniteMetricSpace, MetricPair, MetricTuple
 
 
@@ -161,7 +161,7 @@ def rational_densify(space: FiniteMetricSpace, q: int) -> DensifyResult:
     output distance is a positive multiple of 1/q, and the pair distance
     to the original is certified below 4/q.
     """
-    if q < 1:
+    if as_index(q, "q") < 1:
         raise ValueError("q must be a positive integer")
     n = space.n
     rows = [

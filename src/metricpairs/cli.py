@@ -152,8 +152,8 @@ def cmd_validate(args) -> int:
 
 def cmd_hausdorff(args) -> int:
     _need()
-    data = _load(args, args.input[0])
-    space = space_from_dict(data, _exact(args))
+    found = _read(args, args.input[0], "space", "pair", "tuple")
+    space = found if isinstance(found, FiniteMetricSpace) else found.space
     left = _indices(args.left)
     right = _indices(args.right)
     value = hausdorff(space, left, right)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Scalar
+from .scalars import Scalar, as_index
 from .spaces import (
     FiniteMetricSpace,
     MetricPair,
@@ -286,7 +286,7 @@ def approximation_pipeline(
     distance between the original pair and the complex pair.
     """
     rows = []
-    for n in sorted(set(int(v) for v in levels)):
+    for n in sorted(set(as_index(v, "level") for v in levels)):
         params = ApproxParams(n)
         base = build_complex(pair, params)
         theta_eff = params.theta

@@ -93,6 +93,8 @@ def random_space(
     inequality always holds."""
     if n < 1:
         raise ValueError("need at least one point")
+    if not values:
+        raise ValueError("values must be nonempty")
     if any(v <= 0 for v in values):
         raise ValueError("values must be positive")
     edges = [(i, j, rng.choice(list(values))) for i in range(n) for j in range(i + 1, n)]

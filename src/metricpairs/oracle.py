@@ -251,8 +251,9 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     trail; the children and the lookahead's least rows read only those,
     and a slot whose list shrinks gets its least row recomputed over it
     for every level.  A slot left with no live candidate cuts the child
-    before it becomes a node.  Before the first leaf the plain fold
-    runs, as there is nothing to test against.
+    before it becomes a node.  One loop folds the entry into each row
+    and, once there is an incumbent, tests the candidate; before the
+    first leaf every candidate lives.
 
     Rows and m only grow down a path and the incumbent only falls, so no
     cut or dead candidate hides a strictly better leaf; a leaf replaces
@@ -278,22 +279,19 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     if all(list(row) == list(col) for d in (dx, dy) for row, col in zip(d, zip(*d))):
         floor = value_fn(_distance_sets(dx, dy, levels_left, levels_right))
 
-    slots = []
+    # per slot, innermost level first and left-side points before right-side
+    # ones: its level, its candidates (target, x, y, dx[x], dy[y], row), and
+    # the least row entry per level over them
+    slots, cands = [], []
     for lvl in range(nlev - 1, -1, -1):
-        for x in levels_left[lvl]:
-            slots.append((lvl, 0, x, levels_right[lvl]))
-        for y in levels_right[lvl]:
-            slots.append((lvl, 1, y, levels_left[lvl]))
+        left, right = levels_left[lvl], levels_right[lvl]
+        for x in left:
+            slots.append(lvl)
+            cands.append([(y, x, y, dx[x], dy[y], [zero] * nlev) for y in right])
+        for y in right:
+            slots.append(lvl)
+            cands.append([(x, x, y, dx[x], dy[y], [zero] * nlev) for x in left])
     nslots = len(slots)
-    # per slot: its candidates (target, x, y, dx[x], dy[y], row), and the
-    # least row entry per level over them
-    cands = []
-    for _lvl, side, point, domain in slots:
-        options = []
-        for tgt in domain:
-            x, y = (point, tgt) if side == 0 else (tgt, point)
-            options.append((tgt, x, y, dx[x], dy[y], [zero] * nlev))
-        cands.append(options)
     lows = [[zero] * nlev for _ in range(nslots)]
     undo = []
 
@@ -313,65 +311,51 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
         candidates that entry kills.  False when it leaves a slot with
         no live candidate."""
         inc = best[0]
+        # what the trace adds to r on a slot of level lvl; summed ahead,
+        # that is exact on the integer scale or as one entry
+        extra = 0
         if inc is not None and variant == "sum":
-            # what the trace adds to r on a slot of level lvl; summed
-            # ahead, that is exact on the integer scale or as one entry
             rest = [m[b][b] for b in range(lvl + 1, nlev)]
             extra = sum(rest) if len(rest) < 2 or isinstance(zero, int) else max(rest)
         for s in range(si + 1, nslots):
+            # dead: the candidate's entry r alone brings the value to the
+            # incumbent; adding the int 0 never rounds
+            if variant == "max":
+                weight, add = 1, 0
+            elif slots[s] != lvl:
+                weight, add = 2, 0
+            else:
+                weight, add = 1, extra
             live = cands[s]
             low = None
-            if inc is None:
-                for c in live:
-                    diff = c[3][x] - c[4][y]
-                    if diff < 0:
-                        diff = -diff
-                    row = c[5]
-                    r = row[lvl]
-                    if diff > r:
-                        undo.append((row, lvl, r))
-                        row[lvl] = r = diff
+            dead = False
+            for c in live:
+                diff = c[3][x] - c[4][y]
+                if diff < 0:
+                    diff = -diff
+                row = c[5]
+                r = row[lvl]
+                if diff > r:
+                    undo.append((row, lvl, r))
+                    row[lvl] = r = diff
+                if inc is None or weight * r + add < inc:
                     if low is None or r < low:
                         low = r
-            else:
-                # dead: the candidate's entry r alone brings the value to
-                # the incumbent; adding the int 0 never rounds
-                if variant == "max":
-                    weight, add = 1, 0
-                elif slots[s][0] != lvl:
-                    weight, add = 2, 0
                 else:
-                    weight, add = 1, extra
-                dead = False
-                for c in live:
-                    diff = c[3][x] - c[4][y]
-                    if diff < 0:
-                        diff = -diff
-                    row = c[5]
-                    r = row[lvl]
-                    if diff > r:
-                        undo.append((row, lvl, r))
-                        row[lvl] = r = diff
-                    if weight * r + add < inc:
-                        if low is None or r < low:
-                            low = r
-                    else:
-                        dead = True
-                if dead:
-                    kept = [c for c in live if weight * c[5][lvl] + add < inc]
-                    if not kept:
-                        return False
-                    undo.append((cands, s, live))
-                    cands[s] = kept
-                    slot_low = lows[s]
-                    for j in range(nlev):
-                        low = min([c[5][j] for c in kept])
-                        if low > slot_low[j]:
-                            undo.append((slot_low, j, slot_low[j]))
-                            slot_low[j] = low
-                    continue
+                    dead = True
             slot_low = lows[s]
-            if low > slot_low[lvl]:
+            if dead:
+                kept = [c for c in live if weight * c[5][lvl] + add < inc]
+                if not kept:
+                    return False
+                undo.append((cands, s, live))
+                cands[s] = kept
+                for j in range(nlev):
+                    low = min([c[5][j] for c in kept])
+                    if low > slot_low[j]:
+                        undo.append((slot_low, j, slot_low[j]))
+                        slot_low[j] = low
+            elif low > slot_low[lvl]:
                 undo.append((slot_low, lvl, slot_low[lvl]))
                 slot_low[lvl] = low
         return True
@@ -379,7 +363,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     def look_ahead(si):
         bound = [row[:] for row in m]
         for s in range(si, nslots):
-            lvl = slots[s][0]
+            lvl = slots[s]
             target = bound[lvl]
             for j, low in enumerate(lows[s]):
                 if low > target[j]:
@@ -402,7 +386,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             return not v2 > floor
         if best[0] is not None and not look_ahead(si) < best[0]:
             return False
-        lvl = slots[si][0]
+        lvl = slots[si]
         saved = list(m[lvl])
         children = []
         for tgt, x, y, _dxr, _dyr, row in cands[si]:
@@ -410,7 +394,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             row_new = [r if r > s else s for r, s in zip(row, saved)]
             place(lvl, row_new)
             children.append((key_fn(m), tgt, x, y, row_new))
-        children.sort(key=lambda c: (c[0], c[1]))
+        children.sort()
         # every child rewrites row and column lvl whole, and a subtree
         # leaves m as it found it, so one restore after the scan suffices
         for key, _tgt, x, y, row_new in children:

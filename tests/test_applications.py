@@ -135,8 +135,10 @@ def test_rational_densify_rounds_to_grid():
     assert result.space.dist[0][1] == Fraction(11, 5)
     assert result.bound == Fraction(4, 5)
     assert result.space.dist[0][0] == 0
-    with pytest.raises(ValueError):
-        rational_densify(space, 0)
+    # q is an int of at least 1: nothing is truncated or read as a bool
+    for q in (0, True, 2.5, 2.0, Fraction(2)):
+        with pytest.raises(ValueError):
+            rational_densify(space, q)
 
 
 def test_rational_densify_output_is_metric_on_grid():

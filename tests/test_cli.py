@@ -123,6 +123,12 @@ def test_validate_reports_a_bad_subset(tmp_path, capsys):
     code, out, _ = _run(capsys, ["validate", "--input", path, "--tol", "0.75"])
     assert code == 1
     assert json.loads(out)["report"] == {"error": "subset index out of range"}
+    # hausdorff reads the whole document, as validate does
+    code, out, err = _run(
+        capsys, ["hausdorff", "--input", path, "--left", "0", "--right", "2"]
+    )
+    assert (code, out) == (2, "")
+    assert "subset index out of range" in err
 
 
 @pytest.mark.parametrize(

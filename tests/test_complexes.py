@@ -194,6 +194,13 @@ def test_pipeline_saturation_flags():
         approximation_pipeline(pair, levels=(2,), saturate=False)
 
 
+@pytest.mark.parametrize("level", [2.7, 2.0, True, "2"])
+def test_pipeline_refuses_a_level_that_is_not_an_int(level):
+    pair = MetricPair(circle_space(12, circumference=1), (0, 1, 2))
+    with pytest.raises(ValueError, match="level must be an integer index"):
+        approximation_pipeline(pair, levels=[level])
+
+
 def test_pipeline_estimate_bounds_exact_distance():
     """The certified estimate must upper-bound the exact pair distance
     between the original pair and the complex pair when both are small

@@ -74,6 +74,11 @@ def test_random_space_is_metric():
         assert isinstance(validate_metric(space.dist), FiniteMetricSpace)
 
 
+def test_random_space_refuses_no_values():
+    with pytest.raises(ValueError, match="values must be nonempty"):
+        random_space(random.Random(0), 3, ())
+
+
 def test_random_subset_bounds():
     rng = random.Random(91)
     for _ in range(50):

@@ -295,3 +295,42 @@ def test_pinned_solves_keep_their_witnesses():
         for variant in ("sum", "max"):
             digest.update(json.dumps(_pinned_solve(seed, variant, 10**6).as_dict()).encode())
     assert digest.hexdigest() == _PINNED_WITNESSES
+
+
+# Nodes the search visits on seeded float tuples of two and three levels
+# (seeds 0-7), (sum, max).  Where two or more inner diagonal entries meet,
+# the summed dead test lets their largest stand in for their sum; these
+# counts pin that branch, which integer solves never take.
+_PINNED_FLOAT_NODES = {
+    0: (33, 18), 1: (117, 25), 2: (14, 140), 3: (145, 36),
+    4: (196, 18), 5: (21, 17), 6: (103, 19), 7: (2901, 1145),
+}
+# sha256 of the serialized results of those solves, seeds in order, sum
+# then max
+_PINNED_FLOAT_WITNESSES = "6b9a49a9f9b28b9fbddaa7be65744756b1be76fdb967ce633ec14a61a02e8095"
+
+
+def _pinned_float_solve(seed, variant, budget):
+    rng = random.Random(f"float-nodes:{seed}")
+    k = 2 + seed % 2
+    values = _KINDS["float"]
+    left, right = random_tuple(rng, k, (3, 5), values), random_tuple(rng, k, (3, 5), values)
+    return exact_tuple_gh(left, right, budget=budget, variant=variant)
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_FLOAT_NODES))
+def test_float_search_visits_the_pinned_number_of_nodes(seed):
+    for variant, nodes in zip(("sum", "max"), _PINNED_FLOAT_NODES[seed]):
+        _pinned_float_solve(seed, variant, nodes)
+        with pytest.raises(BudgetExceededError) as info:
+            _pinned_float_solve(seed, variant, nodes - 1)
+        assert info.value.nodes == nodes
+
+
+def test_pinned_float_solves_keep_their_witnesses():
+    digest = hashlib.sha256()
+    for seed in sorted(_PINNED_FLOAT_NODES):
+        for variant in ("sum", "max"):
+            result = _pinned_float_solve(seed, variant, 10**6)
+            digest.update(json.dumps(result.as_dict()).encode())
+    assert digest.hexdigest() == _PINNED_FLOAT_WITNESSES
