@@ -161,7 +161,8 @@ def rational_densify(space: FiniteMetricSpace, q: int) -> DensifyResult:
     output distance is a positive multiple of 1/q, and the pair distance
     to the original is certified below 4/q.
     """
-    if as_index(q, "q") < 1:
+    q = as_index(q, "q")
+    if q < 1:
         raise ValueError("q must be a positive integer")
     n = space.n
     rows = [

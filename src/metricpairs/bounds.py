@@ -17,7 +17,7 @@ from .correspondences import (
     classical_glue,
     min_distortion,
 )
-from .scalars import Scalar, check_positive, half
+from .scalars import Scalar, as_index, check_positive, half
 from .spaces import MetricPair, _level_pairs
 
 if TYPE_CHECKING:
@@ -134,8 +134,8 @@ def matched_net_bound(
     least eps is a mathematical failure and is reported, not raised.
     """
     check_positive(eps, "eps")
-    lp = [int(p) for p in left_points]
-    rp = [int(q) for q in right_points]
+    lp = [as_index(p, "left_points") for p in left_points]
+    rp = [as_index(q, "right_points") for q in right_points]
     if len(lp) != len(rp):
         raise ValueError("matched point lists must have equal length")
     if not lp:

@@ -28,7 +28,7 @@ _LIBRARY = {
     "serialization": (
         "correspondence_to_dict", "document_kind", "dump_json", "format_csv",
         "from_document", "load_document", "matrix_from_csv", "pair_to_dict",
-        "space_from_dict", "space_to_dict", "tuple_to_dict",
+        "space_to_dict", "tuple_to_dict",
     ),
 }
 # every command reads or writes a document
@@ -58,12 +58,13 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _raised_by(module: str, name: str):
-    """The exception class ``name`` of ``module`` if that module has been
-    imported, else ``()``, which no ``except`` clause matches: a module
-    never imported cannot have raised."""
+def _raised_by(module: str, name: str) -> tuple:
+    """``(cls,)`` for the exception class ``name`` of ``module`` if that
+    module has been imported, else ``()``: a module never imported cannot
+    have raised.  Unpack it into an ``except`` tuple, which may not nest a
+    tuple."""
     source = sys.modules.get(f"{__package__}.{module}")
-    return () if source is None else getattr(source, name)
+    return () if source is None else (getattr(source, name),)
 
 
 def _emit(args, payload: dict, rows=None) -> None:
@@ -162,21 +163,16 @@ def cmd_hausdorff(args) -> int:
 
 
 def cmd_gh_exact(args) -> int:
+    """``gh exact``, ``gh tilde`` and ``gh tuple``: one exact solve."""
     _need("oracle")
-    left = _read(args, args.input[0], "pair")
-    right = _read(args, args.input[1], "pair")
-    fn = exact_pair_gh_max if args.variant == "max" else exact_pair_gh
-    # one oracle call per process: a cache lookup here could only miss
-    result = fn(left, right, budget=args.budget, cache=False)
-    _emit(args, _result_payload(result))
-    return 0
-
-
-def cmd_gh_tuple(args) -> int:
-    _need("oracle")
-    left = _read(args, args.input[0], "tuple")
-    right = _read(args, args.input[1], "tuple")
-    result = exact_tuple_gh(left, right, budget=args.budget, variant=args.variant)
+    kind = "tuple" if args.gh_command == "tuple" else "pair"
+    left, right = (_read(args, path, kind) for path in args.input)
+    if kind == "tuple":
+        result = exact_tuple_gh(left, right, budget=args.budget, variant=args.variant)
+    else:
+        fn = exact_pair_gh_max if args.variant == "max" else exact_pair_gh
+        # one oracle call per process: a cache lookup here could only miss
+        result = fn(left, right, budget=args.budget, cache=False)
     _emit(args, _result_payload(result))
     return 0
 
@@ -190,8 +186,8 @@ def cmd_gh_corr(args) -> int:
             "distortion": distortion(corr).as_dict(),
         }
     else:
-        left = _read(args, args.input[0], "pair")
-        right = _read(args, args.input[1], "pair")
+        # operands past the second are not read
+        left, right = (_read(args, path, "pair") for path in args.input[:2])
         res = min_distortion(left, right, objective=args.objective)
         payload = {
             "pairs": [[i, j] for i, j in res.correspondence.pairs],
@@ -204,8 +200,7 @@ def cmd_gh_corr(args) -> int:
 
 def cmd_gh_bounds(args) -> int:
     _need("bounds")
-    left = _read(args, args.input[0], "pair")
-    right = _read(args, args.input[1], "pair")
+    left, right = (_read(args, path, "pair") for path in args.input)
     interval = gh_bounds(left, right)
     _emit(
         args,
@@ -239,25 +234,23 @@ def cmd_geodesic_audit(args) -> int:
     if args.grid:
         grid = [parse_scalar(part, _exact(args)) for part in args.grid.split(",")]
     audit = geodesicity_audit(corr, grid=grid, budget=args.budget)
-    rows = [("s", "t", "value", "expected", "matches")]
-    body = []
-    for row in audit.rows:
-        body.append(
-            {
-                "s": format_scalar(row.s),
-                "t": format_scalar(row.t),
-                "value": format_scalar(row.value),
-                "expected": format_scalar(row.expected),
-                "matches": row.matches,
-            }
-        )
-        rows.append((row.s, row.t, row.value, row.expected, row.matches))
+    header = ("s", "t", "value", "expected", "matches")
+    body = [
+        {
+            "s": format_scalar(row.s),
+            "t": format_scalar(row.t),
+            "value": format_scalar(row.value),
+            "expected": format_scalar(row.expected),
+            "matches": row.matches,
+        }
+        for row in audit.rows
+    ]
     payload = {
         "endpoint_value": format_scalar(audit.endpoint_value),
         "rows": body,
         "all_match": audit.all_match,
     }
-    _emit(args, payload, rows)
+    _emit(args, payload, [header] + [tuple(row[key] for key in header) for row in body])
     if args.strict and not audit.all_match:
         return 1
     return 0
@@ -310,8 +303,7 @@ def cmd_apps_hypernet(args) -> int:
 
 def cmd_apps_tilde(args) -> int:
     _need("applications")
-    left = _read(args, args.input[0], "pair")
-    right = _read(args, args.input[1], "pair")
+    left, right = (_read(args, path, "pair") for path in args.input)
     report = variant_sandwich(left, right, budget=args.budget)
     _emit(
         args,
@@ -328,8 +320,7 @@ def cmd_apps_tilde(args) -> int:
 
 def cmd_apps_realize(args) -> int:
     _need("realization")
-    a = _read(args, args.input[0], "complex")
-    b = _read(args, args.input[1], "complex")
+    a, b = (_read(args, path, "complex") for path in args.input)
     interval = realization_hausdorff(a, b, args.step)
     _emit(
         args,
@@ -441,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(sub, 2)
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     sub.add_argument("--variant", choices=("sum", "max"), default="sum")
-    sub.set_defaults(func=cmd_gh_tuple)
+    sub.set_defaults(func=cmd_gh_exact)
 
     sub = gh_sub.add_parser(
         "corr", help="distortion of a correspondence, or the minimum over all"
@@ -518,16 +509,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _raised_by("oracle", "BudgetExceededError") as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except _raised_by("complexes", "DisconnectedComplexError") as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    # first: an invalid metric is also a ValueError
     except _raised_by("spaces", "InvalidMetricError") as exc:
         sys.stderr.write(f"error: invalid metric in input: {exc}\n")
         return 2
-    except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError, OverflowError) as exc:
+    except (
+        *_raised_by("oracle", "BudgetExceededError"),
+        *_raised_by("complexes", "DisconnectedComplexError"),
+        OSError, json.JSONDecodeError, ValueError, TypeError, KeyError, OverflowError,
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

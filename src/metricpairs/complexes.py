@@ -288,19 +288,11 @@ def approximation_pipeline(
     rows = []
     for n in sorted(set(as_index(v, "level") for v in levels)):
         params = ApproxParams(n)
-        base = build_complex(pair, params)
-        theta_eff = params.theta
-        if saturate:
-            gap = _max_nearest(pair.space, base.vertices)
-            floor = (2 + _SLACK) * gap
-            if floor > theta_eff:
-                theta_eff = floor
-        if theta_eff != params.theta:
-            cx = build_complex(pair, params, theta=theta_eff)
-            saturated = True
-        else:
-            cx = base
-            saturated = False
+        cx = build_complex(pair, params)
+        floor = (2 + _SLACK) * _max_nearest(pair.space, cx.vertices) if saturate else 0
+        saturated = floor > cx.theta
+        if saturated:
+            cx = build_complex(pair, params, theta=floor)
         graph = graph_metric(cx)
         mismatch = _sup_abs_diff(
             tuple(enumerate(cx.vertices)), graph.dist, pair.space.dist
@@ -320,7 +312,7 @@ def approximation_pipeline(
                 eps,
                 mismatch,
                 covering,
-                theta_eff,
+                cx.theta,
                 saturated,
                 len(cx.vertices),
                 cx.core_size,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import Scalar, check_positive, format_scalar, half, is_exact
+from .scalars import Scalar, as_index, check_positive, format_scalar, half, is_exact
 from .spaces import (
     CrossMetric,
     MetricPair,
@@ -75,7 +75,7 @@ class UncoveredRelationError(ValueError):
 
 
 def _normalize_pairs(pairs, nx, ny):
-    seen = sorted(set((int(i), int(j)) for i, j in pairs))
+    seen = sorted(set((as_index(i, "pairs"), as_index(j, "pairs")) for i, j in pairs))
     if not seen:
         raise ValueError("relation must be nonempty")
     for i, j in seen:

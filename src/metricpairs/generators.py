@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .correspondences import PairCorrespondence
+from .scalars import as_index
 from .spaces import FiniteMetricSpace, MetricPair, MetricTuple, _level_pairs, _shortest_paths
 
 
@@ -68,7 +69,7 @@ def graph_space(n: int, edges: Sequence, labels=None) -> FiniteMetricSpace:
             w = 1
         else:
             u, v, w = edge
-        u, v = int(u), int(v)
+        u, v = as_index(u, "edge"), as_index(v, "edge")
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v})")
         if w <= 0:
@@ -161,7 +162,7 @@ def random_correspondence(
 def permute_pair(pair: MetricPair, perm: Sequence) -> MetricPair:
     """Relabel a pair along a permutation (new index i holds old perm[i])."""
     n = pair.space.n
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(as_index(p, "perm") for p in perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
     rows = [[pair.space.dist[perm[i]][perm[j]] for j in range(n)] for i in range(n)]

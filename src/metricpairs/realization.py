@@ -39,9 +39,6 @@ class Interval:
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lower <= other.upper and other.lower <= self.upper
-
 
 class EmbeddedComplex:
     """Points in R^d plus simplices of one to three vertices.

@@ -7,6 +7,7 @@ one matrix demotes the computation to float mode.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -63,13 +64,18 @@ def check_positive(value: Scalar, name: str) -> None:
 
 
 def as_index(value, name: str) -> int:
-    """``value`` if it is an int.  What ``int`` would truncate or parse
-    instead (a bool, a float or fraction, whole or not, a digit string)
-    raises ValueError; what ``int`` cannot read at all keeps its error."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        int(value)
-        raise ValueError(f"{name} must be an integer index, got {value!r}")
-    return value
+    """``value`` as an int if it is an integer other than a bool: an int or
+    any value with ``__index__``, such as a numpy integer.  What ``int``
+    would truncate or parse instead (a bool, a float or fraction, whole or
+    not, a digit string) raises ValueError; what ``int`` cannot read at all
+    keeps its error."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    int(value)
+    raise ValueError(f"{name} must be an integer index, got {value!r}")
 
 
 def format_scalar(value: Scalar):

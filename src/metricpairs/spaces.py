@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from .scalars import Scalar, all_exact, check_positive, is_exact, tolerance_for
+from .scalars import Scalar, all_exact, as_index, check_positive, is_exact, tolerance_for
 
 
 class InvalidMetricError(ValueError):
@@ -188,7 +188,7 @@ class FiniteMetricSpace:
 
 
 def _normalize_subset(subset, n):
-    out = tuple(sorted(set(int(i) for i in subset)))
+    out = tuple(sorted(set(as_index(i, "subset") for i in subset)))
     if not out:
         raise ValueError("subset must be nonempty")
     if out[0] < 0 or out[-1] >= n:
@@ -460,7 +460,7 @@ def greedy_net(space: FiniteMetricSpace, radius: Scalar, seed=(), tol=None) -> N
     check_positive(radius, "radius")
     if tol is None:
         tol = tolerance_for(chain((radius,), *space.dist))
-    seed = list(dict.fromkeys(int(i) for i in seed))
+    seed = list(dict.fromkeys(as_index(i, "seed") for i in seed))
     if seed and (min(seed) < 0 or max(seed) >= space.n):
         raise ValueError("seed index out of range")
     order = seed + [i for i in range(space.n) if i not in set(seed)]

@@ -588,6 +588,17 @@ def test_text_output_mode(tmp_path, capsys):
     assert out == "value: 2\n"
 
 
+def test_text_output_prints_a_nested_value_as_sorted_json(tmp_path, capsys):
+    left = _write(tmp_path, "left.json", PAIR_BIG)
+    right = _write(tmp_path, "right.json", PAIR_POINT)
+    argv = ["gh", "exact", "--input", left, right]
+    _, out, _ = _run(capsys, argv)
+    certificate = json.loads(out)["certificate"]
+    code, out, _ = _run(capsys, argv + ["--out", "text"])
+    assert code == 0
+    assert f"certificate: {json.dumps(certificate, sort_keys=True)}\n" in out
+
+
 def test_module_entry_point_runs(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "metricpairs", "sample", "space", "--seed", "5"],
@@ -637,7 +648,7 @@ def test_every_library_name_resolves_on_cli_to_its_module_object():
     )
     assert result.returncode == 0, result.stderr
     count, wrong = json.loads(result.stdout)
-    assert count == 108 + 11
+    assert count == 108 + 10
     assert wrong == []
 
 

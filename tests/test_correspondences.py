@@ -525,3 +525,10 @@ def test_stability_identical_relations_vanish():
         report = distortion_stability(corr, corr)
         assert report.lhs == 0
         assert report.hausdorff_full == 0
+
+
+def test_brute_force_refuses_more_than_twenty_cells():
+    rows = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
+    five = MetricPair(FiniteMetricSpace.from_matrix(rows), (0,))
+    with pytest.raises(ValueError, match="^brute force limited to 20 cells$"):
+        brute_force_min_distortion(five, five)

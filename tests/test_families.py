@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from metricpairs.families import (
     enumerate_family,
     enumerate_spaces,
@@ -69,3 +71,29 @@ def test_iso_classes_group_only_isometric_pairs():
     for i, cls_a in enumerate(classes):
         for cls_b in classes[i + 1 :]:
             assert not pairs_isometric(family[cls_a[0]], family[cls_b[0]])
+
+
+def _full_pair(n):
+    rows = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    return MetricPair(FiniteMetricSpace.from_matrix(rows), tuple(range(n)))
+
+
+# one call per input guard, with the message it raises
+_GUARDS = {
+    "enumerate_spaces no points": (lambda: enumerate_spaces(0), "need at least one point"),
+    "pairs_isometric past eight points": (
+        lambda: pairs_isometric(_full_pair(9), _full_pair(9)),
+        "isometry search limited to eight points",
+    ),
+    "family_iso_classes past the canonical size": (
+        lambda: family_iso_classes([_full_pair(7)]),
+        "pair too large to canonicalize",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDS))
+def test_families_refuse_bad_input(name):
+    call, message = _GUARDS[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -132,3 +132,34 @@ def test_random_permuted_pair_same_multiset():
         flat_moved = sorted(v for row in moved.space.dist for v in row)
         assert flat == flat_moved
         assert len(moved.subset) == len(pair.subset)
+
+
+# one call per input guard of the generators, with the message it raises
+_GUARDS = {
+    "circle_space no points": (lambda: circle_space(0), "need at least one point"),
+    "circle_space zero circumference": (
+        lambda: circle_space(4, 0),
+        "circumference must be positive",
+    ),
+    "grid_graph_space no rows": (lambda: grid_graph_space(0, 2), "grid must be nonempty"),
+    "graph_space no vertices": (lambda: graph_space(0, []), "need at least one vertex"),
+    "random_space no points": (
+        lambda: random_space(random.Random(0), 0),
+        "need at least one point",
+    ),
+    "random_subset too large": (
+        lambda: random_subset(random.Random(0), 3, 4),
+        "subset size out of range",
+    ),
+    "permute_pair repeated index": (
+        lambda: permute_pair(random_pair(random.Random(0), (3, 3)), [0, 0, 1]),
+        "not a permutation",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDS))
+def test_generators_refuse_bad_input(name):
+    call, message = _GUARDS[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -311,3 +311,8 @@ def test_ratio_ties_follow_blands_rule():
     assert result == _reference_solve(prog)
     assert result.solution == (Fraction(11, 7), Fraction(2))
     assert result.value == -2
+
+
+def test_rejects_a_constraint_of_another_length():
+    with pytest.raises(ValueError, match="^coefficient length mismatch$"):
+        LinearProgram((1, 1)).add([1], "<=", 1)

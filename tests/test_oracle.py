@@ -638,3 +638,35 @@ def test_pair_results_match_recorded_digest():
     assert digest.hexdigest() == (
         "dc15c039b7b746213d5cc21735b9649ddfea4f167621c2cf1002418dec06e2b8"
     )
+
+
+_TWO = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
+_PAIR = MetricPair(_TWO, (0,))
+_TUPLE = MetricTuple(_TWO, ((0,),))
+_IDENTITY = {0: 0, 1: 1}
+
+# one call per input guard, with the error it raises
+_GUARDS = {
+    "exact_pair_gh on tuples": (
+        lambda: exact_pair_gh(_TUPLE, _TUPLE),
+        TypeError,
+        "expected MetricPair operands",
+    ),
+    "exact_tuple_gh on pairs": (
+        lambda: exact_tuple_gh(_PAIR, _PAIR),
+        TypeError,
+        "expected MetricTuple operands",
+    ),
+    "witness_entries backward map leaves its level": (
+        lambda: witness_entries(_PAIR, _PAIR, [(_IDENTITY, _IDENTITY), ({0: 0}, {0: 1})]),
+        ValueError,
+        "level 1 backward map leaves the source level",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDS))
+def test_oracle_refuses_bad_input(name):
+    call, error, message = _GUARDS[name]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -7,11 +7,15 @@ run.  Resolving them here is quick.
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from metricpairs import oracle
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans():
@@ -37,3 +41,17 @@ def test_every_traced_attribute_resolves():
 def test_cache_hooks_exist():
     oracle.clear_cache()
     assert oracle.cache_size() == 0
+
+
+def test_gated_workloads_reproduce_their_recorded_answers():
+    """Every recorded ``cli_docs`` exit code and stdout digest and every
+    ``exact_hard`` answer, recomputed by ``scripts/check_answers.py``.
+    No bytecode is written, so ``perfbench/`` is only read."""
+    result = subprocess.run(
+        [sys.executable, "scripts/check_answers.py", "cli_docs", "exact_hard"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -3,10 +3,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from metricpairs.applications import rational_densify
 from metricpairs.bounds import matched_net_bound
+from metricpairs.complexes import approximation_pipeline
 from metricpairs.correspondences import PairCorrespondence, classical_glue, tight_glue
+from metricpairs.generators import circle_space, graph_space, permute_pair
 from metricpairs.realization import EmbeddedComplex, carrier_samples
 from metricpairs.scalars import (
     all_exact,
@@ -17,7 +21,14 @@ from metricpairs.scalars import (
     parse_scalar,
     tolerance_for,
 )
-from metricpairs.spaces import FiniteMetricSpace, MetricPair, greedy_net
+from metricpairs.spaces import (
+    FiniteMetricSpace,
+    MetricPair,
+    MetricTuple,
+    covering_radius,
+    greedy_net,
+    hausdorff,
+)
 
 
 def test_is_exact_accepts_int_and_fraction():
@@ -127,3 +138,44 @@ def test_positive_parameters_must_be_finite(name, value):
     # NaN and infinities pass a bare ``<= 0`` check and gave wrong results
     with pytest.raises(ValueError, match=f"^{name} must be a finite positive number"):
         _POSITIVE[name](value)
+
+
+def test_half_refuses_a_bool():
+    with pytest.raises(TypeError, match="^boolean is not a scalar$"):
+        half(True)
+
+
+_PATH = FiniteMetricSpace.from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+_WHOLE = MetricPair(_PATH, (0, 1, 2))
+_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+# one call per integer index argument of the API, given the index 2
+_INDEX = {
+    "subset": lambda i: MetricPair(_PATH, (i,)).subset,
+    "chain": lambda i: MetricTuple(_PATH, ((0, 1, 2), (i,))).chain,
+    "hausdorff": lambda i: hausdorff(_PATH, [0], [i]),
+    "covering_radius": lambda i: covering_radius(_PATH, [i]),
+    "greedy_net seed": lambda i: greedy_net(_PATH, 1, seed=[i]).members,
+    "correspondence pairs": lambda i: PairCorrespondence(
+        _WHOLE, _WHOLE, [(0, 0), (1, 1), (i, 2)]
+    ).pairs,
+    "matched_net_bound": lambda i: matched_net_bound(_WHOLE, _WHOLE, 1, [0, 1, i], [0, 1, 2]),
+    "graph_space edge": lambda i: graph_space(3, [(0, 1), (1, i)]).dist,
+    "permute_pair": lambda i: permute_pair(_WHOLE, [1, 0, i]),
+    "simplex vertex": lambda i: EmbeddedComplex(_TRIANGLE, [(0, i)]).simplices,
+    "depth": lambda i: EmbeddedComplex(_TRIANGLE, [(0, 1)], [i]).depths,
+    "densify q": lambda i: rational_densify(_PATH, i),
+    "pipeline level": lambda i: approximation_pipeline(
+        MetricPair(circle_space(12, circumference=1), (0, 1, 2)), levels=[i]
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_INDEX))
+def test_index_arguments_take_integers_only(site):
+    # int() would truncate 2.7 silently; a numpy integer is an index
+    call = _INDEX[site]
+    assert call(np.int64(2)) == call(2)
+    for value in (2.7, 2.0, True, Fraction(2), "2"):
+        with pytest.raises(ValueError, match="must be an integer index"):
+            call(value)

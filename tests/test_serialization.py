@@ -203,3 +203,8 @@ def test_format_csv_scalars():
     assert lines[0] == "h1,h2"
     assert lines[1] == "1/2,0.25"
     assert lines[2] == "3,x"
+
+
+def test_tuple_document_needs_a_chain():
+    with pytest.raises(ValueError, match="^missing 'chain'$"):
+        tuple_from_dict({"distances": [[0]]})

@@ -13,6 +13,7 @@ from metricpairs.spaces import (
     MetricPair,
     MetricTuple,
     MetricViolations,
+    _levels_of,
     covering_radius,
     greedy_net,
     hausdorff,
@@ -302,3 +303,44 @@ def test_product_max_metric_values():
             expected = max(space.dist[xi][xj], space.dist[ai][aj])
             assert prod.space.dist[i][j] == expected
     assert prod.index(1, 2) == 5
+
+
+_TWO = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
+_ONE = FiniteMetricSpace.from_matrix([[0]])
+
+# one call per input guard, with the error it raises
+_GUARDS = {
+    "levels of a bare space": (
+        lambda: _levels_of(_TWO),
+        TypeError,
+        "expected MetricPair or MetricTuple, got FiniteMetricSpace",
+    ),
+    "pair_hausdorff cross metric of another shape": (
+        lambda: pair_hausdorff(
+            CrossMetric(_TWO, _ONE, ((1,), (1,))), MetricPair(_TWO, (0,)), MetricPair(_TWO, (0,))
+        ),
+        ValueError,
+        "cross metric does not match the pair spaces",
+    ),
+    "tuple_hausdorff chains of different lengths": (
+        lambda: tuple_hausdorff(
+            CrossMetric(_TWO, _TWO, ((1, 1), (1, 1))),
+            MetricTuple(_TWO, ((0, 1),)),
+            MetricTuple(_TWO, ((0, 1), (0,))),
+        ),
+        ValueError,
+        "tuples have different chain lengths",
+    ),
+    "greedy_net seed out of range": (
+        lambda: greedy_net(_TWO, 1, seed=[5]),
+        ValueError,
+        "seed index out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDS))
+def test_spaces_refuse_bad_input(name):
+    call, error, message = _GUARDS[name]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
