@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Dump every witness of a fixed set of exact solves, for comparing checkouts.
 
-    python3 scripts/witness_dump.py OUT
+    python3 scripts/witness_dump.py OUT [BASE]
 
 Run from the root of a checkout: the library comes from ``src/`` and the
 benchmark instances from ``perfbench/instances.py``, which are only read.
@@ -20,7 +20,10 @@ groups are:
 Writes one JSON object per group to OUT and prints one sha256 per group.
 Two checkouts whose search visits other nodes but finds the same first
 optimum print the same hashes, except where one of them refuses a solve.
-Takes a few minutes.
+Given BASE, an OUT of an earlier run, it also prints per group how many
+solves both answer identically, how many both answer differently, how
+many only one side answers and how many both refuse; it exits 1 when
+both answer a solve differently.  Takes a few minutes.
 """
 from __future__ import annotations
 
@@ -80,9 +83,36 @@ def scaled(side, factor):
     return mp.MetricPair(space, side.subset)
 
 
+def compare(groups, base) -> bool:
+    """Print how the solves of each group compare with BASE's; True when
+    no solve that both answer differs."""
+    same = True
+    for name, group in groups.items():
+        other = base.get(name, {})
+        kinds = ("identical", "differ", "answered only here", "answered only in BASE",
+                 "refused by both")
+        counts = dict.fromkeys(kinds, 0)
+        for label in group.keys() | other.keys():
+            here, there = group.get(label, "refused"), other.get(label, "refused")
+            if here == "refused" and there == "refused":
+                counts["refused by both"] += 1
+            elif there == "refused":
+                counts["answered only here"] += 1
+            elif here == "refused":
+                counts["answered only in BASE"] += 1
+            else:
+                counts["identical" if here == there else "differ"] += 1
+        same = same and counts["differ"] == 0
+        print(f"{name}: " + ", ".join(f"{n} {what}" for what, n in counts.items()))
+    return same
+
+
 def main() -> int:
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         sys.exit(__doc__.split("\n\n")[1])
+    base = None
+    if len(sys.argv) == 3:
+        base = json.loads(Path(sys.argv[2]).read_text(encoding="utf-8"))
     groups = {"pool": {}, "tail": {}, "float": {}, "tuples": {}}
     recorded = load_expected("exact_hard")["instances"]
     for index, (ms, _) in enumerate(recorded):
@@ -108,6 +138,8 @@ def main() -> int:
         refused = sum(1 for result in group.values() if result == "refused")
         digest = hashlib.sha256(json.dumps(group).encode()).hexdigest()
         print(f"{name}: {len(group)} entries, {refused} refused, sha256 {digest}")
+    if base is not None and not compare(groups, base):
+        return 1
     return 0
 
 

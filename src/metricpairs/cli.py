@@ -179,6 +179,10 @@ def cmd_gh_exact(args) -> int:
 
 def cmd_gh_corr(args) -> int:
     _need("correspondences")
+    if len(args.input) > 2:
+        raise ValueError(
+            f"gh corr takes one correspondence or two pairs, got {len(args.input)} inputs"
+        )
     if len(args.input) == 1:
         corr = _read(args, args.input[0], "correspondence")
         payload = {
@@ -186,8 +190,7 @@ def cmd_gh_corr(args) -> int:
             "distortion": distortion(corr).as_dict(),
         }
     else:
-        # operands past the second are not read
-        left, right = (_read(args, path, "pair") for path in args.input[:2])
+        left, right = (_read(args, path, "pair") for path in args.input)
         res = min_distortion(left, right, objective=args.objective)
         payload = {
             "pairs": [[i, j] for i, j in res.correspondence.pairs],

@@ -248,12 +248,19 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     floats; and as a float sum of two or more entries can round above
     the trace, there the largest of them stands in for their sum.  Each
     slot keeps its live candidates as one list, swapped on the undo
-    trail; the children and the lookahead's least rows read only those,
-    and a slot whose list shrinks gets its least row recomputed over it
-    for every level.  A slot left with no live candidate cuts the child
-    before it becomes a node.  One loop folds the entry into each row
-    and, once there is an incumbent, tests the candidate; before the
-    first leaf every candidate lives.
+    trail; the children and the lookahead read only those.  A slot left
+    with no live candidate cuts the child before it becomes a node.  One
+    loop folds the entry into each row and, once there is an incumbent,
+    tests the candidate; before the first leaf every candidate lives.
+
+    Reused entries: a right-side slot whose point an earlier left-side
+    slot of its level already matched has one child that re-places that
+    entry.  With symmetric distances that child changes no row and no
+    entry of m, and every leaf below a later sibling holds a superset of
+    the entries of a leaf below it, so is worth no less; once that child
+    is searched, the scan stops.  With asymmetric distances a repeated
+    entry is priced against the entries between its two places the
+    other way round, so the cut is off there.
 
     Rows and m only grow down a path and the incumbent only falls, so no
     cut or dead candidate hides a strictly better leaf; a leaf replaces
@@ -275,13 +282,12 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     nlev = len(levels_left)
     value_fn = _max_entry if variant == "max" else _assignment_value2
     key_fn = _cheap_value2 if variant == "sum" and nlev > 2 else value_fn
-    floor = -1  # no leaf is worth less than 0, so none stops the search
-    if all(list(row) == list(col) for d in (dx, dy) for row, col in zip(d, zip(*d))):
-        floor = value_fn(_distance_sets(dx, dy, levels_left, levels_right))
+    symmetric = all(list(row) == list(col) for d in (dx, dy) for row, col in zip(d, zip(*d)))
+    # no leaf is worth less than 0, so without symmetry none stops the search
+    floor = value_fn(_distance_sets(dx, dy, levels_left, levels_right)) if symmetric else -1
 
     # per slot, innermost level first and left-side points before right-side
-    # ones: its level, its candidates (target, x, y, dx[x], dy[y], row), and
-    # the least row entry per level over them
+    # ones: its level and its candidates (target, x, y, dx[x], dy[y], row)
     slots, cands = [], []
     for lvl in range(nlev - 1, -1, -1):
         left, right = levels_left[lvl], levels_right[lvl]
@@ -292,7 +298,6 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             slots.append(lvl)
             cands.append([(x, x, y, dx[x], dy[y], [zero] * nlev) for x in left])
     nslots = len(slots)
-    lows = [[zero] * nlev for _ in range(nslots)]
     undo = []
 
     entries = [[] for _ in range(nlev)]
@@ -327,7 +332,6 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             else:
                 weight, add = 1, extra
             live = cands[s]
-            low = None
             dead = False
             for c in live:
                 diff = c[3][x] - c[4][y]
@@ -338,26 +342,14 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
                 if diff > r:
                     undo.append((row, lvl, r))
                     row[lvl] = r = diff
-                if inc is None or weight * r + add < inc:
-                    if low is None or r < low:
-                        low = r
-                else:
+                if inc is not None and not weight * r + add < inc:
                     dead = True
-            slot_low = lows[s]
             if dead:
                 kept = [c for c in live if weight * c[5][lvl] + add < inc]
                 if not kept:
                     return False
                 undo.append((cands, s, live))
                 cands[s] = kept
-                for j in range(nlev):
-                    low = min([c[5][j] for c in kept])
-                    if low > slot_low[j]:
-                        undo.append((slot_low, j, slot_low[j]))
-                        slot_low[j] = low
-            elif low > slot_low[lvl]:
-                undo.append((slot_low, lvl, slot_low[lvl]))
-                slot_low[lvl] = low
         return True
 
     def look_ahead(si):
@@ -365,7 +357,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
         for s in range(si, nslots):
             lvl = slots[s]
             target = bound[lvl]
-            for j, low in enumerate(lows[s]):
+            for j, low in enumerate(map(min, zip(*[c[5] for c in cands[s]]))):
                 if low > target[j]:
                     target[j] = low
                     bound[j][lvl] = low
@@ -403,6 +395,9 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             place(lvl, row_new)
             if key_fn is not value_fn and best[0] is not None and not value_fn(m) < best[0]:
                 continue
+            # re-placing an entry the level already holds: every later
+            # sibling's leaves hold a superset of this child's entries
+            reused = symmetric and (x, y) in entries[lvl]
             entries[lvl].append((x, y))
             mark = len(undo)
             if raise_rows(si, lvl, x, y) and run(si + 1):
@@ -411,6 +406,8 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
                 row, j, old = undo.pop()
                 row[j] = old
             entries[lvl].pop()
+            if reused:
+                break
         place(lvl, saved)
         return False
 

@@ -296,13 +296,17 @@ FRESH = [
     (["validate", "--input", "MISSING"], "error: "),
     (["gh", "bounds", "--input", "not_json", "not_json"], "error: "),
     (["validate", "--input", "GOOD_PAIR", "--tol", "nan"], "argument --tol"),
+    (["gh", "corr", "--input", "GOOD_PAIR", "GOOD_PAIR", "MISSING"], "got 3 inputs"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, message",
     FRESH,
-    ids=["budget", "disconnected", "invalid_metric", "missing_file", "broken_json", "usage"],
+    ids=[
+        "budget", "disconnected", "invalid_metric", "missing_file", "broken_json", "usage",
+        "third_corr_input",
+    ],
 )
 def test_fresh_process_maps_errors_to_exit_2(docs, argv, message):
     """In a fresh process each error class is raised by a module that
