@@ -61,10 +61,10 @@ def main():
     print()
     print("== the search budget counts witness-search nodes ==")
     try:
-        exact_pair_gh(big, point, budget=1, cache=False)
+        exact_pair_gh(big, point, budget=1)
     except BudgetExceededError as exc:
         print("a budget of 1 node is refused:", exc)
-    six = exact_pair_gh(big, point, budget=6, cache=False)
+    six = exact_pair_gh(big, point, budget=6)
     print("its five witness slots and one leaf fit a budget of 6:", format_scalar(six.value))
 
 

@@ -9,9 +9,9 @@ instances and recorded answers from ``perfbench/``, which are only read
 With no arguments all four workloads are checked:
 
 - ``census``: every exact pair value of the 3-point family, both variants,
-  solved as the recording solves them (``cache=False, shortcut=False``);
-- ``exact_hard``: every instance with a recorded answer, each solved cold
-  as the benchmark solves it, pairs and tuples with their certificates
+  solved as the recording solves them (``shortcut=False``);
+- ``exact_hard``: every instance with a recorded answer, each solved as
+  the benchmark solves it, pairs and tuples with their certificates
   checked, audits by their row values;
 - ``bounds``: every ``gh_bounds`` interval;
 - ``cli_docs``: every command's exit code and stdout sha256, run in
@@ -32,7 +32,6 @@ ROOT = Path.cwd()
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import metricpairs as mp  # noqa: E402
-from metricpairs import oracle  # noqa: E402
 from metricpairs.scalars import format_scalar  # noqa: E402
 
 import instances as inst  # noqa: E402
@@ -48,7 +47,7 @@ def census():
     for variant, solve in (("sum", mp.exact_pair_gh), ("max", mp.exact_pair_gh_max)):
         for i, a in enumerate(family):
             for j, b in enumerate(family):
-                got = format_scalar(solve(a, b, cache=False, shortcut=False).value)
+                got = format_scalar(solve(a, b, shortcut=False).value)
                 yield f"{variant} {i},{j}", got, data[variant][i][j]
 
 
@@ -57,7 +56,6 @@ def exact_hard():
         if want is None:
             continue
         kind, operands = inst.exact_hard_case(index)
-        oracle.clear_cache()  # every solve starts cold, as in the benchmark
         if kind == "audit":
             audit = mp.geodesicity_audit(operands[0], budget=inst.HARD_BUDGET)
             got = [format_scalar(audit.endpoint_value)]

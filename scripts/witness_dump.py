@@ -37,7 +37,6 @@ ROOT = Path.cwd()
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import metricpairs as mp  # noqa: E402
-from metricpairs import oracle  # noqa: E402
 from metricpairs.scalars import format_scalar  # noqa: E402
 
 import instances as inst  # noqa: E402
@@ -62,12 +61,11 @@ def both_variants(out, label, left, right):
             result = solved(lambda: mp.exact_tuple_gh(left, right, BUDGET, variant))
         else:
             pick = mp.exact_pair_gh if variant == "sum" else mp.exact_pair_gh_max
-            result = solved(lambda: pick(left, right, BUDGET, cache=False))
+            result = solved(lambda: pick(left, right, BUDGET))
         out[f"{label}:{variant}"] = result if result == "refused" else result.as_dict()
 
 
 def audit_values(corr):
-    oracle.clear_cache()
     audit = solved(lambda: mp.geodesicity_audit(corr, budget=BUDGET))
     if audit == "refused":
         return audit

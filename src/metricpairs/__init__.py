@@ -58,8 +58,8 @@ _EXPORTS = {
     ),
     "oracle": (
         "BudgetExceededError", "GHResult", "build_witness_lp", "canonical_pair_key",
-        "clear_cache", "exact_pair_gh", "exact_pair_gh_max", "exact_tuple_gh",
-        "radius_lp", "witness_entries", "witness_reduced_value",
+        "exact_pair_gh", "exact_pair_gh_max", "exact_tuple_gh", "radius_lp",
+        "witness_entries", "witness_reduced_value",
     ),
     "realization": (
         "EmbeddedComplex", "Interval", "carrier_samples", "filtration_distance",

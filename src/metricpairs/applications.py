@@ -125,10 +125,9 @@ def variant_sandwich(
     """Certify max-variant <= sum-variant <= twice the max-variant.
 
     ``budget`` caps the witness-search nodes of each of the two exact solves.
-    The solves skip the oracle cache: the two variants never share a key.
     """
-    mx = exact_pair_gh_max(left, right, budget=budget, cache=False).value
-    sm = exact_pair_gh(left, right, budget=budget, cache=False).value
+    mx = exact_pair_gh_max(left, right, budget=budget).value
+    sm = exact_pair_gh(left, right, budget=budget).value
     if mx == 0:
         ratio = None
     elif is_exact(mx) and is_exact(sm):

@@ -201,10 +201,10 @@ def sandwich_report(
     """
     from .oracle import exact_pair_gh
 
+    if not _exhaustive(left, right):
+        raise ValueError("instance too large for an exhaustive distortion search")
     dis_res = min_distortion(left, right, objective="distortion")
     sup_res = min_distortion(left, right, objective="sup_full")
-    if not (dis_res.optimal and sup_res.optimal):
-        raise ValueError("instance too large for an exhaustive distortion search")
     exact = exact_pair_gh(left, right, budget=budget)
     lo = half(dis_res.breakdown.value)
     hi = sup_res.breakdown.sup_full

@@ -112,10 +112,10 @@ def _read(args, path: str, *kinds: str):
 
 
 def _indices(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise ValueError(f"bad index list {text!r}") from exc
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isascii() and part.isdigit() for part in parts if part):
+        raise ValueError(f"bad index list {text!r}")
+    return tuple(int(part) for part in parts if part)
 
 
 def _result_payload(result) -> dict:
@@ -171,8 +171,7 @@ def cmd_gh_exact(args) -> int:
         result = exact_tuple_gh(left, right, budget=args.budget, variant=args.variant)
     else:
         fn = exact_pair_gh_max if args.variant == "max" else exact_pair_gh
-        # one oracle call per process: a cache lookup here could only miss
-        result = fn(left, right, budget=args.budget, cache=False)
+        result = fn(left, right, budget=args.budget)
     _emit(args, _result_payload(result))
     return 0
 

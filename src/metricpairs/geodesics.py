@@ -141,9 +141,8 @@ def geodesicity_audit(
         if not 0 <= v <= 1:
             raise ValueError("grid times must lie in [0, 1]")
     times = sorted(set(times))
-    # only values are kept: the cache's one sure hit, the (0, 1) row
-    # repeating the endpoint solve, is served from ``endpoint`` instead
-    endpoint = exact_pair_gh(corr.left, corr.right, budget=budget, cache=False).value
+    # the (0, 1) row repeats the endpoint solve and is served from ``endpoint``
+    endpoint = exact_pair_gh(corr.left, corr.right, budget=budget).value
     exact = corr.left.space.exact and corr.right.space.exact and all_exact(times)
     sup = _sup_abs_diff(corr.pairs, corr.left.space.dist, corr.right.space.dist)
     # rows (a, b) whose value meets its bound (b - a) * sup
@@ -162,7 +161,7 @@ def geodesicity_audit(
                 for u in (s, t):
                     if u not in samples:
                         samples[u] = interpolate(corr, u)
-                value = exact_pair_gh(samples[s], samples[t], budget=budget, cache=False).value
+                value = exact_pair_gh(samples[s], samples[t], budget=budget).value
             if exact and value == bound:
                 tight.append((s, t))
         values[s, t] = value

@@ -43,15 +43,15 @@ from .spaces import (
     _on_integer_scale,
 )
 
-_CACHE_SIZE_LIMIT = 6
+_KEY_SIZE_LIMIT = 6
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when a witness search visits more nodes than its budget.
 
-    The budget counts the search nodes of one exact solve; a cache hit
-    visits none.  Cost is observed, not predicted: instances of one size
-    differ by orders of magnitude in the nodes they need.
+    The budget counts the search nodes of one exact solve.  Cost is
+    observed, not predicted: instances of one size differ by orders of
+    magnitude in the nodes they need.
     """
 
     def __init__(self, nodes, budget):
@@ -544,18 +544,7 @@ def _solve(left, right, variant, levels_l, levels_r, budget) -> GHResult:
 
 
 # ---------------------------------------------------------------------------
-# caching on relabel-minimal encodings
-
-
-_CACHE: dict = {}
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
-def cache_size() -> int:
-    return len(_CACHE)
+# relabel-minimal encodings
 
 
 def canonical_pair_key(pair: MetricPair):
@@ -582,7 +571,7 @@ def canonical_pair_key(pair: MetricPair):
     least flags is scanned.
     """
     n = pair.space.n
-    if n > _CACHE_SIZE_LIMIT:
+    if n > _KEY_SIZE_LIMIT:
         return None
     inside = pair.subset
     outside = tuple(i for i in range(n) if i not in inside)
@@ -616,61 +605,27 @@ def canonical_pair_key(pair: MetricPair):
     return best
 
 
-def _store_entry(result: GHResult, perm_l, perm_r, transpose: bool):
-    inv_l = {old: c for c, old in enumerate(perm_l)}
-    inv_r = {old: c for c, old in enumerate(perm_r)}
-    if transpose:
-        levels = tuple(
-            tuple(sorted((inv_r[y], inv_l[x]) for x, y in cells))
-            for cells in result.levels
-        )
-    else:
-        levels = tuple(
-            tuple(sorted((inv_l[x], inv_r[y]) for x, y in cells))
-            for cells in result.levels
-        )
-    return (result.value, result.radii, levels)
-
-
-def _rebuild(left, right, variant, stored, perm_l, perm_r) -> GHResult:
-    value, radii, canon_levels = stored
-    levels = tuple(
-        tuple(sorted((perm_l[xc], perm_r[yc]) for xc, yc in cells))
-        for cells in canon_levels
-    )
-    m = _matrix_from_entries(levels, left.space, right.space)
-    return GHResult(
-        left, right, variant, value, radii, levels, tuple(tuple(row) for row in m)
-    )
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
 
-def _pair_gh(left, right, variant, budget, cache, shortcut) -> GHResult:
+def clear_cache() -> None:
+    """No-op: there is no result cache.  Kept for ``perfbench``'s hooks."""
+
+
+def cache_size() -> int:
+    """Always 0: there is no result cache.  Kept for ``perfbench``'s hooks."""
+    return 0
+
+
+def _pair_gh(left, right, variant, budget, shortcut) -> GHResult:
     if not isinstance(left, MetricPair) or not isinstance(right, MetricPair):
         raise TypeError("expected MetricPair operands")
-    key_info = None
-    if cache:
-        ck_l = canonical_pair_key(left)
-        ck_r = canonical_pair_key(right)
-        if ck_l is not None and ck_r is not None:
-            key = (variant, ck_l[0], ck_r[0])
-            hit = _CACHE.get(key)
-            if hit is not None:
-                return _rebuild(left, right, variant, hit, ck_l[1], ck_r[1])
-            key_info = (key, (variant, ck_r[0], ck_l[0]), ck_l[1], ck_r[1])
     levels_l = _levels_of(left)
     levels_r = _levels_of(right)
     if shortcut and left.subset == levels_l[0] and right.subset == levels_r[0]:
         levels_l, levels_r = levels_l[:1], levels_r[:1]
-    result = _solve(left, right, variant, levels_l, levels_r, budget)
-    if key_info is not None:
-        key, mirror, perm_l, perm_r = key_info
-        _CACHE[key] = _store_entry(result, perm_l, perm_r, transpose=False)
-        _CACHE[mirror] = _store_entry(result, perm_l, perm_r, transpose=True)
-    return result
+    return _solve(left, right, variant, levels_l, levels_r, budget)
 
 
 def exact_pair_gh(
@@ -680,8 +635,11 @@ def exact_pair_gh(
     cache: bool = True,
     shortcut: bool = True,
 ) -> GHResult:
-    """Exact pair distance: infimum of the two Hausdorff radii summed."""
-    return _pair_gh(left, right, "sum", budget, cache, shortcut)
+    """Exact pair distance: infimum of the two Hausdorff radii summed.
+
+    Every call runs the witness search; ``cache`` is accepted and ignored.
+    """
+    return _pair_gh(left, right, "sum", budget, shortcut)
 
 
 def exact_pair_gh_max(
@@ -691,8 +649,8 @@ def exact_pair_gh_max(
     cache: bool = True,
     shortcut: bool = True,
 ) -> GHResult:
-    """Exact pair distance in the max-of-terms variant."""
-    return _pair_gh(left, right, "max", budget, cache, shortcut)
+    """Exact pair distance in the max-of-terms variant; ``cache`` is ignored."""
+    return _pair_gh(left, right, "max", budget, shortcut)
 
 
 def exact_tuple_gh(

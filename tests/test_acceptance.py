@@ -25,7 +25,6 @@ from metricpairs import (
     build_complex,
     circle_space,
     classical_glue,
-    clear_cache,
     diagonal_distortion,
     distortion,
     distortion_stability,
@@ -75,7 +74,6 @@ def family():
 @pytest.fixture(scope="module")
 def doubled_sum(family):
     """Doubled summed-variant distances for every ordered family pair."""
-    clear_cache()
     n = len(family)
     mat = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
@@ -565,7 +563,7 @@ def test_criterion_09_densification(capsys):
 
 def test_criterion_10_determinism(tmp_path, capsys):
     """Identical seeds and inputs give byte-identical command output
-    across repeated runs with a cold cache."""
+    across repeated runs."""
     problems = []
 
     def run(argv):
@@ -598,7 +596,6 @@ def test_criterion_10_determinism(tmp_path, capsys):
 
     outputs = set()
     for _ in range(3):
-        clear_cache()
         code, out = run(["gh", "exact", "--input", str(pair_path), str(point_path)])
         if code != 0:
             problems.append("gh exact command failed")

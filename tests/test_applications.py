@@ -15,7 +15,7 @@ from metricpairs.applications import (
 )
 from metricpairs.correspondences import PairCorrespondence
 from metricpairs.generators import random_correspondence, random_pair, random_space
-from metricpairs.oracle import cache_size, clear_cache, exact_pair_gh
+from metricpairs.oracle import exact_pair_gh
 from metricpairs.spaces import FiniteMetricSpace, MetricPair, MetricTuple, validate_metric
 
 
@@ -123,12 +123,6 @@ def test_variant_sandwich_zero_ratio_is_none():
     assert report.ratio is None
 
 
-def test_variant_sandwich_leaves_the_cache_empty():
-    clear_cache()
-    variant_sandwich(_pair([[0, 2], [2, 0]], (0,)), _pair([[0]], (0,)))
-    assert cache_size() == 0
-
-
 def test_rational_densify_rounds_to_grid():
     space = FiniteMetricSpace.from_matrix([[0, 2], [2, 0]])
     result = rational_densify(space, 5)
@@ -167,5 +161,5 @@ def test_rational_densify_pair_certified_bound():
         dense, bound = rational_densify_pair(pair, q)
         assert bound == Fraction(4, q)
         assert dense.subset == pair.subset
-        exact = exact_pair_gh(pair, dense, cache=False).value
+        exact = exact_pair_gh(pair, dense).value
         assert exact <= bound

@@ -40,7 +40,7 @@ def test_diameter_lower_bound_is_valid():
     for _ in range(40):
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
-        exact = exact_pair_gh(left, right, cache=False).value
+        exact = exact_pair_gh(left, right).value
         assert diameter_lower_bound(left, right) <= exact
 
 
@@ -50,7 +50,7 @@ def test_correspondence_upper_bound_is_valid():
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
         report = correspondence_upper_bound(left, right)
-        exact = exact_pair_gh(left, right, cache=False).value
+        exact = exact_pair_gh(left, right).value
         assert exact <= report.hausdorff_sum
         assert report.optimal_relation
         assert 2 * report.eta >= report.sup_full
@@ -66,7 +66,7 @@ def test_gh_bounds_frozen_instances():
     assert interval.lower == Fraction(1, 2)
     assert interval.lower_source == "diameter"
     assert interval.upper == 1
-    assert interval.contains(exact_pair_gh(left, right, cache=False).value)
+    assert interval.contains(exact_pair_gh(left, right).value)
 
     big = _pair([[0, 2], [2, 0]], (0,))
     interval = gh_bounds(big, _point_pair())
@@ -83,7 +83,7 @@ def test_gh_bounds_contains_exact_value():
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
         interval = gh_bounds(left, right)
-        exact = exact_pair_gh(left, right, cache=False).value
+        exact = exact_pair_gh(left, right).value
         assert interval.contains(exact)
         assert interval.lower >= interval.diameter_bound
         if interval.half_distortion is not None:
@@ -179,7 +179,7 @@ def test_matched_net_bound_is_valid_upper_bound():
             continue
         if not report.ok:
             continue
-        exact = exact_pair_gh(left, right, cache=False).value
+        exact = exact_pair_gh(left, right).value
         assert exact <= report.bound
         successes += 1
     assert successes >= 5
@@ -205,9 +205,15 @@ def test_sandwich_report_frozen_probe():
 
 
 def test_sandwich_report_rejects_oversized_instances(monkeypatch):
+    """The size is decided before either distortion search runs."""
+
+    def searched(*args, **kwargs):
+        raise AssertionError("a distortion search ran")
+
     monkeypatch.setattr(correspondences, "_EXHAUSTIVE_CELLS", 4)
+    monkeypatch.setattr("metricpairs.bounds.min_distortion", searched)
     rng = random.Random(77)
     left = random_pair(rng, n_range=(3, 3))
     right = random_pair(rng, n_range=(3, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too large for an exhaustive distortion search"):
         sandwich_report(left, right)

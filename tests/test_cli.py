@@ -16,7 +16,6 @@ import pytest
 
 from metricpairs import cli
 from metricpairs.cli import main
-from metricpairs.oracle import clear_cache
 
 # a child interpreter finds the package in this checkout
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
@@ -264,7 +263,6 @@ def test_hausdorff_reads_csv_input(tmp_path, capsys):
 
 
 def test_gh_exact_reports_value_and_certificate(tmp_path, capsys):
-    clear_cache()
     big = _write(tmp_path, "big.json", PAIR_BIG)
     point = _write(tmp_path, "point.json", PAIR_POINT)
     code, out, _ = _run(capsys, ["gh", "exact", "--input", big, point])
@@ -277,7 +275,6 @@ def test_gh_exact_reports_value_and_certificate(tmp_path, capsys):
 
 
 def test_gh_tilde_is_the_max_variant(tmp_path, capsys):
-    clear_cache()
     big = _write(tmp_path, "big.json", PAIR_BIG)
     point = _write(tmp_path, "point.json", PAIR_POINT)
     code, out, _ = _run(capsys, ["gh", "tilde", "--input", big, point])
@@ -292,7 +289,6 @@ def test_gh_exact_repeat_runs_are_byte_identical(tmp_path, capsys):
     point = _write(tmp_path, "point.json", PAIR_POINT)
     outputs = []
     for _ in range(2):
-        clear_cache()
         code, out, _ = _run(capsys, ["gh", "exact", "--input", big, point])
         assert code == 0
         outputs.append(out)
@@ -300,7 +296,6 @@ def test_gh_exact_repeat_runs_are_byte_identical(tmp_path, capsys):
 
 
 def test_gh_exact_budget_overflow_is_exit_two(tmp_path, capsys):
-    clear_cache()
     big = _write(tmp_path, "big.json", PAIR_BIG)
     point = _write(tmp_path, "point.json", PAIR_POINT)
     code, _, err = _run(
@@ -311,7 +306,6 @@ def test_gh_exact_budget_overflow_is_exit_two(tmp_path, capsys):
 
 
 def test_gh_tuple_single_level_matches_pair(tmp_path, capsys):
-    clear_cache()
     left = _write(tmp_path, "left.json", TUPLE_BIG)
     right = _write(tmp_path, "right.json", TUPLE_POINT)
     code, out, _ = _run(capsys, ["gh", "tuple", "--input", left, right])
@@ -356,7 +350,6 @@ def test_gh_reads_a_space_document_as_its_full_pair(tmp_path, capsys, command):
     for name, doc in (("space", PATH3), ("pair", {**PATH3, "subset": [0, 1, 2]})):
         left = _write(tmp_path, f"{name}.json", doc)
         right = _write(tmp_path, "big.json", PAIR_BIG)
-        clear_cache()
         code, out, err = _run(capsys, ["gh", command, "--input", left, right])
         assert (code, err) == (0, "")
         outputs.append(out)
@@ -499,7 +492,6 @@ def test_apps_hypernet_reports_the_distortion_check(tmp_path, capsys):
 
 
 def test_apps_tilde_reports_the_variant_sandwich(tmp_path, capsys):
-    clear_cache()
     big = _write(tmp_path, "big.json", PAIR_BIG)
     point = _write(tmp_path, "point.json", PAIR_POINT)
     code, out, _ = _run(capsys, ["apps", "tilde", "--input", big, point])
@@ -648,7 +640,7 @@ def test_every_library_name_resolves_on_cli_to_its_module_object():
     )
     assert result.returncode == 0, result.stderr
     count, wrong = json.loads(result.stdout)
-    assert count == 108 + 10
+    assert count == 107 + 10
     assert wrong == []
 
 

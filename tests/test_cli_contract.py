@@ -250,6 +250,12 @@ def test_broken_arguments_exit_cleanly(docs, capsys, argv):
     _contract(capsys, [docs.get(arg, arg) for arg in argv])
 
 
+@pytest.mark.parametrize("left", ["1_0", "0_1", "\u0661", "+1"])
+def test_index_lists_take_only_ascii_digits(docs, capsys, left):
+    argv = ["hausdorff", "--input", docs["GOOD_PAIR"], "--left", left, "--right", "1"]
+    assert _contract(capsys, argv) == 2
+
+
 def test_validate_rejects_a_tolerance_that_switches_checks_off(docs, capsys):
     for tol in ("nan", "-1", "inf", "-inf"):
         argv = ["validate", "--input", docs["triangle"], "--tol", tol]

@@ -213,7 +213,7 @@ def test_pipeline_estimate_bounds_exact_distance():
     params = ApproxParams(2)
     cx = build_complex(pair, params, theta=row.theta_eff)
     cp = complex_pair(cx)
-    exact = exact_pair_gh(pair, cp, cache=False, budget=10**8).value
+    exact = exact_pair_gh(pair, cp, budget=10**8).value
     assert exact <= row.net_estimate
 
 

@@ -21,7 +21,7 @@ from metricpairs.geodesics import (
     geodesicity_audit,
     interpolate,
 )
-from metricpairs.oracle import cache_size, clear_cache, exact_pair_gh
+from metricpairs.oracle import exact_pair_gh
 from metricpairs.scalars import close
 from metricpairs.spaces import FiniteMetricSpace, MetricPair, _sup_abs_diff
 
@@ -128,7 +128,7 @@ def test_audit_on_optimal_correspondence_matches():
     one = MetricPair(FiniteMetricSpace.from_matrix([[0]]), (0,))
     corr = min_distortion(big, one).correspondence
     audit = geodesicity_audit(corr)
-    assert audit.endpoint_value == exact_pair_gh(big, one, cache=False).value
+    assert audit.endpoint_value == exact_pair_gh(big, one).value
     assert audit.all_match
     assert len(audit.rows) == 10
 
@@ -157,10 +157,8 @@ def test_audit_sorts_and_dedupes_its_grid():
     assert reversed_ends.rows[0].expected == reversed_ends.endpoint_value
 
 
-def test_audit_leaves_the_cache_empty():
-    clear_cache()
+def test_audit_serves_the_endpoint_row_from_the_endpoint_solve():
     audit = geodesicity_audit(_collapse_correspondence())
-    assert cache_size() == 0
     (row,) = [row for row in audit.rows if (row.s, row.t) == (0, 1)]
     assert row.value == audit.endpoint_value
 
@@ -191,7 +189,7 @@ def test_default_grid_is_the_quarter_grid():
 def _audit_every_row(corr, grid, budget):
     """The audit with one solve per row: (endpoint, rows as tuples)."""
     times = sorted(set(grid))
-    endpoint = exact_pair_gh(corr.left, corr.right, budget=budget, cache=False).value
+    endpoint = exact_pair_gh(corr.left, corr.right, budget=budget).value
     samples = {t: interpolate(corr, t) for t in times}
     rows = []
     for i, s in enumerate(times):
@@ -199,7 +197,7 @@ def _audit_every_row(corr, grid, budget):
             if (s, t) == (0, 1):
                 value = endpoint
             else:
-                value = exact_pair_gh(samples[s], samples[t], budget=budget, cache=False).value
+                value = exact_pair_gh(samples[s], samples[t], budget=budget).value
             expected = (t - s) * endpoint
             rows.append((s, t, value, expected, close(value, expected)))
     return endpoint, rows

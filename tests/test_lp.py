@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from metricpairs.lp import Constraint, LinearProgram, LPResult, solve_lp
 
-scipy_opt = pytest.importorskip("scipy.optimize")
-
 
 def _lp(objective, rows):
     prog = LinearProgram(tuple(Fraction(c) for c in objective))
@@ -89,6 +87,7 @@ def test_solution_is_exact_rational():
 
 def test_matches_scipy_on_random_covers():
     """Random covering programs, checked against the float solver."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
     rng = random.Random(41)
     for _ in range(40):
         nvars = rng.randint(2, 5)

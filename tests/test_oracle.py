@@ -12,14 +12,17 @@ import pytest
 
 from metricpairs.correspondences import brute_force_min_distortion
 from metricpairs.families import enumerate_family, family_iso_classes
-from metricpairs.generators import random_pair, random_permuted_pair
+from metricpairs.generators import (
+    random_pair,
+    random_permuted_pair,
+    random_space,
+    random_subset,
+)
 from metricpairs.lp import solve_lp
 from metricpairs.oracle import (
     BudgetExceededError,
     build_witness_lp,
-    cache_size,
     canonical_pair_key,
-    clear_cache,
     exact_pair_gh,
     exact_pair_gh_max,
     exact_tuple_gh,
@@ -39,7 +42,7 @@ def _point_pair():
 
 def test_identical_pairs_have_distance_zero():
     pair = _pair([[0, 1, 2], [1, 0, 1], [2, 1, 0]], (0, 1))
-    result = exact_pair_gh(pair, pair, cache=False)
+    result = exact_pair_gh(pair, pair)
     assert result.value == 0
     assert result.certificate_report()["achieves_value"]
 
@@ -48,11 +51,11 @@ def test_two_point_versus_point_known_value():
     """Frozen probe: diameter-2 doubleton with singleton subset against a
     one-point pair.  Both Hausdorff terms cost 1, so the sum is 2."""
     left = _pair([[0, 2], [2, 0]], (0,))
-    result = exact_pair_gh(left, _point_pair(), cache=False)
+    result = exact_pair_gh(left, _point_pair())
     assert result.value == 2
     assert result.radii == (1, 1)
 
-    result_max = exact_pair_gh_max(left, _point_pair(), cache=False)
+    result_max = exact_pair_gh_max(left, _point_pair())
     assert result_max.value == 1
 
 
@@ -62,7 +65,7 @@ def test_certificate_achieves_value():
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
         for compute in (exact_pair_gh, exact_pair_gh_max):
-            result = compute(left, right, cache=False)
+            result = compute(left, right)
             report = result.certificate_report()
             assert report["violations"] == ()
             assert report["achieves_value"]
@@ -76,7 +79,7 @@ def test_float_zero_cells_use_the_tolerance():
     left = _pair([[0, 0.3], [0.3, 0]], (0, 1))
     for d in (0.3, 0.1 + 0.2):
         right = _pair([[0, d], [d, 0]], (0, 1))
-        report = exact_pair_gh(left, right, cache=False).certificate_report()
+        report = exact_pair_gh(left, right).certificate_report()
         assert report["zero_cells"] == ((0, 0), (1, 1))
         assert report["achieves_value"]
 
@@ -94,7 +97,7 @@ def test_float_zero_results_stay_floats():
     float 0.0, not as the exact string "0", in pairs, tuples and fixed
     witnesses alike."""
     pair = _pair([[0.0, 1.3], [1.3, 0.0]], (0,))
-    result = exact_pair_gh(pair, pair, cache=False)
+    result = exact_pair_gh(pair, pair)
     assert isinstance(result.value, float) and result.value == 0.0
     assert not _has_exact_string(result.as_dict())
 
@@ -116,7 +119,7 @@ def test_cross_metric_is_admissible_up_to_zero_cells():
     for _ in range(30):
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
-        result = exact_pair_gh(left, right, cache=False)
+        result = exact_pair_gh(left, right)
         assert result.cross().check(require_positive=False) == []
 
 
@@ -127,7 +130,7 @@ def test_value_sandwiched_by_correspondence_quantities():
     for _ in range(25):
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
-        value = exact_pair_gh(left, right, cache=False).value
+        value = exact_pair_gh(left, right).value
         best_avg = brute_force_min_distortion(left, right).breakdown.value
         best_sup = brute_force_min_distortion(
             left, right, objective="sup_full"
@@ -145,7 +148,7 @@ def test_value_equals_best_sup_when_subsets_are_full():
         right = random_pair(rng, n_range=(2, 3))
         left = MetricPair(left.space, tuple(range(left.space.n)))
         right = MetricPair(right.space, tuple(range(right.space.n)))
-        value = exact_pair_gh(left, right, cache=False).value
+        value = exact_pair_gh(left, right).value
         best_sup = brute_force_min_distortion(
             left, right, objective="sup_full"
         ).breakdown.sup_full
@@ -158,7 +161,7 @@ def test_max_variant_matches_sup_oracle():
     for _ in range(25):
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
-        result = exact_pair_gh_max(left, right, cache=False)
+        result = exact_pair_gh_max(left, right)
         best = brute_force_min_distortion(left, right, objective="sup_full")
         assert 2 * result.value == best.breakdown.sup_full
 
@@ -168,8 +171,8 @@ def test_sandwich_between_variants():
     for _ in range(30):
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
-        s = exact_pair_gh(left, right, cache=False).value
-        m = exact_pair_gh_max(left, right, cache=False).value
+        s = exact_pair_gh(left, right).value
+        m = exact_pair_gh_max(left, right).value
         assert m <= s <= 2 * m
 
 
@@ -179,8 +182,8 @@ def test_symmetry():
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
         assert (
-            exact_pair_gh(left, right, cache=False).value
-            == exact_pair_gh(right, left, cache=False).value
+            exact_pair_gh(left, right).value
+            == exact_pair_gh(right, left).value
         )
 
 
@@ -189,13 +192,13 @@ def test_zero_iff_isomorphic():
     for _ in range(30):
         pair = random_pair(rng, n_range=(2, 4))
         permuted = random_permuted_pair(rng, pair)
-        assert exact_pair_gh(pair, permuted, cache=False, budget=10**8).value == 0
+        assert exact_pair_gh(pair, permuted, budget=10**8).value == 0
     from metricpairs.families import pairs_isometric
 
     for _ in range(30):
         left = random_pair(rng, n_range=(2, 3))
         right = random_pair(rng, n_range=(2, 3))
-        value = exact_pair_gh(left, right, cache=False).value
+        value = exact_pair_gh(left, right).value
         assert (value == 0) == pairs_isometric(left, right)
 
 
@@ -205,9 +208,9 @@ def test_triangle_inequality_over_pairs():
         a = random_pair(rng, n_range=(1, 3))
         b = random_pair(rng, n_range=(1, 3))
         c = random_pair(rng, n_range=(1, 3))
-        ab = exact_pair_gh(a, b, cache=False).value
-        bc = exact_pair_gh(b, c, cache=False).value
-        ac = exact_pair_gh(a, c, cache=False).value
+        ab = exact_pair_gh(a, b).value
+        bc = exact_pair_gh(b, c).value
+        ac = exact_pair_gh(a, c).value
         assert ac <= ab + bc
 
 
@@ -247,61 +250,6 @@ def test_witness_entries_from_maps():
         witness_entries(left, right, [maps[0], ({0: 1}, {0: 0})])
 
 
-def test_cache_round_trip_is_byte_identical():
-    rng = random.Random(59)
-    for _ in range(20):
-        clear_cache()
-        left = random_pair(rng, n_range=(2, 3))
-        right = random_pair(rng, n_range=(2, 3))
-        fresh = exact_pair_gh(left, right, cache=False)
-        primed = exact_pair_gh(left, right, cache=True)
-        again = exact_pair_gh(left, right, cache=True)
-        assert fresh == primed == again
-    assert cache_size() > 0
-    clear_cache()
-    assert cache_size() == 0
-
-
-def test_cache_hits_across_isometric_queries_keep_value():
-    """A cached entry reached through a different labeling is transported
-    through the canonical permutations: the value and radii are identical
-    and the transported witness still certifies them."""
-    rng = random.Random(66)
-    for _ in range(15):
-        clear_cache()
-        left = random_pair(rng, n_range=(2, 3))
-        right = random_pair(rng, n_range=(2, 3))
-        base = exact_pair_gh(left, right, cache=True)
-        left2 = random_permuted_pair(rng, left)
-        right2 = random_permuted_pair(rng, right)
-        hit = exact_pair_gh(left2, right2, cache=True)
-        assert hit.value == base.value
-        assert hit.radii == base.radii
-        report = hit.certificate_report()
-        assert report["violations"] == ()
-        assert report["achieves_value"]
-    clear_cache()
-
-
-def test_cache_mirror_serves_swapped_queries():
-    clear_cache()
-    left = _pair([[0, 1, 2], [1, 0, 1], [2, 1, 0]], (0,))
-    right = _pair([[0, 3], [3, 0]], (0, 1))
-    first = exact_pair_gh(left, right, cache=True)
-    size_after_first = cache_size()
-    swapped = exact_pair_gh(right, left, cache=True)
-    assert cache_size() == size_after_first
-    assert swapped.value == first.value
-    assert swapped.radii == first.radii
-    assert {(y, x) for cells in swapped.levels for x, y in cells} == {
-        (x, y) for cells in first.levels for x, y in cells
-    }
-    report = swapped.certificate_report()
-    assert report["violations"] == ()
-    assert report["achieves_value"]
-    clear_cache()
-
-
 def test_shortcut_agrees_with_full_search():
     """Pairs whose subset is the whole space reduce to a single-level
     search; the reduced value and radii must match the unshortened ones,
@@ -313,14 +261,53 @@ def test_shortcut_agrees_with_full_search():
         left = MetricPair(left.space, tuple(range(left.space.n)))
         right = MetricPair(right.space, tuple(range(right.space.n)))
         for compute in (exact_pair_gh, exact_pair_gh_max):
-            fast = compute(left, right, cache=False, shortcut=True)
-            slow = compute(left, right, cache=False, shortcut=False)
+            fast = compute(left, right, shortcut=True)
+            slow = compute(left, right, shortcut=False)
             assert fast.value == slow.value
             assert fast.radii == slow.radii
             for result in (fast, slow):
                 report = result.certificate_report()
                 assert report["violations"] == ()
                 assert report["achieves_value"]
+
+
+def _searched(compute, left, right) -> dict:
+    """A pair solve's reference answer: the tuple search of the same
+    operands, which takes the pair's search path without the shortcut."""
+    variant = "max" if compute is exact_pair_gh_max else "sum"
+    return exact_tuple_gh(left.as_tuple(), right.as_tuple(), variant=variant).as_dict()
+
+
+def test_pair_answers_depend_only_on_their_operands():
+    """A pair solve answers as the search of its own operands does, whatever
+    was solved before it: a relabelled copy after the original, the full
+    search after the shortcut on the same operands, and exact distances
+    after the same numbers as floats."""
+    rng = random.Random(28)
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        left, right = (
+            MetricPair(random_space(rng, n), random_subset(rng, n, rng.randint(1, n - 1)))
+            for _ in range(2)
+        )
+        moved_l, moved_r = random_permuted_pair(rng, left), random_permuted_pair(rng, right)
+        for compute in (exact_pair_gh, exact_pair_gh_max):
+            assert compute(left, right).as_dict() == _searched(compute, left, right)
+            assert compute(moved_l, moved_r).as_dict() == _searched(compute, moved_l, moved_r)
+    for _ in range(25):
+        left, right = (random_pair(rng, n_range=(2, 4)) for _ in range(2))
+        left = MetricPair(left.space, tuple(range(left.space.n)))
+        right = MetricPair(right.space, tuple(range(right.space.n)))
+        for compute in (exact_pair_gh, exact_pair_gh_max):
+            compute(left, right, shortcut=True)
+            slow = compute(left, right, shortcut=False)
+            assert slow.as_dict() == _searched(compute, left, right)
+    matrix = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    exact_pair_gh(_pair([[0.0]], (0,)), _pair([[float(v) for v in row] for row in matrix], (0,)))
+    left, right = _point_pair(), _pair(matrix, (0,))
+    exact = exact_pair_gh(left, right).as_dict()
+    assert exact == _searched(exact_pair_gh, left, right)
+    assert exact["value"] == "2"
 
 
 def test_budget_exceeded_raises_with_node_count():
@@ -333,10 +320,10 @@ def test_budget_exceeded_raises_with_node_count():
     pair = _pair(space, tuple(range(6)))
     # twelve witness slots and a leaf: thirteen nodes at the very least
     with pytest.raises(BudgetExceededError) as exc:
-        exact_pair_gh(pair, pair, cache=False, budget=10)
+        exact_pair_gh(pair, pair, budget=10)
     assert exc.value.nodes > exc.value.budget == 10
     assert "budget" in str(exc.value)
-    assert exact_pair_gh(pair, pair, cache=False, budget=13).value == 0
+    assert exact_pair_gh(pair, pair, budget=13).value == 0
 
 
 @pytest.mark.parametrize("n, seed", [(5, 6), (6, 3)])
@@ -347,7 +334,7 @@ def test_default_budget_solves_larger_pairs(n, seed):
     left = random_pair(rng, n_range=(n, n))
     right = random_pair(rng, n_range=(n, n))
     assert left.subset != tuple(range(n)) and right.subset != tuple(range(n))
-    result = exact_pair_gh(left, right, cache=False)
+    result = exact_pair_gh(left, right)
     report = result.certificate_report()
     assert report["violations"] == ()
     assert report["achieves_value"]
@@ -358,10 +345,10 @@ def test_tuple_single_level_equals_pair():
     for _ in range(25):
         left = random_pair(rng, n_range=(1, 3))
         right = random_pair(rng, n_range=(1, 3))
-        pair_value = exact_pair_gh(left, right, cache=False).value
+        pair_value = exact_pair_gh(left, right).value
         tuple_value = exact_tuple_gh(left.as_tuple(), right.as_tuple()).value
         assert pair_value == tuple_value
-        pair_max = exact_pair_gh_max(left, right, cache=False).value
+        pair_max = exact_pair_gh_max(left, right).value
         tuple_max = exact_tuple_gh(
             left.as_tuple(), right.as_tuple(), variant="max"
         ).value
@@ -380,7 +367,7 @@ def test_tuple_degenerate_chain_scales_single_level():
         full_r = tuple(range(right.space.n))
         base_l = MetricPair(left.space, full_l)
         base_r = MetricPair(right.space, full_r)
-        single = exact_pair_gh(base_l, base_r, cache=False)
+        single = exact_pair_gh(base_l, base_r)
         for chain_len in (2, 3, 4):
             tl = MetricTuple(left.space, (full_l,) * chain_len)
             tr = MetricTuple(right.space, (full_r,) * chain_len)
@@ -431,7 +418,7 @@ def test_result_levels_are_sorted_and_cover():
     for _ in range(15):
         left = random_pair(rng, n_range=(2, 3))
         right = random_pair(rng, n_range=(2, 3))
-        result = exact_pair_gh(left, right, cache=False)
+        result = exact_pair_gh(left, right)
         for level in result.levels:
             assert list(level) == sorted(level)
         covered_x = {x for x, _ in result.levels[0]}
@@ -597,7 +584,7 @@ def test_family_iso_classes_match_the_product_scan():
 
 def test_as_dict_serializes_scalars():
     left = _pair([[0, 2], [2, 0]], (0,))
-    result = exact_pair_gh(left, _point_pair(), cache=False)
+    result = exact_pair_gh(left, _point_pair())
     payload = result.as_dict()
     assert payload["value"] == "2"
     assert payload["variant"] == "sum"
@@ -610,12 +597,13 @@ def test_pair_results_match_recorded_digest():
     The digest covers the as_dict JSON of 60 small pair solves, recorded
     before full-subset pairs were certified through the general path:
     full-subset pairs (the one-level shortcut) and proper subsets, sum and
-    max, exact and float entries, uncached, cached, and a relabelled copy
-    answered from the cache.  Re-recorded once when float mismatch matrices
-    began to start from 0.0: the six solves of case 7 then print zero
-    entries as 0.0 instead of "0", and the other 54 kept their bytes.
+    max, exact and float entries, each pair solved twice and then as a
+    relabelled copy.  Re-recorded when float mismatch matrices began to
+    start from 0.0 (the six solves of case 7 then print zero entries as
+    0.0 instead of "0"), and again when the result cache was deleted:
+    until then the second and relabelled solves were answered from it,
+    and the digest is now that of every solve searched.
     """
-    clear_cache()
     rng = random.Random(79)
     digest = hashlib.sha256()
     for i in range(10):
@@ -630,13 +618,10 @@ def test_pair_results_match_recorded_digest():
         moved_l = random_permuted_pair(rng, left)
         moved_r = random_permuted_pair(rng, right)
         for compute in (exact_pair_gh, exact_pair_gh_max):
-            for lhs, rhs, cache in (
-                (left, right, False), (left, right, True), (moved_l, moved_r, True)
-            ):
-                digest.update(json.dumps(compute(lhs, rhs, cache=cache).as_dict()).encode())
-    clear_cache()
+            for lhs, rhs in ((left, right), (left, right), (moved_l, moved_r)):
+                digest.update(json.dumps(compute(lhs, rhs).as_dict()).encode())
     assert digest.hexdigest() == (
-        "dc15c039b7b746213d5cc21735b9649ddfea4f167621c2cf1002418dec06e2b8"
+        "1cac8b7eda89f2c8ed5ccd474a7948055cb74e1218b47efc479c4a0234ba1d7e"
     )
 
 

@@ -33,11 +33,11 @@ def _pairs(seed: int, most: int = 5):
 
 
 def _exact(left, right):
-    return exact_pair_gh(left, right, budget=_BUDGET, cache=False).value
+    return exact_pair_gh(left, right, budget=_BUDGET).value
 
 
 def _exact_max(left, right):
-    return exact_pair_gh_max(left, right, budget=_BUDGET, cache=False).value
+    return exact_pair_gh_max(left, right, budget=_BUDGET).value
 
 
 def _scaled(pair, factor):

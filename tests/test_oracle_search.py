@@ -233,7 +233,7 @@ def _floor(left, right, variant):
 def _exact(left, right, variant):
     if isinstance(left, MetricPair):
         solve = exact_pair_gh if variant == "sum" else exact_pair_gh_max
-        return solve(left, right, budget=10**7, cache=False).value
+        return solve(left, right, budget=10**7).value
     return exact_tuple_gh(left, right, budget=10**7, variant=variant).value
 
 
@@ -276,11 +276,11 @@ def test_asymmetric_distances_get_no_floor(monkeypatch):
     floor and runs to its end."""
     left = MetricPair(FiniteMetricSpace.from_matrix([[0, 6], [5, 0]], tol=3), (0,))
     right = MetricPair(FiniteMetricSpace.from_matrix([[0, 4], [6, 0]], tol=3), (0,))
-    value = exact_pair_gh(left, right, cache=False).value
+    value = exact_pair_gh(left, right).value
     assert _floor(left, right, "sum") > 2 * value
     built = []
     monkeypatch.setattr(oracle, "_distance_sets", lambda *args: built.append(args))
-    assert exact_pair_gh(left, right, cache=False).value == value
+    assert exact_pair_gh(left, right).value == value
     assert built == []
 
 
@@ -303,7 +303,7 @@ def _pinned_solve(seed, variant, budget):
     if seed < 6:
         left, right = random_pair(rng, (5, 6)), random_pair(rng, (5, 6))
         solve = exact_pair_gh if variant == "sum" else exact_pair_gh_max
-        return solve(left, right, budget=budget, cache=False)
+        return solve(left, right, budget=budget)
     k = 2 + seed % 3
     left, right = random_tuple(rng, k, (3, 4)), random_tuple(rng, k, (3, 4))
     return exact_tuple_gh(left, right, budget=budget, variant=variant)

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from metricpairs import oracle
+from metricpairs.spaces import FiniteMetricSpace, MetricPair
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -39,8 +40,12 @@ def test_every_traced_attribute_resolves():
 
 
 def test_cache_hooks_exist():
+    """The benchmark clears and sizes the cache, which no longer exists, and
+    ``perfbench/record.py`` still passes ``cache=False``."""
     oracle.clear_cache()
     assert oracle.cache_size() == 0
+    pair = MetricPair(FiniteMetricSpace.from_matrix([[0, 1], [1, 0]]), (0,))
+    assert oracle.exact_pair_gh(pair, pair, cache=False, shortcut=False).value == 0
 
 
 def test_gated_workloads_reproduce_their_recorded_answers():
