@@ -15,7 +15,11 @@ groups are:
 - ``float``: copies of the pool's pairs and tuples with their distances
   scaled into floats, two scalings, both variants;
 - ``tuples``: seeded tuples of 2 to 4 links on 3 to 5 points, with integer
-  and with float distances, both variants.
+  and with float distances, both variants;
+- ``relations``: ``min_distortion`` on at most 16 cells, where it runs
+  the witness search, both objectives: its relation, breakdown, least
+  value and optimal flag on the even ``bounds`` instances and on seeded
+  pairs with integer and with float distances.
 
 Writes one JSON object per group to OUT and prints one sha256 per group.
 Two checkouts whose search visits other nodes but finds the same first
@@ -23,7 +27,10 @@ optimum print the same hashes, except where one of them refuses a solve.
 Given BASE, an OUT of an earlier run, it also prints per group how many
 solves both answer identically, how many both answer differently, how
 many only one side answers and how many both refuse; it exits 1 when
-both answer a solve differently.  Takes a few minutes.
+both answer a solve differently.  A ``relations`` record whose least
+value and flag agree but whose relation (and so its breakdown) differs
+is counted apart and does not fail the comparison: a tie that resolves
+elsewhere.  Takes a few minutes.
 """
 from __future__ import annotations
 
@@ -46,6 +53,8 @@ BUDGET = 2 * 10**4
 SCALINGS = (0.1, 1 / 3)
 TUPLE_SEEDS = 600
 FLOAT_VALUES = (0.7, 0.9, 1.3, 2.1)
+RELATION_SEEDS = 300
+RELATION_GRIDS = ((1, 16), (2, 8), (8, 2), (4, 4), (3, 5), (5, 3), (2, 2), (3, 3), (3, 4))
 
 
 def solved(solve):
@@ -72,6 +81,26 @@ def audit_values(corr):
     return [format_scalar(audit.endpoint_value)] + [format_scalar(row.value) for row in audit.rows]
 
 
+def relations(out, label, left, right):
+    for objective in ("distortion", "sup_full"):
+        res = mp.min_distortion(left, right, objective)
+        br = res.breakdown
+        out[f"{label}:{objective}"] = {
+            "value": format_scalar(br.sup_full if objective == "sup_full" else br.value),
+            "optimal": res.optimal,
+            "relation": [list(cell) for cell in res.correspondence.pairs],
+            "breakdown": br.as_dict(),
+        }
+
+
+def tie_only(here, there) -> bool:
+    """Whether two ``relations`` records differ only in the relation and
+    the breakdown it decides."""
+    if not (isinstance(here, dict) and isinstance(there, dict) and "relation" in here):
+        return False
+    return all(here[key] == there.get(key) for key in ("value", "optimal"))
+
+
 def scaled(side, factor):
     space = mp.FiniteMetricSpace.from_matrix(
         [[float(v) * factor for v in row] for row in side.space.dist]
@@ -87,8 +116,8 @@ def compare(groups, base) -> bool:
     same = True
     for name, group in groups.items():
         other = base.get(name, {})
-        kinds = ("identical", "differ", "answered only here", "answered only in BASE",
-                 "refused by both")
+        kinds = ("identical", "differ", "differ in a tie only", "answered only here",
+                 "answered only in BASE", "refused by both")
         counts = dict.fromkeys(kinds, 0)
         for label in group.keys() | other.keys():
             here, there = group.get(label, "refused"), other.get(label, "refused")
@@ -98,8 +127,10 @@ def compare(groups, base) -> bool:
                 counts["answered only here"] += 1
             elif here == "refused":
                 counts["answered only in BASE"] += 1
+            elif here == there:
+                counts["identical"] += 1
             else:
-                counts["identical" if here == there else "differ"] += 1
+                counts["differ in a tie only" if tie_only(here, there) else "differ"] += 1
         same = same and counts["differ"] == 0
         print(f"{name}: " + ", ".join(f"{n} {what}" for what, n in counts.items()))
     return same
@@ -111,7 +142,7 @@ def main() -> int:
     base = None
     if len(sys.argv) == 3:
         base = json.loads(Path(sys.argv[2]).read_text(encoding="utf-8"))
-    groups = {"pool": {}, "tail": {}, "float": {}, "tuples": {}}
+    groups = {"pool": {}, "tail": {}, "float": {}, "tuples": {}, "relations": {}}
     recorded = load_expected("exact_hard")["instances"]
     for index, (ms, _) in enumerate(recorded):
         group = groups["pool" if ms is not None and ms <= POOL_MS else "tail"]
@@ -131,6 +162,14 @@ def main() -> int:
         for name, values in (("int", (1, 2, 3)), ("float", FLOAT_VALUES)):
             left, right = (mp.random_tuple(rng, k, (3, 5), values) for _ in range(2))
             both_variants(groups["tuples"], f"{name}:{seed}", left, right)
+    for index in range(0, len(load_expected("bounds")["instances"]), 2):
+        relations(groups["relations"], f"bounds:{index}", *inst.bounds_case(index))
+    for seed in range(RELATION_SEEDS):
+        rng = random.Random(f"witness_dump:relations:{seed}")
+        nx, ny = RELATION_GRIDS[seed % len(RELATION_GRIDS)]
+        for name, values in (("int", (1, 2, 3)), ("float", FLOAT_VALUES)):
+            left, right = (mp.random_pair(rng, (n, n), values) for n in (nx, ny))
+            relations(groups["relations"], f"{name}:{seed}", left, right)
     Path(sys.argv[1]).write_text(json.dumps(groups, indent=1) + "\n", encoding="utf-8")
     for name, group in groups.items():
         refused = sum(1 for result in group.values() if result == "refused")

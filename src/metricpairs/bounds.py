@@ -82,8 +82,9 @@ class BoundsInterval:
 def gh_bounds(left: MetricPair, right: MetricPair) -> BoundsInterval:
     """Best available certified interval without running the exact search.
 
-    Half the minimal distortion only counts as a lower bound when the
-    distortion search is exhaustive, so it is computed only then.
+    Half the minimal distortion only counts as a lower bound when
+    ``min_distortion`` is exact, on at most ``_EXHAUSTIVE_CELLS`` cells
+    (the witness search), so it is computed only then.
     """
     diam = diameter_lower_bound(left, right)
     half_dis: Optional[Scalar] = None
@@ -194,10 +195,12 @@ def sandwich_report(
 ) -> SandwichReport:
     """Certify half-min-distortion <= exact value <= min full sup.
 
-    Both distortion searches must be exhaustive for the flags to mean
-    anything, so oversized instances raise rather than degrade.  ``budget``
-    caps the witness-search nodes of the exact solve, as in
-    ``exact_pair_gh``.
+    Both minima must be exact for the flags to mean anything.
+    ``min_distortion`` gets them from the witness search only up to
+    ``_EXHAUSTIVE_CELLS`` cells (past that its local search gives an upper
+    estimate), so oversized instances raise rather than degrade.  The two
+    minima run with no budget; ``budget`` caps the witness-search nodes of
+    the exact solve, as in ``exact_pair_gh``.
     """
     from .oracle import exact_pair_gh
 

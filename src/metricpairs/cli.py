@@ -354,8 +354,7 @@ def cmd_apps_densify(args) -> int:
 def cmd_sample(args) -> int:
     _need("generators")
     rng = random.Random(args.seed)
-    values = tuple(int(v) for v in args.values.split(","))
-    n_range = (args.min_points, args.max_points)
+    values, n_range = args.values, (args.min_points, args.max_points)
     if args.kind == "space":
         payload = space_to_dict(random_space(rng, rng.randint(*n_range), values))
     elif args.kind == "pair":
@@ -388,6 +387,20 @@ def _finite(text: str, positive: bool = False) -> float:
     sign = ">" if positive else ">="
     if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
         raise argparse.ArgumentTypeError(f"expected a finite number {sign} 0, got {text!r}")
+    return value
+
+
+def _integer(text: str, least=None) -> int:
+    """An integer flag, or one part of ``--values``: an optional ``-``, then
+    ASCII digits only, as ``_indices`` reads an index (``int()`` alone also
+    takes ``1_0``, spaces and other scripts' digits); below ``least`` it is
+    refused too."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    value = int(text)
+    if least is not None and value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
     return value
 
 
@@ -427,12 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, variant in (("exact", "sum"), ("tilde", "max")):
         sub = gh_sub.add_parser(name, help=f"exact pair distance ({variant} variant)")
         _common(sub, 2)
-        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
+        sub.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
         sub.set_defaults(func=cmd_gh_exact, variant=variant)
 
     sub = gh_sub.add_parser("tuple", help="exact tuple distance")
     _common(sub, 2)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
+    sub.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     sub.add_argument("--variant", choices=("sum", "max"), default="sum")
     sub.set_defaults(func=cmd_gh_exact)
 
@@ -458,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = geo_sub.add_parser("audit", help="compare interpolant distances to scaling")
     _common(sub, 1)
     sub.add_argument("--grid", default=None, help="comma-separated times")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
+    sub.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     sub.add_argument("--strict", action="store_true", help="exit 1 on any mismatch")
     sub.set_defaults(func=cmd_geodesic_audit)
 
@@ -467,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = cas_sub.add_parser("run", help="build complexes across scales")
     _common(sub, 1)
-    sub.add_argument("--levels", type=int, nargs="+", default=(2, 3))
+    sub.add_argument("--levels", type=_integer, nargs="+", default=(2, 3))
     sub.add_argument("--no-saturate", action="store_true")
     sub.set_defaults(func=cmd_cassorla_run)
 
@@ -480,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = apps_sub.add_parser("tilde", help="variant sandwich check")
     _common(sub, 2)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
+    sub.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     sub.set_defaults(func=cmd_apps_tilde)
 
     sub = apps_sub.add_parser("realize", help="Hausdorff interval between realizations")
@@ -490,16 +503,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = apps_sub.add_parser("densify", help="round distances onto a 1/q grid")
     _common(sub, 1)
-    sub.add_argument("--q", type=int, required=True)
+    sub.add_argument("--q", type=_integer, required=True)
     sub.set_defaults(func=cmd_apps_densify)
 
     sub = commands.add_parser("sample", help="generate a random instance document")
     sub.add_argument("kind", choices=("space", "pair", "tuple", "corr"))
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--min-points", type=int, default=2)
-    sub.add_argument("--max-points", type=int, default=4)
-    sub.add_argument("--values", default="1,2,3")
-    sub.add_argument("--k", type=int, default=1, help="tuple chain length")
+    sub.add_argument("--seed", type=_integer, default=0)
+    sub.add_argument("--min-points", type=lambda text: _integer(text, least=1), default=2)
+    sub.add_argument("--max-points", type=lambda text: _integer(text, least=1), default=4)
+    sub.add_argument(
+        "--values", type=lambda text: tuple(map(_integer, text.split(","))), default="1,2,3"
+    )
+    sub.add_argument("--k", type=_integer, default=1, help="tuple chain length")
     sub.add_argument("--out", choices=("json", "csv", "text"), default="json")
     sub.set_defaults(func=cmd_sample)
 

@@ -4,12 +4,13 @@ A pair is a tuple with one subset level.  A correspondence projects onto
 both spaces and, restricted to each pair of levels, onto both of those as
 well; the types check this coverage when they are built.  Its distortion
 averages the sup |dX - dY| over the levels, the full spaces first.
-``min_distortion`` searches the relation lattice exhaustively on grids of
-at most ``_EXHAUSTIVE_CELLS`` cells and falls back to a local search
-beyond them.
+``min_distortion`` runs the witness search of ``oracle`` on grids of at
+most ``_EXHAUSTIVE_CELLS`` cells, over the unions of four maps that every
+covering relation contains, and falls back to a local search beyond them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -21,6 +22,8 @@ from .spaces import (
     MetricTuple,
     _glue_block,
     _level_pairs,
+    _levels_of,
+    _on_integer_scale,
     _sup_abs_diff,
     hausdorff,
     pair_hausdorff,
@@ -210,86 +213,6 @@ class MinDistortionResult:
     optimal: bool
 
 
-def _objective_value(s_full, s_sub, objective):
-    if objective == "sup_full":
-        return s_full
-    return s_full + s_sub  # doubled distortion; halved at the end
-
-
-def _search_exhaustive(left: MetricPair, right: MetricPair, objective: str):
-    """Depth-first include/exclude search over the cell grid.
-
-    A node is two cell masks: the included cells ``inc`` and the excluded
-    cells ``exc``.  Cells are scanned in lexicographic order with include
-    tried first, and pruning at bound >= incumbent keeps the first
-    relation found at the optimal value.  Of tied relations that is the
-    first in include-first order, which prefers a superset to its subsets,
-    not the lexicographically smallest.  A cover mask ``g`` with no
-    included cell and one open cell in ``g & ~exc`` forces that cell,
-    which is included eagerly.
-    """
-    nx, ny = left.space.n, right.space.n
-    ncells = nx * ny
-    dx, dy = left.space.dist, right.space.dist
-    a_set, b_set = set(left.subset), set(right.subset)
-    groups = [m for *_, m in _cover_masks(left, right)]
-    restricted = [
-        (c // ny) in a_set and (c % ny) in b_set for c in range(ncells)
-    ]
-
-    best_value: list = [None, None]  # value, cells tuple
-
-    def fold(cell, included, s_full, s_sub):
-        # raise the two sups by the mismatches of ``cell`` against ``included``
-        i, j = divmod(cell, ny)
-        for c2 in included:
-            i2, j2 = divmod(c2, ny)
-            diff = dx[i][i2] - dy[j][j2]
-            if diff < 0:
-                diff = -diff
-            if diff > s_full:
-                s_full = diff
-            if restricted[cell] and restricted[c2] and diff > s_sub:
-                s_sub = diff
-        return s_full, s_sub
-
-    def close(pos, inc, exc, included, s_full, s_sub):
-        # Only an exclusion leaves an unmet group with one open cell, and
-        # never with none: every group starts nonempty, one with a single
-        # open cell is forced in the pass that leaves it so, and an
-        # exclusion takes one open cell from groups that had at least two.
-        # Including a forced cell leaves every group's open cells as they
-        # were, so one pass reaches the closure.
-        for g in groups:
-            if g & inc:
-                continue
-            open_cells = g & ~exc
-            if open_cells.bit_count() == 1:
-                forced = open_cells.bit_length() - 1
-                s_full, s_sub = fold(forced, included, s_full, s_sub)
-                included += (forced,)
-                inc |= open_cells
-        run(pos, inc, exc, included, s_full, s_sub)
-
-    def run(pos, inc, exc, included, s_full, s_sub):
-        bound = _objective_value(s_full, s_sub, objective)
-        if best_value[0] is not None and not bound < best_value[0]:
-            return
-        while pos < ncells and (inc | exc) >> pos & 1:
-            pos += 1
-        if pos == ncells:
-            best_value[0] = bound
-            best_value[1] = tuple(sorted(included))
-            return
-        cell = 1 << pos
-        nf, ns = fold(pos, included, s_full, s_sub)
-        run(pos + 1, inc | cell, exc, included + (pos,), nf, ns)
-        close(pos + 1, inc, exc | cell, included, s_full, s_sub)
-
-    close(0, 0, 0, (), 0, 0)
-    return tuple(divmod(c, ny) for c in best_value[1])
-
-
 def _profile_cost(pa, pb) -> Scalar:
     la, lb = len(pa), len(pb)
     n = max(la, lb)
@@ -334,10 +257,11 @@ def _local_search(left: MetricPair, right: MetricPair, objective):
 
     def price(cells):
         pairs = sorted(cells)
-        s_sub = 0
-        if objective != "sup_full":
-            s_sub = _sup_abs_diff(_restricted(pairs, left.subset, right.subset), dx, dy)
-        return _objective_value(_sup_abs_diff(pairs, dx, dy), s_sub, objective)
+        s_full = _sup_abs_diff(pairs, dx, dy)
+        if objective == "sup_full":
+            return s_full
+        # doubled distortion, as the witness search prices it
+        return s_full + _sup_abs_diff(_restricted(pairs, left.subset, right.subset), dx, dy)
 
     cells = _heuristic_start(left, right)
     value = price(cells)
@@ -369,15 +293,29 @@ def min_distortion(
 ) -> MinDistortionResult:
     """Minimize distortion (or the full sup) over all pair correspondences.
 
-    Exhaustive branch-and-bound when |X|*|Y| is at most _EXHAUSTIVE_CELLS
-    (of tied relations, the first in include-first order, which prefers
-    a superset to its subsets), profile-matching plus greedy cell removal
-    beyond it (optimal flag False).
+    When |X|*|Y| is at most _EXHAUSTIVE_CELLS, the witness search
+    (``oracle._search``, with no budget) finds the least over the unions of
+    maps X -> Y, Y -> X, A -> B and B -> A, which is the least over all
+    relations, as each contains such a union and both sups only grow with
+    the relation: its distortion variant for the distortion, its max
+    variant for the full sup.  The relation returned is the union of the
+    entries of the first optimal witness, so ties resolve in the search's
+    order (subset-level slots first, each filled by the child of least
+    value, then least target index), not lexicographically as in
+    ``brute_force_min_distortion``.  Beyond that size, profile-matching
+    plus greedy cell removal (optimal flag False).
     """
     if objective not in ("distortion", "sup_full"):
         raise ValueError(f"unknown objective {objective!r}")
     if _exhaustive(left, right):
-        pairs = _search_exhaustive(left, right, objective)
+        from .oracle import _search  # here, so larger grids never load oracle and lp
+
+        scale, _, dx, dy = _on_integer_scale(0, left.space.dist, right.space.dist)
+        zero = 0 if scale is not None else 0.0
+        variant = "max" if objective == "sup_full" else "distortion"
+        levels = _levels_of(left), _levels_of(right)
+        entries, _ = _search(dx, dy, zero, *levels, variant, math.inf)
+        pairs = entries[0] + entries[1]
         optimal = True
     else:
         pairs = _local_search(left, right, objective)

@@ -22,6 +22,14 @@ summed solve of three or more levels, to split the optimal value into
 certificate radii.  The certificate's cross metric is a min-plus product
 through the witness cells, built and checked on the integer scale as
 well.
+
+The same search finds ``correspondences.min_distortion``'s least
+relations on small grids: every covering relation of two pairs contains
+a union of four maps, X -> Y, Y -> X, A -> B and B -> A, and both of its
+sups only grow with the relation.  The max variant's doubled value is
+the least full sup; a third variant, ``"distortion"``, prices a witness
+by the doubled distortion of its union, the full sup plus the subset
+one.
 """
 from __future__ import annotations
 
@@ -95,6 +103,12 @@ def _max_entry(m) -> Scalar:
             if row[b] > best:
                 best = row[b]
     return best
+
+
+def _distortion2(m) -> Scalar:
+    """Doubled distortion of a pair's map union: the full sup plus the
+    subset-level one (``_search``'s distortion variant)."""
+    return _max_entry(m) + m[1][1]
 
 
 def _assignment_value2(m) -> Scalar:
@@ -222,13 +236,13 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
 
     Slots run innermost level first, left-side points before right-side
     ones; children are tried in order of a key, then target index, so the
-    first optimum found is deterministic.  One value function, _max_entry
-    or _assignment_value2, prices leaves and the lookahead and is the key,
-    so the scan of the children stops at the first key that reaches the
-    incumbent.  Summed tuples of three or more levels are keyed by the
-    cheaper _cheap_value2 instead, which never exceeds the value; only
-    there is a child the key lets through priced, and skipped when its
-    value already reaches the incumbent.
+    first optimum found is deterministic.  One value function, _max_entry,
+    _assignment_value2 or _distortion2, prices leaves and the lookahead
+    and is the key, so the scan of the children stops at the first key
+    that reaches the incumbent.  Summed tuples of three or more levels
+    are keyed by the cheaper _cheap_value2 instead, which never exceeds
+    the value; only there is a child the key lets through priced, and
+    skipped when its value already reaches the incumbent.
 
     Every candidate entry of an unplaced slot keeps its row: its worst
     mismatch against the entries placed so far, per level, raised as
@@ -274,27 +288,46 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     there.  The floor needs symmetric distances, which a positive
     tolerance need not give; with asymmetric ones no leaf stops the search.
 
+    The distortion variant (pairs only) searches map unions for the least
+    doubled distortion, _distortion2: the full sup _max_entry(m) plus the
+    subset sup m[1][1].  Its level-1 slots are A -> B and B -> A as
+    usual, but its level-0 slots are only the points outside the subsets
+    (x outside A to any y, y outside B to any x): a point of A may take
+    its level-1 image at the full level too, which only shrinks the
+    relation, and both sups only grow with it.  So the subset-level
+    entries are exactly the union's cells in A x B, and m[1][1] is its
+    subset sup.  A point of A has no level-0 entry, which the
+    distance-set bound needs, so the floor is off.  A dead candidate's
+    entry r counts in both terms when both it and the placed entry are
+    subset-level, so it weighs 2 there and 1 elsewhere.
+
     ``dx`` and ``dy`` are distance matrices, on one integer scale when
     exact, and ``zero`` seeds m.  Raises BudgetExceededError once more
     than ``budget`` nodes are visited.  Returns the per-level entry lists
     and the mismatch matrix.
     """
     nlev = len(levels_left)
-    value_fn = _max_entry if variant == "max" else _assignment_value2
+    value_fn = {"max": _max_entry, "sum": _assignment_value2, "distortion": _distortion2}[variant]
     key_fn = _cheap_value2 if variant == "sum" and nlev > 2 else value_fn
     symmetric = all(list(row) == list(col) for d in (dx, dy) for row, col in zip(d, zip(*d)))
-    # no leaf is worth less than 0, so without symmetry none stops the search
-    floor = value_fn(_distance_sets(dx, dy, levels_left, levels_right)) if symmetric else -1
+    # no leaf is worth less than 0, so with the floor off none stops the search
+    floor = -1
+    if symmetric and variant != "distortion":
+        floor = value_fn(_distance_sets(dx, dy, levels_left, levels_right))
 
     # per slot, innermost level first and left-side points before right-side
     # ones: its level and its candidates (target, x, y, dx[x], dy[y], row)
     slots, cands = [], []
     for lvl in range(nlev - 1, -1, -1):
         left, right = levels_left[lvl], levels_right[lvl]
-        for x in left:
+        own_left, own_right = left, right
+        if variant == "distortion" and lvl == 0:
+            own_left = [x for x in left if x not in levels_left[1]]
+            own_right = [y for y in right if y not in levels_right[1]]
+        for x in own_left:
             slots.append(lvl)
             cands.append([(y, x, y, dx[x], dy[y], [zero] * nlev) for y in right])
-        for y in right:
+        for y in own_right:
             slots.append(lvl)
             cands.append([(x, x, y, dx[x], dy[y], [zero] * nlev) for x in left])
     nslots = len(slots)
@@ -327,6 +360,8 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             # incumbent; adding the int 0 never rounds
             if variant == "max":
                 weight, add = 1, 0
+            elif variant == "distortion":
+                weight, add = 2 if slots[s] == lvl == 1 else 1, 0
             elif slots[s] != lvl:
                 weight, add = 2, 0
             else:

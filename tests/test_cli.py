@@ -661,18 +661,22 @@ print(json.dumps([package, code, sorted(sys.modules)]))
 
 _ORACLE_ONLY = ("correspondences", "complexes", "realization", "bounds", "geodesics", "applications")
 
+_DISTORTION_ONLY = ("complexes", "realization", "geodesics", "applications")
+
 # argv -> modules of the package the command must not load
 _IMPORT_TABLE = [
     (["--help"], ("serialization", "spaces", "oracle", "lp")),
     (["validate", "--input", "SPACE"], ("oracle", "lp", "correspondences", "complexes", "realization")),
     (["gh", "exact", "--input", "PAIR", "PAIR"], _ORACLE_ONLY),
     (["gh", "tuple", "--input", "TUPLE", "TUPLE"], _ORACLE_ONLY),
-    (["gh", "bounds", "--input", "PAIR", "PAIR"], ("oracle", "lp")),
+    # up to 16 cells both distortion objectives run the witness search
+    (["gh", "bounds", "--input", "PAIR", "PAIR"], _DISTORTION_ONLY),
     (["cassorla", "run", "--input", "PAIR"], ("oracle", "lp", "correspondences", "realization")),
     (["apps", "realize", "--input", "LOW", "HIGH"], ("oracle", "lp", "correspondences", "complexes")),
     (["validate", "--input", "LOW"], ("oracle", "lp", "correspondences", "complexes")),
     (["sample", "pair"], ("oracle", "lp", "complexes", "realization")),
-    (["gh", "corr", "--input", "PAIR", "PAIR"], ("oracle", "lp")),
+    (["gh", "corr", "--input", "PAIR", "PAIR"], _DISTORTION_ONLY),
+    (["gh", "corr", "--input", "WIDE", "WIDE"], ("oracle", "lp")),
     (["validate", "--input", "CORR"], ("oracle", "lp", "complexes", "realization")),
     (["geodesic", "sample", "--input", "CORR", "--t", "1/2"], ("complexes", "realization")),
 ]
@@ -684,6 +688,11 @@ def test_each_command_imports_only_its_modules(tmp_path):
     docs = {
         "SPACE": _write(tmp_path, "space.json", PATH3),
         "PAIR": _write(tmp_path, "pair.json", PAIR_BIG),
+        # 25 cells: past the witness search, so the local search runs
+        "WIDE": _write(tmp_path, "wide.json", {
+            "distances": [[str(abs(i - j)) for j in range(5)] for i in range(5)],
+            "subset": [0, 4],
+        }),
         "TUPLE": _write(tmp_path, "tuple.json", TUPLE_BIG),
         "LOW": _write(tmp_path, "low.json", SEGMENT_LOW),
         "HIGH": _write(tmp_path, "high.json", SEGMENT_HIGH),

@@ -256,6 +256,33 @@ def test_index_lists_take_only_ascii_digits(docs, capsys, left):
     assert _contract(capsys, argv) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "space", "--values", "1_0"],
+        ["sample", "space", "--values", "1,\u0662"],
+        ["sample", "tuple", "--k", "1_0"],
+        ["sample", "pair", "--seed", " 1"],
+        ["sample", "pair", "--max-points", "+3"],
+        ["gh", "exact", "--input", "GOOD_PAIR", "GOOD_PAIR", "--budget", "1_000"],
+        ["gh", "exact", "--input", "GOOD_PAIR", "GOOD_PAIR", "--budget", "\u0663\u0660"],
+        ["geodesic", "audit", "--input", "GOOD_CORR", "--budget", "1_000"],
+        ["apps", "densify", "--input", "GOOD_PAIR", "--q", "\u0663"],
+        ["cassorla", "run", "--input", "GOOD_PAIR", "--levels", "\u0662"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_integer_flags_take_only_ascii_digits(docs, capsys, argv):
+    assert _contract(capsys, [docs.get(arg, arg) for arg in argv]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--min-points", "--max-points"])
+def test_point_counts_below_one_are_refused_on_every_seed(capsys, flag):
+    for seed in range(10):
+        argv = ["sample", "pair", "--seed", str(seed), flag, "0"]
+        assert _contract(capsys, argv) == 2, seed
+
+
 def test_validate_rejects_a_tolerance_that_switches_checks_off(docs, capsys):
     for tol in ("nan", "-1", "inf", "-inf"):
         argv = ["validate", "--input", docs["triangle"], "--tol", tol]

@@ -28,9 +28,10 @@ from metricpairs.generators import (
     random_correspondence,
     random_pair,
     random_space,
+    random_subset,
     random_tuple,
 )
-from metricpairs.scalars import half
+from metricpairs.scalars import close, half
 from metricpairs.spaces import (
     FiniteMetricSpace,
     MetricPair,
@@ -238,19 +239,60 @@ def test_distortion_tuple_averages_all_levels():
     assert br.value == 2
 
 
+_BRUTE_GRIDS = ((1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3))
+
+
+def _subset_of(rng, n, kind):
+    """The whole space (no full-level slot of the distortion search), one
+    point, or a random subset."""
+    if kind == "full":
+        return tuple(range(n))
+    if kind == "point":
+        return (rng.randrange(n),)
+    return random_subset(rng, n)
+
+
+def _asymmetric_copy(pair, rng):
+    """Float copy whose distances differ from their transposes by less
+    than the tolerance, so the space still validates."""
+    n = pair.space.n
+    rows = [
+        [float(v) + (rng.uniform(0, 1e-10) if i != j else 0.0) for j, v in enumerate(row)]
+        for i, row in enumerate(pair.space.dist)
+    ]
+    return MetricPair(FiniteMetricSpace.from_matrix(rows), pair.subset)
+
+
 def test_min_distortion_exhaustive_matches_brute_force():
+    """Int, Fraction and float distances; full, one-point and random
+    subsets; grids of up to 12 cells; both objectives.  Symmetric inputs
+    agree with brute force exactly.  On float copies that are asymmetric
+    within the tolerance, the search folds |dx - dy| with the new cell
+    first where ``distortion`` reads the earlier cell first, so there
+    the least values agree only within the tolerance."""
     rng = random.Random(31)
-    for _ in range(25):
-        left = random_pair(rng, n_range=(2, 3))
-        right = random_pair(rng, n_range=(2, 3))
-        for objective in ("distortion", "sup_full"):
-            fast = min_distortion(left, right, objective=objective)
-            slow = brute_force_min_distortion(left, right, objective=objective)
-            assert fast.optimal
-            if objective == "distortion":
-                assert fast.breakdown.value == slow.breakdown.value
-            else:
-                assert fast.breakdown.sup_full == slow.breakdown.sup_full
+    kinds = ("full", "point", "random")
+    for case in range(48):
+        nx, ny = _BRUTE_GRIDS[case % len(_BRUTE_GRIDS)]
+        values = _VALUES[case // len(_BRUTE_GRIDS) % 3]
+        left, right = (
+            MetricPair(space, _subset_of(rng, space.n, kinds[(case // k) % 3]))
+            for space, k in ((random_space(rng, nx, values), 1), (random_space(rng, ny, values), 3))
+        )
+        operands = [(left, right, True)]
+        if values is _VALUES[2]:
+            operands.append((_asymmetric_copy(left, rng), _asymmetric_copy(right, rng), False))
+        for left, right, symmetric in operands:
+            for objective in ("distortion", "sup_full"):
+                fast = min_distortion(left, right, objective=objective)
+                slow = brute_force_min_distortion(left, right, objective=objective)
+                assert fast.optimal
+                key = "sup_full" if objective == "sup_full" else "value"
+                got, want = getattr(fast.breakdown, key), getattr(slow.breakdown, key)
+                if symmetric:
+                    assert got == want, (case, objective)
+                else:
+                    assert close(got, want), (case, objective)
 
 
 def test_min_distortion_relations_match_recorded_digest():
@@ -258,7 +300,7 @@ def test_min_distortion_relations_match_recorded_digest():
 
     The digest covers 24 seeded pairs with int, Fraction and float
     distances, half of them on at most _EXHAUSTIVE_CELLS cells (the
-    exhaustive search) and half above it (the local search).
+    witness search) and half above it (the local search).
     It pins which relation each search returns, which a comparison of
     values against brute force leaves open.
     """
@@ -273,22 +315,29 @@ def test_min_distortion_relations_match_recorded_digest():
             record = [res.correspondence.pairs, res.breakdown.as_dict(), res.optimal]
             digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == (
-        "471b892aeaccbc395e51afc88afa81c2a5ba37babdb46b92d03ebd964d368d9b"
+        "747f76262cfac5d2eaf2375af49bbd9085aaf0547f683dacfbecea5dcc55b261"
     )
 
 
-def test_min_distortion_ties_prefer_the_superset():
-    """The search tries including a cell before excluding it, so among
-    optimal relations it returns the first in that order: here the full
-    6-cell relation, where brute force returns the lexicographically
-    smallest, a 5-cell subset of it, at the same value."""
+def test_min_distortion_ties_take_the_first_witness_union():
+    """Every relation of this grid ties, and the search returns the union
+    of the entries of the first optimal witness: slots in the witness
+    order (subset level first, left points before right ones), each
+    filled by the child of least value, then least target index.  For
+    the distortion, x1 goes to y1 (mismatch 2 against (0, 0), where y0
+    gives 3), and brute force returns the lexicographically smallest
+    relation, a different one at the same value."""
     left = _pair(FiniteMetricSpace.from_matrix([[0, 3, 3], [3, 0, 3], [3, 3, 0]]), (0, 1, 2))
     right = _pair(_two_point(), (0, 1))
-    for objective in ("distortion", "sup_full"):
+    expected = {
+        "distortion": ((0, 0), (0, 1), (1, 1), (2, 0)),
+        "sup_full": ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)),
+    }
+    for objective, pairs in expected.items():
         fast = min_distortion(left, right, objective=objective)
         slow = brute_force_min_distortion(left, right, objective=objective)
         assert fast.breakdown == slow.breakdown
-        assert fast.correspondence.pairs == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
+        assert fast.correspondence.pairs == pairs
         assert slow.correspondence.pairs == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
 
 
