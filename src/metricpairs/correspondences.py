@@ -10,7 +10,6 @@ covering relation contains, and falls back to a local search beyond them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,8 +21,6 @@ from .spaces import (
     MetricTuple,
     _glue_block,
     _level_pairs,
-    _levels_of,
-    _on_integer_scale,
     _sup_abs_diff,
     hausdorff,
     pair_hausdorff,
@@ -294,11 +291,11 @@ def min_distortion(
     """Minimize distortion (or the full sup) over all pair correspondences.
 
     When |X|*|Y| is at most _EXHAUSTIVE_CELLS, the witness search
-    (``oracle._search``, with no budget) finds the least over the unions of
-    maps X -> Y, Y -> X, A -> B and B -> A, which is the least over all
-    relations, as each contains such a union and both sups only grow with
-    the relation: its distortion variant for the distortion, its max
-    variant for the full sup.  The relation returned is the union of the
+    (``oracle._least_union``, with no budget) finds the least over the
+    unions of maps X -> Y, Y -> X, A -> B and B -> A, which is the least
+    over all relations, as each contains such a union and both sups only
+    grow with the relation; its map-union variant of the objective's name
+    prices each union.  The relation returned is the union of the
     entries of the first optimal witness, so ties resolve in the search's
     order (subset-level slots first, each filled by the child of least
     value, then least target index), not lexicographically as in
@@ -308,14 +305,9 @@ def min_distortion(
     if objective not in ("distortion", "sup_full"):
         raise ValueError(f"unknown objective {objective!r}")
     if _exhaustive(left, right):
-        from .oracle import _search  # here, so larger grids never load oracle and lp
+        from .oracle import _least_union  # here, so larger grids never load oracle and lp
 
-        scale, _, dx, dy = _on_integer_scale(0, left.space.dist, right.space.dist)
-        zero = 0 if scale is not None else 0.0
-        variant = "max" if objective == "sup_full" else "distortion"
-        levels = _levels_of(left), _levels_of(right)
-        entries, _ = _search(dx, dy, zero, *levels, variant, math.inf)
-        pairs = entries[0] + entries[1]
+        pairs = _least_union(left, right, objective)
         optimal = True
     else:
         pairs = _local_search(left, right, objective)

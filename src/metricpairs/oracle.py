@@ -24,15 +24,15 @@ through the witness cells, built and checked on the integer scale as
 well.
 
 The same search finds ``correspondences.min_distortion``'s least
-relations on small grids: every covering relation of two pairs contains
-a union of four maps, X -> Y, Y -> X, A -> B and B -> A, and both of its
-sups only grow with the relation.  The max variant's doubled value is
-the least full sup; a third variant, ``"distortion"``, prices a witness
-by the doubled distortion of its union, the full sup plus the subset
-one.
+relations on small grids (``_least_union``): every covering relation of
+two pairs contains a union of four maps, X -> Y, Y -> X, A -> B and
+B -> A, and both of its sups only grow with the relation.  Two map-union
+variants price a witness by its union: ``"distortion"`` by the doubled
+distortion, ``"sup_full"`` by the full sup.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -236,10 +236,10 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
 
     Slots run innermost level first, left-side points before right-side
     ones; children are tried in order of a key, then target index, so the
-    first optimum found is deterministic.  One value function, _max_entry,
-    _assignment_value2 or _distortion2, prices leaves and the lookahead
-    and is the key, so the scan of the children stops at the first key
-    that reaches the incumbent.  Summed tuples of three or more levels
+    first optimum found is deterministic.  One value function, _max_entry
+    (max, sup_full), _assignment_value2 or _distortion2, prices leaves and
+    the lookahead and is the key, so the scan of the children stops at the
+    first key that reaches the incumbent.  Summed tuples of three or more levels
     are keyed by the cheaper _cheap_value2 instead, which never exceeds
     the value; only there is a child the key lets through priced, and
     skipped when its value already reaches the incumbent.
@@ -288,18 +288,17 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     there.  The floor needs symmetric distances, which a positive
     tolerance need not give; with asymmetric ones no leaf stops the search.
 
-    The distortion variant (pairs only) searches map unions for the least
-    doubled distortion, _distortion2: the full sup _max_entry(m) plus the
-    subset sup m[1][1].  Its level-1 slots are A -> B and B -> A as
-    usual, but its level-0 slots are only the points outside the subsets
-    (x outside A to any y, y outside B to any x): a point of A may take
-    its level-1 image at the full level too, which only shrinks the
-    relation, and both sups only grow with it.  So the subset-level
-    entries are exactly the union's cells in A x B, and m[1][1] is its
-    subset sup.  A point of A has no level-0 entry, which the
-    distance-set bound needs, so the floor is off.  A dead candidate's
-    entry r counts in both terms when both it and the placed entry are
-    subset-level, so it weighs 2 there and 1 elsewhere.
+    The map-union variants (pairs only) search map unions for the least
+    doubled distortion, _distortion2 (the full sup _max_entry(m) plus the
+    subset sup m[1][1]), or the least full sup, _max_entry(m).  Their
+    level-0 slots are only the points outside the subsets: a point of A
+    may take its level-1 image at the full level too, which only shrinks
+    the relation, and both sups only grow with it.  So the subset-level
+    entries are the union's cells in A x B, and a full-subset pair has no
+    level-0 slot.  A point of A has no level-0 entry, which the
+    distance-set bound needs, so the floor is off.  A dead candidate
+    weighs 1, but 2 for the distortion when it and the placed entry are
+    both subset-level, as r then counts in both terms.
 
     ``dx`` and ``dy`` are distance matrices, on one integer scale when
     exact, and ``zero`` seeds m.  Raises BudgetExceededError once more
@@ -307,12 +306,13 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     and the mismatch matrix.
     """
     nlev = len(levels_left)
-    value_fn = {"max": _max_entry, "sum": _assignment_value2, "distortion": _distortion2}[variant]
+    value_fn = {"sum": _assignment_value2, "distortion": _distortion2}.get(variant, _max_entry)
     key_fn = _cheap_value2 if variant == "sum" and nlev > 2 else value_fn
+    union = variant in ("distortion", "sup_full")
     symmetric = all(list(row) == list(col) for d in (dx, dy) for row, col in zip(d, zip(*d)))
     # no leaf is worth less than 0, so with the floor off none stops the search
     floor = -1
-    if symmetric and variant != "distortion":
+    if symmetric and not union:
         floor = value_fn(_distance_sets(dx, dy, levels_left, levels_right))
 
     # per slot, innermost level first and left-side points before right-side
@@ -321,7 +321,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     for lvl in range(nlev - 1, -1, -1):
         left, right = levels_left[lvl], levels_right[lvl]
         own_left, own_right = left, right
-        if variant == "distortion" and lvl == 0:
+        if union and lvl == 0:
             own_left = [x for x in left if x not in levels_left[1]]
             own_right = [y for y in right if y not in levels_right[1]]
         for x in own_left:
@@ -358,7 +358,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
         for s in range(si + 1, nslots):
             # dead: the candidate's entry r alone brings the value to the
             # incumbent; adding the int 0 never rounds
-            if variant == "max":
+            if value_fn is _max_entry:  # max and sup_full
                 weight, add = 1, 0
             elif variant == "distortion":
                 weight, add = 2 if slots[s] == lvl == 1 else 1, 0
@@ -560,6 +560,14 @@ def _finalize(left, right, variant, ents, m):
     )
 
 
+def _scaled_search(left, right, variant, levels_l, levels_r, budget):
+    """``_search`` on the operands' distances, on one integer scale when
+    exact: the scale (None for floats), the entries and the mismatch."""
+    scale, _, dx, dy = _on_integer_scale(0, left.space.dist, right.space.dist)
+    zero = 0 if scale is not None else 0.0  # a float zero keeps float results float
+    return (scale, *_search(dx, dy, zero, levels_l, levels_r, variant, budget))
+
+
 def _solve(left, right, variant, levels_l, levels_r, budget) -> GHResult:
     """Search the given levels and certify the optimum on the operands.
 
@@ -567,15 +575,21 @@ def _solve(left, right, variant, levels_l, levels_r, budget) -> GHResult:
     repeats that level's entries and mismatch.  Exact distances are
     searched on one integer scale and the mismatch is mapped back.
     """
-    scale, _, dx, dy = _on_integer_scale(0, left.space.dist, right.space.dist)
-    zero = 0 if scale is not None else 0.0  # a float zero keeps float results float
-    ents, m = _search(dx, dy, zero, levels_l, levels_r, variant, budget)
+    scale, ents, m = _scaled_search(left, right, variant, levels_l, levels_r, budget)
     if scale is not None and scale > 1:
         m = [[Fraction(v, scale) for v in row] for row in m]
     if len(levels_l) == 1:
         ents = ents * 2
         m = [[m[0][0]] * 2 for _ in range(2)]
     return _finalize(left, right, variant, ents, m)
+
+
+def _least_union(left, right, objective) -> list:
+    """A least relation for ``objective``: the union of the first optimal
+    witness's entries under the map-union variant of that name."""
+    levels = _levels_of(left), _levels_of(right)
+    _, ents, _ = _scaled_search(left, right, objective, *levels, math.inf)
+    return ents[0] + ents[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricpairs.bounds import gh_bounds
-from metricpairs.correspondences import min_distortion
+from metricpairs.correspondences import brute_force_min_distortion, min_distortion
 from metricpairs.generators import random_pair, random_permuted_pair
 from metricpairs.oracle import exact_pair_gh, exact_pair_gh_max, exact_tuple_gh
 from metricpairs.spaces import FiniteMetricSpace, MetricPair
@@ -112,9 +112,25 @@ def test_one_level_tuple_equals_its_pair(seed):
 @given(_SEED)
 def test_least_full_sup_is_twice_the_max_variant(seed):
     """The least full distortion sup over pair correspondences is twice
-    the max-variant distance: the exhaustive cell search (at most 16
-    cells) checked against the witness search."""
+    the max-variant distance: the full-sup map-union search of
+    ``min_distortion`` (at most 16 cells, level-0 slots only outside the
+    subsets) checked against the max-variant witness search (level-0
+    slots for every point)."""
     _, left, right = _pairs(seed, 4)
     found = min_distortion(left, right, objective="sup_full")
     assert found.optimal
     assert found.breakdown.sup_full == 2 * _exact_max(left, right)
+
+
+@settings(settings.get_profile("bounded"), max_examples=3)
+@given(_SEED)
+def test_least_full_sup_on_sixteen_cells_matches_brute_force(seed):
+    """On 4-point pairs (16 cells, the largest grid the map-union search
+    serves) the least full sup equals the one brute force finds over all
+    2^16 cell sets, a check independent of the witness search.  About two
+    seconds an example."""
+    rng = random.Random(seed)
+    left, right = (random_pair(rng, (4, 4), (1, 2, 3, 4)) for _ in range(2))
+    found = min_distortion(left, right, objective="sup_full")
+    slow = brute_force_min_distortion(left, right, objective="sup_full")
+    assert found.breakdown.sup_full == slow.breakdown.sup_full
