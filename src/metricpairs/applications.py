@@ -9,17 +9,16 @@ rounds a metric onto a rational grid with a certified distance bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .correspondences import PairCorrespondence, distortion
 from .oracle import DEFAULT_BUDGET, exact_pair_gh, exact_pair_gh_max
-from .scalars import Scalar, as_index, half, is_exact
+from .scalars import Scalar, as_index, half, is_exact, value_class
 from .spaces import FiniteMetricSpace, MetricPair, MetricTuple
 
 
-@dataclass(frozen=True)
+@value_class
 class Hypernet:
     """Nodes are coordinate combinations; distances average the factors."""
 
@@ -69,7 +68,7 @@ def hypernet_tuple_space(tup: MetricTuple) -> Hypernet:
     return Hypernet(FiniteMetricSpace.from_matrix(rows, labels), nodes)
 
 
-@dataclass(frozen=True)
+@value_class
 class HypernetReport:
     induced_cells: tuple
     net_distortion: Scalar
@@ -108,7 +107,7 @@ def hypernet_distortion(corr: PairCorrespondence) -> HypernetReport:
 # the two variants side by side
 
 
-@dataclass(frozen=True)
+@value_class
 class VariantSandwich:
     max_value: Scalar
     sum_value: Scalar
@@ -141,7 +140,7 @@ def variant_sandwich(
 # rational densification
 
 
-@dataclass(frozen=True)
+@value_class
 class DensifyResult:
     space: FiniteMetricSpace
     q: int

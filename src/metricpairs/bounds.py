@@ -6,7 +6,6 @@ nets.  ``sandwich_report`` evaluates the full chain on one instance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import DEFAULT_BUDGET
@@ -17,7 +16,7 @@ from .correspondences import (
     classical_glue,
     min_distortion,
 )
-from .scalars import Scalar, as_index, check_positive, half
+from .scalars import Scalar, as_index, check_positive, half, value_class
 from .spaces import MetricPair, _level_pairs
 
 if TYPE_CHECKING:
@@ -33,7 +32,7 @@ def diameter_lower_bound(left: MetricPair, right: MetricPair) -> Scalar:
     return max(half(g if g >= 0 else -g) for g in gaps)
 
 
-@dataclass(frozen=True)
+@value_class
 class UpperBoundReport:
     """A correspondence-based upper bound with its gluing certificate."""
 
@@ -65,7 +64,7 @@ def correspondence_upper_bound(left: MetricPair, right: MetricPair) -> UpperBoun
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class BoundsInterval:
     lower: Scalar
     upper: Scalar
@@ -104,7 +103,7 @@ def gh_bounds(left: MetricPair, right: MetricPair) -> BoundsInterval:
 # matched nets
 
 
-@dataclass(frozen=True)
+@value_class
 class NetBoundReport:
     ok: bool
     bound: Optional[Scalar]
@@ -176,7 +175,7 @@ def matched_net_bound(
 # the two-sided distortion sandwich
 
 
-@dataclass(frozen=True)
+@value_class
 class SandwichReport:
     half_min_distortion: Scalar
     exact_value: Scalar

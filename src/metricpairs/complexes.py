@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Scalar, as_index
+from .scalars import Scalar, as_index, value_class
 from .spaces import (
     FiniteMetricSpace,
     MetricPair,
@@ -31,7 +30,7 @@ _SLACK = Fraction(1, 2**20)
 _FLOAT_NET_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
+@value_class
 class ApproxParams:
     """Scale bundle at level n: net radius 10^-n, edge cutoff 5^-n.
 
@@ -69,7 +68,7 @@ class DisconnectedComplexError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@value_class
 class WeightedComplex:
     """Vertices (subset net first), flags, and the two weighted edge sets."""
 
@@ -171,7 +170,7 @@ def complex_pair(cx: WeightedComplex) -> MetricPair:
 # diagnostics
 
 
-@dataclass(frozen=True)
+@value_class
 class StretchReport:
     """Graph distances against base distances on the vertex set."""
 
@@ -228,7 +227,7 @@ def approximation_bound(params: ApproxParams, diameter: Scalar) -> float:
 # the decay pipeline
 
 
-@dataclass(frozen=True)
+@value_class
 class PipelineRow:
     n: int
     mu: float
@@ -243,7 +242,7 @@ class PipelineRow:
     core_size: int
 
 
-@dataclass(frozen=True)
+@value_class
 class PipelineResult:
     pair: MetricPair
     rows: tuple

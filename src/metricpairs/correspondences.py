@@ -10,11 +10,10 @@ covering relation contains, and falls back to a local search beyond them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import Scalar, as_index, check_positive, format_scalar, half, is_exact
+from .scalars import Scalar, as_index, check_positive, format_scalar, half, is_exact, value_class
 from .spaces import (
     CrossMetric,
     MetricPair,
@@ -30,7 +29,7 @@ from .spaces import (
 _EXHAUSTIVE_CELLS = 16
 
 
-@dataclass(frozen=True)
+@value_class
 class CorrespondenceViolations:
     """Which surjectivity conditions fail, with the uncovered witnesses.
 
@@ -131,7 +130,7 @@ def _cover(corr, tagged: bool) -> None:
         raise UncoveredRelationError(report)
 
 
-@dataclass(frozen=True)
+@value_class
 class PairCorrespondence:
     left: MetricPair
     right: MetricPair
@@ -144,7 +143,7 @@ class PairCorrespondence:
         return _restricted(self.pairs, self.left.subset, self.right.subset)
 
 
-@dataclass(frozen=True)
+@value_class
 class TupleCorrespondence:
     left: MetricTuple
     right: MetricTuple
@@ -176,7 +175,7 @@ def validate_tuple_correspondence(pairs, left: MetricTuple, right: MetricTuple):
         return exc.report
 
 
-@dataclass(frozen=True)
+@value_class
 class DistortionBreakdown:
     sup_full: Scalar
     sup_levels: tuple
@@ -203,7 +202,7 @@ def distortion(corr) -> DistortionBreakdown:
     return DistortionBreakdown(full, tuple(levels), value)
 
 
-@dataclass(frozen=True)
+@value_class
 class MinDistortionResult:
     correspondence: PairCorrespondence
     breakdown: DistortionBreakdown
@@ -341,7 +340,7 @@ def brute_force_min_distortion(left: MetricPair, right: MetricPair, objective="d
 # gluing constructions
 
 
-@dataclass(frozen=True)
+@value_class
 class GlueReport:
     """A candidate cross metric, its violations, and the pair sum if valid."""
 
@@ -376,7 +375,7 @@ def tight_glue(corr: PairCorrespondence, r: Scalar) -> GlueReport:
     return GlueReport(cross, violations, valid, total)
 
 
-@dataclass(frozen=True)
+@value_class
 class ClassicalGlue:
     cross: CrossMetric
     eta: Scalar
@@ -419,7 +418,7 @@ def classical_glue(corr: PairCorrespondence, eta: Optional[Scalar] = None) -> Cl
 # stability of distortion under Hausdorff perturbation of the relation
 
 
-@dataclass(frozen=True)
+@value_class
 class StabilityReport:
     """|dis R - dis S| against Hausdorff distances in the max product metric."""
 

@@ -8,13 +8,12 @@ against the exact oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .correspondences import DistortionBreakdown, PairCorrespondence
 from .oracle import DEFAULT_BUDGET, exact_pair_gh
-from .scalars import Scalar, all_exact, close, half
+from .scalars import Scalar, all_exact, close, half, value_class
 from .spaces import FiniteMetricSpace, MetricPair, _sup_abs_diff
 
 
@@ -92,7 +91,7 @@ DEFAULT_GRID = (
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class AuditRow:
     s: Scalar
     t: Scalar
@@ -101,7 +100,7 @@ class AuditRow:
     matches: bool
 
 
-@dataclass(frozen=True)
+@value_class
 class GeodesicityAudit:
     endpoint_value: Scalar
     rows: tuple

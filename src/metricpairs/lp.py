@@ -11,12 +11,13 @@ reductions; no attempt is made at sparse or revised formulations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .scalars import value_class
 
-@dataclass(frozen=True)
+
+@value_class
 class Constraint:
     coeffs: tuple
     sense: str  # "<=", ">=" or "=="
@@ -29,15 +30,12 @@ class Constraint:
         object.__setattr__(self, "rhs", Fraction(self.rhs))
 
 
-@dataclass
 class LinearProgram:
     """Minimize objective . x subject to constraints, x >= 0 componentwise."""
 
-    objective: tuple
-    constraints: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.objective = tuple(Fraction(c) for c in self.objective)
+    def __init__(self, objective: Sequence):
+        self.objective = tuple(Fraction(c) for c in objective)
+        self.constraints = []
 
     @property
     def n(self) -> int:
@@ -50,7 +48,7 @@ class LinearProgram:
         self.constraints.append(Constraint(coeffs, sense, rhs))
 
 
-@dataclass(frozen=True)
+@value_class
 class LPResult:
     status: str  # "optimal", "infeasible" or "unbounded"
     value: Fraction | None

@@ -33,13 +33,12 @@ distortion, ``"sup_full"`` by the full sup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
 from . import DEFAULT_BUDGET
 from .lp import LinearProgram, solve_lp
-from .scalars import Scalar, close, format_scalar, half, is_exact
+from .scalars import Scalar, close, format_scalar, half, is_exact, value_class
 from .spaces import (
     CrossMetric,
     MetricPair,
@@ -454,7 +453,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
 # results
 
 
-@dataclass(frozen=True)
+@value_class
 class GHResult:
     """Optimal value with a witness: radii per level and tagged entries.
 

@@ -17,13 +17,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalars import as_index, check_positive
+from .scalars import as_index, check_positive, value_class
 
 
-@dataclass(frozen=True)
+@value_class
 class Interval:
     lower: float
     upper: float

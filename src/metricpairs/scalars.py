@@ -104,3 +104,75 @@ def half(value: Scalar) -> Scalar:
     if isinstance(value, int):
         return value // 2 if value % 2 == 0 else Fraction(value, 2)
     return value / 2
+
+
+def _bind(cls, names: tuple, args: tuple, kwargs: dict) -> tuple:
+    """Field values in field order from a call's arguments, or TypeError."""
+    if len(args) > len(names):
+        raise TypeError(
+            f"{cls.__name__}() takes {len(names)} positional arguments but {len(args)} were given"
+        )
+    values = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        if name in values:
+            raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+        values[name] = value
+    missing = [name for name in names if name not in values]
+    if missing:
+        raise TypeError(f"{cls.__name__}() missing required arguments: {', '.join(missing)}")
+    return tuple(values[name] for name in names)
+
+
+def value_class(cls):
+    """Make ``cls`` an immutable value over its annotated fields, in order.
+
+    The class gets plain functions closed over the field names, so no
+    code is generated at import: ``__init__`` takes every field,
+    positionally or by keyword, then calls ``__post_init__`` when the
+    class defines one (it may still set a field with
+    ``object.__setattr__``); equality and hash go by the field tuple,
+    between instances of one class only; ``repr`` reads
+    ``Name(field=value, ...)``; assigning or deleting any attribute
+    raises AttributeError.  Fields have no defaults.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    count = len(names)
+    indexed = tuple(enumerate(names))
+    get = operator.attrgetter(*names)
+    fields = get if count > 1 else lambda self: (get(self),)
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = _bind(cls, names, args, kwargs)
+        # a store per field into the instance dict costs less than zip
+        # with dict.update, or than object.__setattr__ per field
+        state = self.__dict__
+        for i, name in indexed:
+            state[name] = args[i]
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
+        return f"{cls.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {cls.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {cls.__name__} is immutable")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls

@@ -13,7 +13,6 @@ byte-deterministic.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -153,6 +152,8 @@ def dump_json(data) -> str:
 
 def format_csv(rows) -> str:
     """Render rows to CSV text, exact scalars as 'p/q' strings."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
@@ -164,6 +165,8 @@ def format_csv(rows) -> str:
 
 def matrix_from_csv(path: str, exact: bool = True):
     """Square matrix from CSV; a non-numeric first row is read as labels."""
+    import csv
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:

@@ -8,11 +8,18 @@ the assembled disjoint-union matrix is again a metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from .scalars import Scalar, all_exact, as_index, check_positive, is_exact, tolerance_for
+from .scalars import (
+    Scalar,
+    all_exact,
+    as_index,
+    check_positive,
+    is_exact,
+    tolerance_for,
+    value_class,
+)
 
 
 class InvalidMetricError(ValueError):
@@ -23,7 +30,7 @@ class InvalidMetricError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
+@value_class
 class MetricViolations:
     """Every axiom failure of a candidate matrix.
 
@@ -149,7 +156,7 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
     return FiniteMetricSpace(tuple(labels), tuple(tuple(row) for row in matrix))
 
 
-@dataclass(frozen=True)
+@value_class
 class FiniteMetricSpace:
     """Immutable labelled finite metric space."""
 
@@ -196,7 +203,7 @@ def _normalize_subset(subset, n):
     return out
 
 
-@dataclass(frozen=True)
+@value_class
 class MetricPair:
     """A finite metric space with a distinguished nonempty subset."""
 
@@ -214,7 +221,7 @@ class MetricPair:
         return MetricTuple(self.space, (self.subset,))
 
 
-@dataclass(frozen=True)
+@value_class
 class MetricTuple:
     """A finite metric space with a nested chain of nonempty subsets.
 
@@ -301,7 +308,7 @@ def _glue_block(dx, cells, dy) -> list:
     return block
 
 
-@dataclass(frozen=True)
+@value_class
 class CrossMetric:
     """Two factor metrics plus a cross-distance block delta[i][j].
 
@@ -436,7 +443,7 @@ def _shortest_paths(n: int, edges) -> list:
     return rows
 
 
-@dataclass(frozen=True)
+@value_class
 class NetResult:
     """Greedy net: chosen indices plus points only covered at the radius.
 
@@ -486,7 +493,7 @@ def covering_radius(space: FiniteMetricSpace, members, over=None) -> Scalar:
     return max(min(space.dist[p][q] for q in members) for p in pts)
 
 
-@dataclass(frozen=True)
+@value_class
 class ProductSpace:
     """X x Y with the max metric; flat index = i * |Y| + j."""
 

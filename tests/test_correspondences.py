@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -122,7 +121,7 @@ def test_uncovered_relations_fail_where_they_are_built():
     )
     good = PairCorrespondence(pair, pair, ((0, 0), (1, 1)))
     with pytest.raises(UncoveredRelationError):
-        dataclasses.replace(good, pairs=((1, 1),))
+        PairCorrespondence(good.left, good.right, ((1, 1),))
 
     tup = MetricTuple(_two_point(), ((0, 1), (0,)))
     with pytest.raises(UncoveredRelationError) as info:

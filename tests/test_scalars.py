@@ -8,10 +8,16 @@ import pytest
 
 from metricpairs.applications import rational_densify
 from metricpairs.bounds import matched_net_bound
-from metricpairs.complexes import approximation_pipeline
-from metricpairs.correspondences import PairCorrespondence, classical_glue, tight_glue
+from metricpairs.complexes import ApproxParams, approximation_pipeline
+from metricpairs.correspondences import (
+    DistortionBreakdown,
+    PairCorrespondence,
+    classical_glue,
+    tight_glue,
+)
 from metricpairs.generators import circle_space, graph_space, permute_pair
-from metricpairs.realization import EmbeddedComplex, carrier_samples
+from metricpairs.lp import Constraint
+from metricpairs.realization import EmbeddedComplex, Interval, carrier_samples
 from metricpairs.scalars import (
     all_exact,
     close,
@@ -20,6 +26,7 @@ from metricpairs.scalars import (
     is_exact,
     parse_scalar,
     tolerance_for,
+    value_class,
 )
 from metricpairs.spaces import (
     FiniteMetricSpace,
@@ -179,3 +186,55 @@ def test_index_arguments_take_integers_only(site):
     for value in (2.7, 2.0, True, Fraction(2), "2"):
         with pytest.raises(ValueError, match="must be an integer index"):
             call(value)
+
+
+# class -> (arguments, the fields __post_init__ makes of them, an unequal
+# instance's arguments, arguments __post_init__ refuses or None)
+_VALUE_CLASSES = {
+    DistortionBreakdown: ((1, (2, Fraction(1, 2)), 3), (1, (2, Fraction(1, 2)), 3), (1, (2,), 3), None),
+    MetricPair: ((_PATH, [2, 0, 2]), (_PATH, (0, 2)), (_PATH, (0,)), (_PATH, ())),
+    Constraint: (
+        ([1, 2], "<=", 3),
+        ((Fraction(1), Fraction(2)), "<=", Fraction(3)),
+        ([1, 2], ">=", 3),
+        ([1, 2], "<", 3),
+    ),
+    Interval: ((0.5, 1.5), (0.5, 1.5), (0.5, 2.0), (1.5, 0.5)),
+    ApproxParams: ((3,), (3,), (4,), (1,)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_VALUE_CLASSES), ids=lambda cls: cls.__name__)
+def test_value_class_contract(cls):
+    """Construction by position or keyword, __post_init__, equality and
+    hash by fields within one class, repr, and immutability."""
+    args, fields, other, refused = _VALUE_CLASSES[cls]
+    names = tuple(cls.__annotations__)
+    value = cls(*args)
+    # repr tells Fraction(3, 1) from 3, so it checks the normalised types too
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={field!r}" for name, field in zip(names, fields)
+    ) + ")"
+    by_keyword = cls(**dict(zip(names, args)))
+    assert value == by_keyword and not value != by_keyword
+    assert hash(value) == hash(by_keyword) == hash(fields)
+    assert value != cls(*other)
+    twin = value_class(type(cls.__name__, (), {"__annotations__": dict(cls.__annotations__)}))
+    assert value != twin(*fields) and twin(*fields) != value
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+    assert value == by_keyword
+    with pytest.raises(TypeError, match="missing required arguments: " + names[-1]):
+        cls(*args[:-1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'other'"):
+        cls(*args, other=0)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+        cls(*args, **{names[0]: args[0]})
+    with pytest.raises(TypeError, match="positional arguments"):
+        cls(*args, 0)
+    if refused is not None:
+        with pytest.raises(ValueError):
+            cls(*refused)
