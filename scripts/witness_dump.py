@@ -19,7 +19,10 @@ groups are:
 - ``relations``: ``min_distortion`` on at most 16 cells, where it runs
   the witness search, both objectives: its relation, breakdown, least
   value and optimal flag on the even ``bounds`` instances and on seeded
-  pairs with integer and with float distances.
+  pairs with integer and with float distances;
+- ``keys``: ``canonical_pair_key`` of every pair operand of the
+  ``exact_hard`` instances, the sides of the audits' correspondences
+  included, and ``family_iso_classes`` of the census family.
 
 Writes one JSON object per group to OUT and prints one sha256 per group.
 Two checkouts whose search visits other nodes but finds the same first
@@ -93,6 +96,14 @@ def relations(out, label, left, right):
         }
 
 
+def keys(out, label, pairs):
+    for side, pair in zip("lr", pairs):
+        (n, flags, rows), perm = mp.canonical_pair_key(pair)
+        # lists, not tuples, so a key compares equal to its JSON copy in BASE
+        rows = [[format_scalar(v) for v in row] for row in rows]
+        out[f"{label}:{side}"] = [n, list(flags), rows, list(perm)]
+
+
 def tie_only(here, there) -> bool:
     """Whether two ``relations`` records differ only in the relation and
     the breakdown it decides."""
@@ -142,15 +153,18 @@ def main() -> int:
     base = None
     if len(sys.argv) == 3:
         base = json.loads(Path(sys.argv[2]).read_text(encoding="utf-8"))
-    groups = {"pool": {}, "tail": {}, "float": {}, "tuples": {}, "relations": {}}
+    groups = {"pool": {}, "tail": {}, "float": {}, "tuples": {}, "relations": {}, "keys": {}}
     recorded = load_expected("exact_hard")["instances"]
     for index, (ms, _) in enumerate(recorded):
         group = groups["pool" if ms is not None and ms <= POOL_MS else "tail"]
         kind, operands = inst.exact_hard_case(index)
         label = f"{kind}:{index}"
         if kind == "audit":
+            keys(groups["keys"], label, (operands[0].left, operands[0].right))
             group[label] = audit_values(operands[0])
             continue
+        if kind != "tuple":
+            keys(groups["keys"], label, operands)
         both_variants(group, label, *operands)
         if group is groups["pool"]:
             for factor in SCALINGS:
@@ -170,6 +184,7 @@ def main() -> int:
         for name, values in (("int", (1, 2, 3)), ("float", FLOAT_VALUES)):
             left, right = (mp.random_pair(rng, (n, n), values) for n in (nx, ny))
             relations(groups["relations"], f"{name}:{seed}", left, right)
+    groups["keys"]["family"] = mp.family_iso_classes(mp.enumerate_family())
     Path(sys.argv[1]).write_text(json.dumps(groups, indent=1) + "\n", encoding="utf-8")
     for name, group in groups.items():
         refused = sum(1 for result in group.values() if result == "refused")

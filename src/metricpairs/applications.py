@@ -89,7 +89,7 @@ def hypernet_distortion(corr: PairCorrespondence) -> HypernetReport:
     cells = tuple(
         ((x, a), (y, b)) for x, y in corr.pairs for a, b in restricted
     )
-    worst: Scalar = 0
+    worst: Scalar = 0 if left.space.exact and right.space.exact else 0.0
     for idx, ((x, a), (y, b)) in enumerate(cells):
         for (x2, a2), (y2, b2) in cells[idx + 1 :]:
             wl = half(dl[x][x2] + dl[a][a2])

@@ -71,8 +71,6 @@ def _emit(args, payload: dict, rows=None) -> None:
     if args.out == "json":
         sys.stdout.write(dump_json(payload))
     elif args.out == "csv":
-        if rows is None:
-            raise ValueError("this command has no CSV form")
         sys.stdout.write(format_csv(rows))
     else:
         for key in sorted(payload):
@@ -233,7 +231,7 @@ def cmd_geodesic_audit(args) -> int:
     _need("geodesics")
     corr = _read(args, args.input[0], "correspondence")
     grid = None
-    if args.grid:
+    if args.grid is not None:
         grid = [parse_scalar(part, _exact(args)) for part in args.grid.split(",")]
     audit = geodesicity_audit(corr, grid=grid, budget=args.budget)
     header = ("s", "t", "value", "expected", "matches")
@@ -404,7 +402,7 @@ def _integer(text: str, least=None) -> int:
     return value
 
 
-def _common(sub, inputs: int, variadic: bool = False):
+def _common(sub, inputs: int, variadic: bool = False, csv: bool = False):
     sub.add_argument(
         "--input",
         nargs="+" if variadic else inputs,
@@ -413,7 +411,8 @@ def _common(sub, inputs: int, variadic: bool = False):
         help="input document(s), JSON or CSV matrix",
     )
     sub.add_argument("--mode", choices=("exact", "float"), default="exact")
-    sub.add_argument("--out", choices=("json", "csv", "text"), default="json")
+    outs = ("json", "csv", "text") if csv else ("json", "text")
+    sub.add_argument("--out", choices=outs, default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_geodesic_sample)
 
     sub = geo_sub.add_parser("audit", help="compare interpolant distances to scaling")
-    _common(sub, 1)
+    _common(sub, 1, csv=True)
     sub.add_argument("--grid", default=None, help="comma-separated times")
     sub.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     sub.add_argument("--strict", action="store_true", help="exit 1 on any mismatch")
@@ -479,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     cas_sub = cas.add_subparsers(dest="cassorla_command", required=True)
 
     sub = cas_sub.add_parser("run", help="build complexes across scales")
-    _common(sub, 1)
+    _common(sub, 1, csv=True)
     sub.add_argument("--levels", type=_integer, nargs="+", default=(2, 3))
     sub.add_argument("--no-saturate", action="store_true")
     sub.set_defaults(func=cmd_cassorla_run)
@@ -515,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", type=lambda text: tuple(map(_integer, text.split(","))), default="1,2,3"
     )
     sub.add_argument("--k", type=_integer, default=1, help="tuple chain length")
-    sub.add_argument("--out", choices=("json", "csv", "text"), default="json")
+    sub.add_argument("--out", choices=("json", "text"), default="json")
     sub.set_defaults(func=cmd_sample)
 
     return parser

@@ -285,6 +285,8 @@ def approximation_pipeline(
     distance between the original pair and the complex pair.
     """
     rows = []
+    # the graph metric is exact exactly when the pair is
+    zero = 0 if pair.space.exact else 0.0
     for n in sorted(set(as_index(v, "level") for v in levels)):
         params = ApproxParams(n)
         cx = build_complex(pair, params)
@@ -294,7 +296,7 @@ def approximation_pipeline(
             cx = build_complex(pair, params, theta=floor)
         graph = graph_metric(cx)
         mismatch = _sup_abs_diff(
-            tuple(enumerate(cx.vertices)), graph.dist, pair.space.dist
+            tuple(enumerate(cx.vertices)), graph.dist, pair.space.dist, zero
         )
         cov_full = covering_radius(pair.space, cx.vertices)
         core_pts = [cx.vertices[i] for i, f in enumerate(cx.flags) if f]

@@ -192,8 +192,9 @@ class DistortionBreakdown:
 def distortion(corr) -> DistortionBreakdown:
     """Distortion breakdown: full sup, per-level sups, averaged value."""
     dx, dy = corr.left.space.dist, corr.right.space.dist
+    zero = 0 if corr.left.space.exact and corr.right.space.exact else 0.0
     full, *levels = (
-        _sup_abs_diff(_restricted(corr.pairs, ll, lr), dx, dy)
+        _sup_abs_diff(_restricted(corr.pairs, ll, lr), dx, dy, zero)
         for ll, lr in _level_pairs(corr.left, corr.right)
     )
     total = sum(levels, full)
@@ -248,16 +249,18 @@ def _local_search(left: MetricPair, right: MetricPair, objective):
     removal lowers it.  Adding a cell never lowers either sup, so no cell
     is ever added."""
     dx, dy = left.space.dist, right.space.dist
+    zero = 0 if left.space.exact and right.space.exact else 0.0
     ny = right.space.n
     groups = [m for *_, m in _cover_masks(left, right)]
 
     def price(cells):
         pairs = sorted(cells)
-        s_full = _sup_abs_diff(pairs, dx, dy)
+        s_full = _sup_abs_diff(pairs, dx, dy, zero)
         if objective == "sup_full":
             return s_full
         # doubled distortion, as the witness search prices it
-        return s_full + _sup_abs_diff(_restricted(pairs, left.subset, right.subset), dx, dy)
+        restricted = _restricted(pairs, left.subset, right.subset)
+        return s_full + _sup_abs_diff(restricted, dx, dy, zero)
 
     cells = _heuristic_start(left, right)
     value = price(cells)
@@ -395,7 +398,7 @@ def default_glue_shift(corr: PairCorrespondence) -> Scalar:
     if mp:
         small = min(mp)
         return small * floor if is_exact(small) else float(small) * float(floor)
-    return floor
+    return floor if corr.left.space.exact and corr.right.space.exact else float(floor)
 
 
 def classical_glue(corr: PairCorrespondence, eta: Optional[Scalar] = None) -> ClassicalGlue:

@@ -64,8 +64,10 @@ def diagonal_distortion(corr: PairCorrespondence, s: Scalar, t: Scalar) -> Disto
     restricted = set(corr.restricted())
     every = tuple((i, i) for i in range(len(corr.pairs)))
     sub = tuple((i, i) for i, cell in enumerate(corr.pairs) if cell in restricted)
-    s_full = _sup_abs_diff(every, ma, mb)
-    s_sub = _sup_abs_diff(sub, ma, mb)
+    exact = corr.left.space.exact and corr.right.space.exact and all_exact((s, t))
+    zero = 0 if exact else 0.0
+    s_full = _sup_abs_diff(every, ma, mb, zero)
+    s_sub = _sup_abs_diff(sub, ma, mb, zero)
     return DistortionBreakdown(s_full, (s_sub,), half(s_full + s_sub))
 
 
@@ -142,8 +144,10 @@ def geodesicity_audit(
     times = sorted(set(times))
     # the (0, 1) row repeats the endpoint solve and is served from ``endpoint``
     endpoint = exact_pair_gh(corr.left, corr.right, budget=budget).value
-    exact = corr.left.space.exact and corr.right.space.exact and all_exact(times)
-    sup = _sup_abs_diff(corr.pairs, corr.left.space.dist, corr.right.space.dist)
+    sides_exact = corr.left.space.exact and corr.right.space.exact
+    exact = sides_exact and all_exact(times)
+    zero = 0 if sides_exact else 0.0
+    sup = _sup_abs_diff(corr.pairs, corr.left.space.dist, corr.right.space.dist, zero)
     # rows (a, b) whose value meets its bound (b - a) * sup
     tight = [(0, 1)] if exact and endpoint == sup else []
     pairs = [(s, t) for i, s in enumerate(times) for t in times[i + 1 :]]

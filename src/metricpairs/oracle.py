@@ -315,7 +315,8 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
         floor = value_fn(_distance_sets(dx, dy, levels_left, levels_right))
 
     # per slot, innermost level first and left-side points before right-side
-    # ones: its level and its candidates (target, x, y, dx[x], dy[y], row)
+    # ones: its level and its candidates (x, y, dx[x], dy[y], row); a slot
+    # fixes x or y, so (x, y) orders its candidates by target index
     slots, cands = [], []
     for lvl in range(nlev - 1, -1, -1):
         left, right = levels_left[lvl], levels_right[lvl]
@@ -325,10 +326,10 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             own_right = [y for y in right if y not in levels_right[1]]
         for x in own_left:
             slots.append(lvl)
-            cands.append([(y, x, y, dx[x], dy[y], [zero] * nlev) for y in right])
+            cands.append([(x, y, dx[x], dy[y], [zero] * nlev) for y in right])
         for y in own_right:
             slots.append(lvl)
-            cands.append([(x, x, y, dx[x], dy[y], [zero] * nlev) for x in left])
+            cands.append([(x, y, dx[x], dy[y], [zero] * nlev) for x in left])
     nslots = len(slots)
     undo = []
 
@@ -368,10 +369,10 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
             live = cands[s]
             dead = False
             for c in live:
-                diff = c[3][x] - c[4][y]
+                diff = c[2][x] - c[3][y]
                 if diff < 0:
                     diff = -diff
-                row = c[5]
+                row = c[4]
                 r = row[lvl]
                 if diff > r:
                     undo.append((row, lvl, r))
@@ -379,7 +380,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
                 if inc is not None and not weight * r + add < inc:
                     dead = True
             if dead:
-                kept = [c for c in live if weight * c[5][lvl] + add < inc]
+                kept = [c for c in live if weight * c[4][lvl] + add < inc]
                 if not kept:
                     return False
                 undo.append((cands, s, live))
@@ -391,7 +392,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
         for s in range(si, nslots):
             lvl = slots[s]
             target = bound[lvl]
-            for j, low in enumerate(map(min, zip(*[c[5] for c in cands[s]]))):
+            for j, low in enumerate(map(min, zip(*[c[4] for c in cands[s]]))):
                 if low > target[j]:
                     target[j] = low
                     bound[j][lvl] = low
@@ -415,15 +416,15 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
         lvl = slots[si]
         saved = list(m[lvl])
         children = []
-        for tgt, x, y, _dxr, _dyr, row in cands[si]:
+        for x, y, _dxr, _dyr, row in cands[si]:
             # on a tie the saved entry stays
             row_new = [r if r > s else s for r, s in zip(row, saved)]
             place(lvl, row_new)
-            children.append((key_fn(m), tgt, x, y, row_new))
+            children.append((key_fn(m), x, y, row_new))
         children.sort()
         # every child rewrites row and column lvl whole, and a subtree
         # leaves m as it found it, so one restore after the scan suffices
-        for key, _tgt, x, y, row_new in children:
+        for key, x, y, row_new in children:
             if best[0] is not None and not key < best[0]:
                 break
             place(lvl, row_new)
@@ -600,23 +601,11 @@ def canonical_pair_key(pair: MetricPair):
 
     The encoding is ``(n, flags, rows)``, with the distance rows read in
     the order of the permutation, which maps canonical indices to
-    original ones; of the permutations reaching the least encoding, the
-    lexicographically first is returned.  Returns None when the space is
-    too large to canonicalize cheaply.
-
-    Only the permutations that put the points outside the subset first
-    can have the least flags, and of those only the ones with the least
-    first row can have the least rows.  This is one individualise-and-
-    refine round of partition refinement (McKay & Piperno 2014): the
-    first point p0 comes from the first block (the points outside the
-    subset, or the subset when it is the whole space), the rest of each
-    block follows in increasing distance from p0, and only points tied
-    on that distance are permuted among themselves.  Only the p0 whose
-    sorted first row is least are kept.  Every permutation left out has
-    a larger first row, so the survivors, scanned in lexicographic
-    order, give the full scan's encoding and permutation.  When all
-    distances are equal nothing is pruned and every permutation with the
-    least flags is scanned.
+    original ones.  Only the relabellings that list the points outside
+    the subset first can have the least flags, so only they are scanned;
+    of those reaching the least encoding, the lexicographically first is
+    returned.  Returns None when the space is too large to canonicalize
+    cheaply.
     """
     n = pair.space.n
     if n > _KEY_SIZE_LIMIT:
@@ -625,32 +614,11 @@ def canonical_pair_key(pair: MetricPair):
     outside = tuple(i for i in range(n) if i not in inside)
     flags = (0,) * len(outside) + (1,) * len(inside)
     dist = pair.space.dist
-    blocks = (outside, inside) if outside else (inside,)
-    starts = []
-    for p0 in blocks[0]:
-        row = dist[p0]
-        first = [row[p0]]
-        ties = []
-        for block in blocks:
-            rest = sorted((j for j in block if j != p0), key=row.__getitem__)
-            for a, b in zip([None] + rest, rest):
-                if a is None or row[a] != row[b]:
-                    ties.append([])
-                ties[-1].append(b)
-            first += map(row.__getitem__, rest)
-        starts.append((first, p0, ties))
-    least = min(first for first, _, _ in starts)
-    best = None
-    for first, p0, ties in starts:
-        if first != least:
-            continue
-        for parts in product(*map(permutations, ties)):
-            perm = sum(parts, (p0,))
-            rows = tuple(tuple(map(dist[i].__getitem__, perm)) for i in perm)
-            enc = (n, flags, rows)
-            if best is None or enc < best[0]:
-                best = (enc, perm)
-    return best
+    rows, perm = min(
+        (tuple(tuple(map(dist[i].__getitem__, perm)) for i in perm), perm)
+        for perm in (h + t for h, t in product(permutations(outside), permutations(inside)))
+    )
+    return (n, flags, rows), perm
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,9 @@ def realization_hausdorff(a: EmbeddedComplex, b: EmbeddedComplex, h: float) -> I
     carrier samples, so the true distance lies in the returned interval.
     """
     check_positive(h, "h")
+    dims = len(a.points[0]), len(b.points[0])
+    if dims[0] != dims[1]:
+        raise ValueError(f"complexes have points of dimension {dims[0]} and {dims[1]}")
     slack = 1e-9 * (1.0 + max(abs(x) for cx in (a, b) for p in cx.points for x in p))
     forward = _farthest_sample(a, _carrier_metric(b), h, slack)
     backward = _farthest_sample(b, _carrier_metric(a), h, slack)

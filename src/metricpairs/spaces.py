@@ -399,10 +399,12 @@ def tuple_hausdorff(delta: CrossMetric, tp: MetricTuple, tq: MetricTuple) -> Sca
     return _hausdorff_sum(delta, tp, tq, "tuple")
 
 
-def _sup_abs_diff(cells, dx, dy) -> Scalar:
+def _sup_abs_diff(cells, dx, dy, zero) -> Scalar:
     """Largest |dx[i][i2] - dy[j][j2]| over pairs of cells (i, j), (i2, j2),
-    the earlier cell first; 0 for fewer than two cells."""
-    best: Scalar = 0
+    the earlier cell first; ``zero`` for fewer than two cells or no
+    mismatch.  Callers pass 0 when both matrices are exact and 0.0
+    otherwise, so a float result stays float."""
+    best: Scalar = zero
     m = len(cells)
     for s in range(m):
         i, j = cells[s]

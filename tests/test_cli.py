@@ -491,6 +491,27 @@ def test_apps_hypernet_reports_the_distortion_check(tmp_path, capsys):
     assert payload["holds"] is True
 
 
+def test_float_mode_prints_zero_distances_as_floats(tmp_path, capsys):
+    """A zero that float mode measures prints as 0.0, not as the exact "0"."""
+    corr = _write(tmp_path, "corr.json", CORR_IDENTITY)
+    point = _write(tmp_path, "point.json", PAIR_POINT)
+    path4 = [[abs(i - j) for j in range(4)] for i in range(4)]
+    line = _write(tmp_path, "line.json", {"distances": path4, "subset": [0, 1, 2, 3]})
+    cases = [
+        (["gh", "corr", "--input", corr], lambda p: p["distortion"]["sup_full"], 0.0),
+        (["gh", "bounds", "--input", point, point], lambda p: p["half_distortion"], 0.0),
+        # the glue shift's fallback when neither side has a positive distance
+        (["gh", "bounds", "--input", point, point], lambda p: p["upper"], 2.0**-19),
+        (["apps", "hypernet", "--input", corr], lambda p: p["net_distortion"], 0.0),
+        (["cassorla", "run", "--input", line, "--levels", "2"], lambda p: p["rows"][0]["mismatch"], 0.0),
+    ]
+    for argv, field, want in cases:
+        code, out, _ = _run(capsys, argv + ["--mode", "float"])
+        assert code == 0, argv
+        value = field(json.loads(out))
+        assert isinstance(value, float) and value == want, (argv, value)
+
+
 def test_apps_tilde_reports_the_variant_sandwich(tmp_path, capsys):
     big = _write(tmp_path, "big.json", PAIR_BIG)
     point = _write(tmp_path, "point.json", PAIR_POINT)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from metricpairs.cli import main
+from metricpairs.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -23,6 +23,8 @@ GOOD_PAIR = {"distances": [[0, 2, 1], [2, 0, 1], [1, 1, 0]], "subset": [0, 2]}
 GOOD_TUPLE = {"distances": [[0, 2], [2, 0]], "chain": [[0, 1], [0]]}
 GOOD_CORR = {"left": GOOD_PAIR, "right": GOOD_PAIR, "pairs": [[0, 0], [1, 1], [2, 2]]}
 GOOD_COMPLEX = {"points": [[0.0, 0.0], [1.0, 0.0]], "simplices": [[0, 1]]}
+# GOOD_COMPLEX lifted into R^3, 5 above it
+GOOD_COMPLEX_3D = {"points": [[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]], "simplices": [[0, 1]]}
 
 
 def _space(rows, **extra):
@@ -148,6 +150,7 @@ BAD_ARGUMENTS = [
     ["apps", "realize", "--input", "GOOD_COMPLEX", "GOOD_COMPLEX", "--step", "nan"],
     ["apps", "realize", "--input", "GOOD_COMPLEX", "GOOD_COMPLEX", "--step", "inf"],
     ["apps", "realize", "--input", "GOOD_PAIR", "GOOD_COMPLEX"],
+    ["apps", "realize", "--input", "GOOD_COMPLEX", "GOOD_COMPLEX_3D"],
     ["apps", "densify", "--input", "GOOD_PAIR", "--q", "0"],
     ["apps", "densify", "--input", "GOOD_PAIR", "--q", "-3"],
     ["apps", "densify", "--input", "GOOD_CORR", "--q", "2"],
@@ -193,6 +196,7 @@ def docs(tmp_path_factory):
         "GOOD_TUPLE": GOOD_TUPLE,
         "GOOD_CORR": GOOD_CORR,
         "GOOD_COMPLEX": GOOD_COMPLEX,
+        "GOOD_COMPLEX_3D": GOOD_COMPLEX_3D,
         "CIRCLE6": _circle(6),
         "CIRCLE12": _circle(12),
         "PATH6": _path_pair(6),
@@ -247,7 +251,7 @@ def test_every_command_survives_every_broken_document(docs, capsys, command, mod
 
 @pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=lambda argv: " ".join(argv) or "none")
 def test_broken_arguments_exit_cleanly(docs, capsys, argv):
-    _contract(capsys, [docs.get(arg, arg) for arg in argv])
+    assert _contract(capsys, [docs.get(arg, arg) for arg in argv]) == 2
 
 
 @pytest.mark.parametrize("left", ["1_0", "0_1", "\u0661", "+1"])
@@ -316,6 +320,21 @@ def test_realize_rejects_a_step_that_is_not_finite_and_positive(docs, capsys):
             main(argv + ["--step", step])
         assert info.value.code == 2, step
         assert "argument --step" in capsys.readouterr().err, step
+
+
+def test_csv_output_is_offered_only_where_there_is_a_csv_form(docs, capsys):
+    """``--out csv`` is a choice of ``geodesic audit`` and ``cassorla run``
+    only; every other command refuses it as a usage error."""
+    parser = build_parser()
+    for command, argv in [*COMMANDS.items(), ("sample", ["sample", "pair"])]:
+        argv = [docs.get(arg, arg) for arg in argv] + ["--out", "csv"]
+        if command in ("geodesic_audit", "cassorla_run"):
+            assert parser.parse_args(argv).out == "csv"
+            continue
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, command
+        assert "argument --out: invalid choice: 'csv'" in capsys.readouterr().err, command
 
 
 # argv with document names, and what stderr must say

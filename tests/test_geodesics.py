@@ -239,7 +239,7 @@ def test_proven_rows_equal_the_rows_every_solve_gives(monkeypatch):
             corr = min_distortion(left, right).correspondence
         else:
             corr = random_correspondence(rng, left, right, extra=case % 2)
-        sup = _sup_abs_diff(corr.pairs, corr.left.space.dist, corr.right.space.dist)
+        sup = _sup_abs_diff(corr.pairs, corr.left.space.dist, corr.right.space.dist, 0)
         for grid in _GRIDS:
             calls.clear()
             audit = geodesicity_audit(corr, grid=grid, budget=10**6)

@@ -136,6 +136,17 @@ def test_realization_hausdorff_rejects_a_step_that_is_not_finite_and_positive(h)
         realization_hausdorff(_segment(0.0), _segment(0.5), h)
 
 
+def test_realization_hausdorff_refuses_points_of_different_dimensions():
+    """A planar segment against one 5 above it in R^3: zipping the
+    coordinates would drop the 5 and report [0, h]."""
+    lifted = EmbeddedComplex([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]], [(0, 1)])
+    for a, b in ((_segment(0.0), lifted), (lifted, _segment(0.0))):
+        with pytest.raises(ValueError, match=r"dimension [23] and [23]"):
+            realization_hausdorff(a, b, 0.125)
+        with pytest.raises(ValueError, match="dimension"):
+            filtration_distance(a, b, 0.5)
+
+
 def test_realization_hausdorff_triangle_in_triangle():
     """A triangle against its own boundary edges: Hausdorff distance is
     the inradius distance from the incenter... bounded above by the interval."""
