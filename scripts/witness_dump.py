@@ -22,7 +22,13 @@ groups are:
   pairs with integer and with float distances;
 - ``keys``: ``canonical_pair_key`` of every pair operand of the
   ``exact_hard`` instances, the sides of the audits' correspondences
-  included, and ``family_iso_classes`` of the census family.
+  included, and ``family_iso_classes`` of the census family;
+- ``totals``: the float totals, on seeded tuples of 3 to 5 levels with
+  float distances and on seeded 4-level filtrations in the plane: the
+  ``distortion`` of a tuple correspondence, the certificate's
+  ``combined`` value and the ``tuple_hausdorff`` of its cross metric,
+  and the ``filtration_distance`` interval.  A sum of three or more
+  floats that is not taken left to right shows here first.
 
 Writes one JSON object per group to OUT and prints one sha256 per group.
 Two checkouts whose search visits other nodes but finds the same first
@@ -58,6 +64,7 @@ TUPLE_SEEDS = 600
 FLOAT_VALUES = (0.7, 0.9, 1.3, 2.1)
 RELATION_SEEDS = 300
 RELATION_GRIDS = ((1, 16), (2, 8), (8, 2), (4, 4), (3, 5), (5, 3), (2, 2), (3, 3), (3, 4))
+TOTAL_SEEDS = 300
 
 
 def solved(solve):
@@ -102,6 +109,37 @@ def keys(out, label, pairs):
         # lists, not tuples, so a key compares equal to its JSON copy in BASE
         rows = [[format_scalar(v) for v in row] for row in rows]
         out[f"{label}:{side}"] = [n, list(flags), rows, list(perm)]
+
+
+def tuple_correspondence(rng, left, right):
+    """Coverage maps both ways on every level of two tuples."""
+    cells = set()
+    for ll, lr in zip((range(left.space.n), *left.chain), (range(right.space.n), *right.chain)):
+        cells.update((x, rng.choice(lr)) for x in ll)
+        cells.update((rng.choice(ll), y) for y in lr)
+    return mp.TupleCorrespondence(left, right, cells)
+
+
+def filtration(rng):
+    """Five points in the plane, a triangle of depth 3 and three segments
+    of random depth: four levels, none of them empty."""
+    points = [(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(5)]
+    simplices = [(0, 1, 2)] + [tuple(rng.sample(range(5), 2)) for _ in range(3)]
+    return mp.EmbeddedComplex(points, simplices, [3] + [rng.randrange(4) for _ in range(3)])
+
+
+def totals(out, seed):
+    rng = random.Random(f"witness_dump:totals:{seed}")
+    left, right = (mp.random_tuple(rng, 2 + seed % 3, (3, 5), FLOAT_VALUES) for _ in range(2))
+    out[f"distortion:{seed}"] = mp.distortion(tuple_correspondence(rng, left, right)).as_dict()
+    res = solved(lambda: mp.exact_tuple_gh(left, right, BUDGET))
+    if res == "refused":
+        out[f"combined:{seed}"] = out[f"tuple_hausdorff:{seed}"] = res
+    else:
+        out[f"combined:{seed}"] = format_scalar(res.certificate_report()["combined"])
+        out[f"tuple_hausdorff:{seed}"] = format_scalar(mp.tuple_hausdorff(res.cross(), left, right))
+    _, total = mp.filtration_distance(filtration(rng), filtration(rng), 0.25)
+    out[f"filtration:{seed}"] = [total.lower, total.upper]
 
 
 def tie_only(here, there) -> bool:
@@ -153,7 +191,8 @@ def main() -> int:
     base = None
     if len(sys.argv) == 3:
         base = json.loads(Path(sys.argv[2]).read_text(encoding="utf-8"))
-    groups = {"pool": {}, "tail": {}, "float": {}, "tuples": {}, "relations": {}, "keys": {}}
+    groups = {"pool": {}, "tail": {}, "float": {}, "tuples": {}, "relations": {}, "keys": {},
+              "totals": {}}
     recorded = load_expected("exact_hard")["instances"]
     for index, (ms, _) in enumerate(recorded):
         group = groups["pool" if ms is not None and ms <= POOL_MS else "tail"]
@@ -185,6 +224,8 @@ def main() -> int:
             left, right = (mp.random_pair(rng, (n, n), values) for n in (nx, ny))
             relations(groups["relations"], f"{name}:{seed}", left, right)
     groups["keys"]["family"] = mp.family_iso_classes(mp.enumerate_family())
+    for seed in range(TOTAL_SEEDS):
+        totals(groups["totals"], seed)
     Path(sys.argv[1]).write_text(json.dumps(groups, indent=1) + "\n", encoding="utf-8")
     for name, group in groups.items():
         refused = sum(1 for result in group.values() if result == "refused")

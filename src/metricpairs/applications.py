@@ -14,7 +14,7 @@ from typing import Optional
 
 from .correspondences import PairCorrespondence, distortion
 from .oracle import DEFAULT_BUDGET, exact_pair_gh, exact_pair_gh_max
-from .scalars import Scalar, as_index, half, is_exact, value_class
+from .scalars import Scalar, as_index, half, left_sum, quotient, value_class, zero_for
 from .spaces import FiniteMetricSpace, MetricPair, MetricTuple
 
 
@@ -55,15 +55,11 @@ def hypernet_tuple_space(tup: MetricTuple) -> Hypernet:
         nodes = [node + (a,) for node in nodes for a in level]
     nodes = tuple(nodes)
 
-    def weight(u, v):
-        total = 0
-        for cu, cv in zip(u, v):
-            total = total + d[cu][cv]
-        if is_exact(total):
-            return Fraction(total, k)
-        return total / k
-
-    rows = [[weight(u, v) for v in nodes] for u in nodes]
+    zero = zero_for(*d)  # so the diagonal of a float tuple weighs 0.0
+    rows = [
+        [quotient(left_sum(d[cu][cv] for cu, cv in zip(u, v)) + zero, k) for v in nodes]
+        for u in nodes
+    ]
     labels = tuple("|".join(tup.space.labels[c] for c in node) for node in nodes)
     return Hypernet(FiniteMetricSpace.from_matrix(rows, labels), nodes)
 
@@ -89,7 +85,7 @@ def hypernet_distortion(corr: PairCorrespondence) -> HypernetReport:
     cells = tuple(
         ((x, a), (y, b)) for x, y in corr.pairs for a, b in restricted
     )
-    worst: Scalar = 0 if left.space.exact and right.space.exact else 0.0
+    worst = zero_for(*dl, *dr)
     for idx, ((x, a), (y, b)) in enumerate(cells):
         for (x2, a2), (y2, b2) in cells[idx + 1 :]:
             wl = half(dl[x][x2] + dl[a][a2])
@@ -127,12 +123,7 @@ def variant_sandwich(
     """
     mx = exact_pair_gh_max(left, right, budget=budget).value
     sm = exact_pair_gh(left, right, budget=budget).value
-    if mx == 0:
-        ratio = None
-    elif is_exact(mx) and is_exact(sm):
-        ratio = Fraction(sm) / Fraction(mx)
-    else:
-        ratio = float(sm) / float(mx)
+    ratio = None if mx == 0 else quotient(sm, mx)
     return VariantSandwich(mx, sm, mx <= sm, sm <= 2 * mx, ratio)
 
 

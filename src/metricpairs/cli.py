@@ -181,6 +181,8 @@ def cmd_gh_corr(args) -> int:
             f"gh corr takes one correspondence or two pairs, got {len(args.input)} inputs"
         )
     if len(args.input) == 1:
+        if args.objective is not None:
+            raise ValueError("--objective applies to two pairs, not to one correspondence")
         corr = _read(args, args.input[0], "correspondence")
         payload = {
             "pairs": [[i, j] for i, j in corr.pairs],
@@ -188,7 +190,7 @@ def cmd_gh_corr(args) -> int:
         }
     else:
         left, right = (_read(args, path, "pair") for path in args.input)
-        res = min_distortion(left, right, objective=args.objective)
+        res = min_distortion(left, right, objective=args.objective or "distortion")
         payload = {
             "pairs": [[i, j] for i, j in res.correspondence.pairs],
             "distortion": res.breakdown.as_dict(),
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         "corr", help="distortion of a correspondence, or the minimum over all"
     )
     _common(sub, 1, variadic=True)
-    sub.add_argument("--objective", choices=("distortion", "sup_full"), default="distortion")
+    sub.add_argument("--objective", choices=("distortion", "sup_full"))
     sub.set_defaults(func=cmd_gh_corr)
 
     sub = gh_sub.add_parser("bounds", help="certified interval without exact search")

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Scalar, as_index, value_class
+from .scalars import Scalar, as_index, value_class, zero_for
 from .spaces import (
     FiniteMetricSpace,
     MetricPair,
@@ -286,7 +286,7 @@ def approximation_pipeline(
     """
     rows = []
     # the graph metric is exact exactly when the pair is
-    zero = 0 if pair.space.exact else 0.0
+    zero = zero_for(*pair.space.dist)
     for n in sorted(set(as_index(v, "level") for v in levels)):
         params = ApproxParams(n)
         cx = build_complex(pair, params)

@@ -13,7 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import Scalar, as_index, check_positive, format_scalar, half, is_exact, value_class
+from .scalars import (
+    Scalar,
+    as_index,
+    check_positive,
+    format_scalar,
+    half,
+    left_sum,
+    quotient,
+    value_class,
+    zero_for,
+)
 from .spaces import (
     CrossMetric,
     MetricPair,
@@ -192,15 +202,12 @@ class DistortionBreakdown:
 def distortion(corr) -> DistortionBreakdown:
     """Distortion breakdown: full sup, per-level sups, averaged value."""
     dx, dy = corr.left.space.dist, corr.right.space.dist
-    zero = 0 if corr.left.space.exact and corr.right.space.exact else 0.0
-    full, *levels = (
+    zero = zero_for(*dx, *dy)
+    full, *levels = sups = [
         _sup_abs_diff(_restricted(corr.pairs, ll, lr), dx, dy, zero)
         for ll, lr in _level_pairs(corr.left, corr.right)
-    )
-    total = sum(levels, full)
-    k1 = len(levels) + 1
-    value = Fraction(total, k1) if is_exact(total) else total / k1
-    return DistortionBreakdown(full, tuple(levels), value)
+    ]
+    return DistortionBreakdown(full, tuple(levels), quotient(left_sum(sups), len(sups)))
 
 
 @value_class
@@ -249,7 +256,7 @@ def _local_search(left: MetricPair, right: MetricPair, objective):
     removal lowers it.  Adding a cell never lowers either sup, so no cell
     is ever added."""
     dx, dy = left.space.dist, right.space.dist
-    zero = 0 if left.space.exact and right.space.exact else 0.0
+    zero = zero_for(*dx, *dy)
     ny = right.space.n
     groups = [m for *_, m in _cover_masks(left, right)]
 
@@ -396,9 +403,9 @@ def default_glue_shift(corr: PairCorrespondence) -> Scalar:
         if v is not None:
             mp.append(v)
     if mp:
-        small = min(mp)
-        return small * floor if is_exact(small) else float(small) * float(floor)
-    return floor if corr.left.space.exact and corr.right.space.exact else float(floor)
+        return min(mp) * floor  # a float times a Fraction is a float
+    # adding the operands' zero makes the fallback float in float mode
+    return floor + zero_for(*corr.left.space.dist, *corr.right.space.dist)
 
 
 def classical_glue(corr: PairCorrespondence, eta: Optional[Scalar] = None) -> ClassicalGlue:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .correspondences import PairCorrespondence
-from .scalars import as_index
+from .scalars import as_index, check_positive
 from .spaces import FiniteMetricSpace, MetricPair, MetricTuple, _level_pairs, _shortest_paths
 
 
@@ -26,8 +26,7 @@ def circle_space(n: int, circumference=None) -> FiniteMetricSpace:
     if circumference is None:
         step = 1
     else:
-        if circumference <= 0:
-            raise ValueError("circumference must be positive")
+        check_positive(circumference, "circumference")
         step = (
             Fraction(circumference, n)
             if not isinstance(circumference, float)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .correspondences import DistortionBreakdown, PairCorrespondence
 from .oracle import DEFAULT_BUDGET, exact_pair_gh
-from .scalars import Scalar, all_exact, close, half, value_class
+from .scalars import Scalar, all_exact, close, half, is_exact, value_class, zero_for
 from .spaces import FiniteMetricSpace, MetricPair, _sup_abs_diff
 
 
@@ -64,8 +64,7 @@ def diagonal_distortion(corr: PairCorrespondence, s: Scalar, t: Scalar) -> Disto
     restricted = set(corr.restricted())
     every = tuple((i, i) for i in range(len(corr.pairs)))
     sub = tuple((i, i) for i, cell in enumerate(corr.pairs) if cell in restricted)
-    exact = corr.left.space.exact and corr.right.space.exact and all_exact((s, t))
-    zero = 0 if exact else 0.0
+    zero = zero_for(*ma, *mb)
     s_full = _sup_abs_diff(every, ma, mb, zero)
     s_sub = _sup_abs_diff(sub, ma, mb, zero)
     return DistortionBreakdown(s_full, (s_sub,), half(s_full + s_sub))
@@ -144,10 +143,10 @@ def geodesicity_audit(
     times = sorted(set(times))
     # the (0, 1) row repeats the endpoint solve and is served from ``endpoint``
     endpoint = exact_pair_gh(corr.left, corr.right, budget=budget).value
-    sides_exact = corr.left.space.exact and corr.right.space.exact
-    exact = sides_exact and all_exact(times)
-    zero = 0 if sides_exact else 0.0
-    sup = _sup_abs_diff(corr.pairs, corr.left.space.dist, corr.right.space.dist, zero)
+    dx, dy = corr.left.space.dist, corr.right.space.dist
+    zero = zero_for(*dx, *dy)
+    exact = is_exact(zero) and all_exact(times)
+    sup = _sup_abs_diff(corr.pairs, dx, dy, zero)
     # rows (a, b) whose value meets its bound (b - a) * sup
     tight = [(0, 1)] if exact and endpoint == sup else []
     pairs = [(s, t) for i, s in enumerate(times) for t in times[i + 1 :]]

@@ -38,7 +38,7 @@ from itertools import permutations, product
 
 from . import DEFAULT_BUDGET
 from .lp import LinearProgram, solve_lp
-from .scalars import Scalar, close, format_scalar, half, is_exact, value_class
+from .scalars import Scalar, close, format_scalar, half, left_sum, value_class, zero_for
 from .spaces import (
     CrossMetric,
     MetricPair,
@@ -176,9 +176,8 @@ def _value_and_radii(m, variant):
     if len(m) == 2:
         radii2 = (m[0][0], v2 - m[0][0])
     else:
-        radii2 = radius_lp(m)[1]
-        if not all(is_exact(v) for row in m for v in row):
-            radii2 = tuple(float(r) for r in radii2)
+        zero = zero_for(*m)  # adding a float zero makes a Fraction float
+        radii2 = tuple(r + zero for r in radius_lp(m)[1])
     return half(v2), tuple(half(r) for r in radii2)
 
 
@@ -349,12 +348,12 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
         candidates that entry kills.  False when it leaves a slot with
         no live candidate."""
         inc = best[0]
-        # what the trace adds to r on a slot of level lvl; summed ahead,
-        # that is exact on the integer scale or as one entry
+        # what the trace adds to r on a slot of level lvl: its exact sum on
+        # the integer scale; with floats its largest entry, no rounding
         extra = 0
         if inc is not None and variant == "sum":
             rest = [m[b][b] for b in range(lvl + 1, nlev)]
-            extra = sum(rest) if len(rest) < 2 or isinstance(zero, int) else max(rest)
+            extra = sum(rest) if isinstance(zero, int) else max(rest, default=0)
         for s in range(si + 1, nslots):
             # dead: the candidate's entry r alone brings the value to the
             # incumbent; adding the int 0 never rounds
@@ -501,7 +500,7 @@ class GHResult:
         terms = _hausdorff_terms(block, self.left, self.right)
         if scale is not None and scale > 1:
             terms = tuple(Fraction(w, scale) for w in terms)
-        combined = sum(terms) if self.variant == "sum" else max(terms)
+        combined = left_sum(terms) if self.variant == "sum" else max(terms)
         zero = tuple(
             (i, j)
             for i, row in enumerate(block)
@@ -530,8 +529,7 @@ class GHResult:
 def _matrix_from_entries(levels, space_left, space_right):
     dx, dy = space_left.dist, space_right.dist
     nlev = len(levels)
-    # a float zero keeps float results float
-    zero = 0 if space_left.exact and space_right.exact else 0.0
+    zero = zero_for(*dx, *dy)
     m = [[zero] * nlev for _ in range(nlev)]
     for a in range(nlev):
         for b in range(a, nlev):
@@ -564,7 +562,8 @@ def _scaled_search(left, right, variant, levels_l, levels_r, budget):
     """``_search`` on the operands' distances, on one integer scale when
     exact: the scale (None for floats), the entries and the mismatch."""
     scale, _, dx, dy = _on_integer_scale(0, left.space.dist, right.space.dist)
-    zero = 0 if scale is not None else 0.0  # a float zero keeps float results float
+    # the scale records tolerance_for's verdict: no scale, float distances
+    zero = 0.0 if scale is None else 0
     return (scale, *_search(dx, dy, zero, levels_l, levels_r, variant, budget))
 
 

@@ -19,7 +19,7 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .scalars import as_index, check_positive, value_class
+from .scalars import as_index, check_positive, left_sum, value_class
 
 
 @value_class
@@ -101,7 +101,7 @@ def _sub(p, q) -> tuple:
 
 
 def _dot(u, v) -> float:
-    # left to right, not sum(): Python 3.12 sums floats with compensation
+    # scalars.left_sum's order, inlined: this runs per sample
     total = 0.0
     for x, y in zip(u, v):
         total += x * y
@@ -323,7 +323,7 @@ def filtration_distance(a: EmbeddedComplex, b: EmbeddedComplex, h: float):
         realization_hausdorff(level_complex(a, lvl), level_complex(b, lvl), h)
         for lvl in range(a.max_depth + 1)
     )
-    total = Interval(
-        sum(iv.lower for iv in per_level), sum(iv.upper for iv in per_level)
+    summed = Interval(
+        left_sum(iv.lower for iv in per_level), left_sum(iv.upper for iv in per_level)
     )
-    return per_level, total
+    return per_level, summed

@@ -6,9 +6,11 @@ one matrix demotes the computation to float mode.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction, float]
@@ -57,9 +59,9 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
 
 
 def check_positive(value: Scalar, name: str) -> None:
-    """Raise ValueError unless ``value`` is a finite number > 0; NaN and
-    infinities pass a bare ``value <= 0`` test."""
-    if not (value > 0 and (is_exact(value) or math.isfinite(value))):
+    """Raise ValueError unless ``value`` is a finite number > 0 other than
+    a bool; NaN and infinities pass a bare ``value <= 0`` test."""
+    if isinstance(value, bool) or not (value > 0 and (is_exact(value) or math.isfinite(value))):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
@@ -88,6 +90,24 @@ def format_scalar(value: Scalar):
 def tolerance_for(values: Iterable[Scalar]) -> Scalar:
     """Comparison tolerance: 0 when every value is exact, else the float one."""
     return 0 if all_exact(values) else DEFAULT_TOLERANCE
+
+
+def zero_for(*rows: Iterable[Scalar]) -> Scalar:
+    """The zero of the rows' kind: 0 when every entry is exact, else 0.0,
+    so a sup or total started from it stays float in float mode."""
+    return 0 if all_exact(chain.from_iterable(rows)) else 0.0
+
+
+def quotient(a: Scalar, b: Scalar) -> Scalar:
+    """``a / b``: a Fraction when both are exact, a float otherwise."""
+    return Fraction(a, b) if is_exact(a) and is_exact(b) else a / b
+
+
+def left_sum(values: Iterable[Scalar]) -> Scalar:
+    """The sum from 0, left to right.  ``sum()`` adds floats with
+    compensation from Python 3.12 on, so its float totals depend on the
+    interpreter; this one gives the bits ``sum()`` gives on 3.10 and 3.11."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def close(a: Scalar, b: Scalar) -> bool:

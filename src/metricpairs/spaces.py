@@ -17,6 +17,7 @@ from .scalars import (
     as_index,
     check_positive,
     is_exact,
+    left_sum,
     tolerance_for,
     value_class,
 )
@@ -383,8 +384,7 @@ def _hausdorff_terms(cross, left, right) -> tuple:
 def _hausdorff_sum(delta: CrossMetric, left, right, kind: str) -> Scalar:
     if delta.left.n != left.space.n or delta.right.n != right.space.n:
         raise ValueError(f"cross metric does not match the {kind} spaces")
-    terms = _hausdorff_terms(delta.cross, left, right)
-    return sum(terms[1:], terms[0])
+    return left_sum(_hausdorff_terms(delta.cross, left, right))
 
 
 def pair_hausdorff(delta: CrossMetric, p: MetricPair, q: MetricPair) -> Scalar:
@@ -402,8 +402,8 @@ def tuple_hausdorff(delta: CrossMetric, tp: MetricTuple, tq: MetricTuple) -> Sca
 def _sup_abs_diff(cells, dx, dy, zero) -> Scalar:
     """Largest |dx[i][i2] - dy[j][j2]| over pairs of cells (i, j), (i2, j2),
     the earlier cell first; ``zero`` for fewer than two cells or no
-    mismatch.  Callers pass 0 when both matrices are exact and 0.0
-    otherwise, so a float result stays float."""
+    mismatch.  Callers pass ``zero_for`` of their distances, decided
+    once outside their loops, so a float result stays float."""
     best: Scalar = zero
     m = len(cells)
     for s in range(m):

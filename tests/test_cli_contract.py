@@ -131,6 +131,7 @@ BAD_ARGUMENTS = [
     ["gh", "tuple", "--input", "GOOD_PAIR", "GOOD_TUPLE"],
     ["gh", "tuple", "--input", "GOOD_TUPLE", "GOOD_TUPLE", "--variant", "min"],
     ["gh", "corr", "--input", "GOOD_PAIR", "GOOD_PAIR", "GOOD_PAIR"],
+    ["gh", "corr", "--input", "GOOD_CORR", "--objective", "sup_full"],
     ["gh", "bounds", "--input", "GOOD_CORR", "GOOD_PAIR"],
     ["geodesic", "sample", "--input", "GOOD_CORR", "--t", "x"],
     ["geodesic", "sample", "--input", "GOOD_CORR", "--t", "2"],

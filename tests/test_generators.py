@@ -139,7 +139,7 @@ _GUARDS = {
     "circle_space no points": (lambda: circle_space(0), "need at least one point"),
     "circle_space zero circumference": (
         lambda: circle_space(4, 0),
-        "circumference must be positive",
+        "circumference must be a finite positive number, got 0",
     ),
     "grid_graph_space no rows": (lambda: grid_graph_space(0, 2), "grid must be nonempty"),
     "graph_space no vertices": (lambda: graph_space(0, []), "need at least one vertex"),

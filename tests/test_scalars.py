@@ -1,23 +1,28 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from metricpairs.applications import rational_densify
+from metricpairs.applications import hypernet_tuple_space, rational_densify, variant_sandwich
 from metricpairs.bounds import matched_net_bound
 from metricpairs.complexes import ApproxParams, approximation_pipeline
 from metricpairs.correspondences import (
     DistortionBreakdown,
     PairCorrespondence,
+    TupleCorrespondence,
     classical_glue,
+    default_glue_shift,
+    distortion,
     tight_glue,
 )
-from metricpairs.generators import circle_space, graph_space, permute_pair
+from metricpairs.generators import circle_space, graph_space, permute_pair, random_pair, random_tuple
 from metricpairs.lp import Constraint
-from metricpairs.realization import EmbeddedComplex, Interval, carrier_samples
+from metricpairs.oracle import exact_tuple_gh
+from metricpairs.realization import EmbeddedComplex, Interval, carrier_samples, filtration_distance
 from metricpairs.scalars import (
     all_exact,
     close,
@@ -32,9 +37,11 @@ from metricpairs.spaces import (
     FiniteMetricSpace,
     MetricPair,
     MetricTuple,
+    _level_pairs,
     covering_radius,
     greedy_net,
     hausdorff,
+    tuple_hausdorff,
 )
 
 
@@ -139,10 +146,11 @@ _POSITIVE = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, True])
 @pytest.mark.parametrize("name", sorted(_POSITIVE))
 def test_positive_parameters_must_be_finite(name, value):
-    # NaN and infinities pass a bare ``<= 0`` check and gave wrong results
+    # NaN and infinities pass a bare ``<= 0`` check and gave wrong results;
+    # True passes it as 1
     with pytest.raises(ValueError, match=f"^{name} must be a finite positive number"):
         _POSITIVE[name](value)
 
@@ -238,3 +246,61 @@ def test_value_class_contract(cls):
     if refused is not None:
         with pytest.raises(ValueError):
             cls(*refused)
+
+
+_FLOATS = (0.7, 0.9, 1.3, 2.1)
+
+
+def _left_to_right(values):
+    """The sum from 0, one term at a time: the order ``sum()`` keeps on
+    Python 3.10 and 3.11, and compensates away from 3.12 on."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+def _one_point_innermost(rng, k):
+    """A seeded float tuple of k levels below the full one, the innermost
+    a single point."""
+    tup = random_tuple(rng, k - 1, (3, 4), _FLOATS)
+    return MetricTuple(tup.space, tup.chain + (tup.chain[-1][:1],))
+
+
+def _filtration(rng):
+    """Four levels in the plane: a triangle of depth 3 and three segments
+    of random depth."""
+    points = [(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(5)]
+    simplices = [(0, 1, 2)] + [tuple(rng.sample(range(5), 2)) for _ in range(3)]
+    return EmbeddedComplex(points, simplices, [3] + [rng.randrange(4) for _ in range(3)])
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_float_results_stay_float_and_add_left_to_right(seed):
+    rng = random.Random(f"left to right:{seed}")
+    k = 2 + seed % 3
+    left, right = (_one_point_innermost(rng, k) for _ in range(2))
+    cells = set()
+    for ll, lr in _level_pairs(left, right):
+        cells.update((x, rng.choice(lr)) for x in ll)
+        cells.update((rng.choice(ll), y) for y in lr)
+    br = distortion(TupleCorrespondence(left, right, cells))
+    res = exact_tuple_gh(left, right)
+    report = res.certificate_report()
+    per_level, total = filtration_distance(_filtration(rng), _filtration(rng), 0.25)
+    # totals: the bits of a plain left-to-right sum on every interpreter
+    assert br.value == _left_to_right((br.sup_full, *br.sup_levels)) / (k + 1)
+    assert report["combined"] == _left_to_right(report["terms"])
+    assert tuple_hausdorff(res.cross(), left, right) == _left_to_right(report["terms"])
+    assert total.lower == _left_to_right(iv.lower for iv in per_level)
+    assert total.upper == _left_to_right(iv.upper for iv in per_level)
+    # kinds: float operands give float zeros and quotients
+    assert br.sup_levels[-1] == 0 and isinstance(br.sup_levels[-1], float)
+    assert all(isinstance(v, float) for v in (br.sup_full, *br.sup_levels, br.value))
+    net = hypernet_tuple_space(left)
+    assert all(isinstance(w, float) for row in net.space.dist for w in row)
+    pl, pr = (random_pair(rng, (3, 4), _FLOATS) for _ in range(2))
+    assert isinstance(variant_sandwich(pl, pr).ratio, float)
+    point = MetricPair(FiniteMetricSpace.from_matrix([[0.0]]), (0,))
+    shift = default_glue_shift(PairCorrespondence(point, point, [(0, 0)]))
+    assert shift == 2**-20 and isinstance(shift, float)
