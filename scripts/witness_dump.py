@@ -28,7 +28,14 @@ groups are:
   ``distortion`` of a tuple correspondence, the certificate's
   ``combined`` value and the ``tuple_hausdorff`` of its cross metric,
   and the ``filtration_distance`` interval.  A sum of three or more
-  floats that is not taken left to right shows here first.
+  floats that is not taken left to right shows here first;
+- ``skewed``: matrices that validate only within the float tolerance, or
+  that float rounding leaves asymmetric: float copies of the pool's
+  pairs and tuples with every entry, the diagonal included, moved up by
+  less than the tolerance, both variants; and seeded pairs on the
+  shortest-path metrics of graphs with float weights, both variants,
+  with the ``approximation_pipeline`` rows of the left pair (or the
+  message of its DisconnectedComplexError).
 
 Writes one JSON object per group to OUT and prints one sha256 per group.
 Two checkouts whose search visits other nodes but finds the same first
@@ -65,6 +72,8 @@ FLOAT_VALUES = (0.7, 0.9, 1.3, 2.1)
 RELATION_SEEDS = 300
 RELATION_GRIDS = ((1, 16), (2, 8), (8, 2), (4, 4), (3, 5), (5, 3), (2, 2), (3, 3), (3, 4))
 TOTAL_SEEDS = 300
+SKEWS = (0.0, 1e-10, 2e-10)
+GRAPH_SEEDS = 200
 
 
 def solved(solve):
@@ -150,13 +159,44 @@ def tie_only(here, there) -> bool:
     return all(here[key] == there.get(key) for key in ("value", "optimal"))
 
 
-def scaled(side, factor):
-    space = mp.FiniteMetricSpace.from_matrix(
-        [[float(v) * factor for v in row] for row in side.space.dist]
-    )
+def with_rows(side, rows):
+    """``side`` on the distance matrix ``rows``, subsets kept."""
+    space = mp.FiniteMetricSpace.from_matrix(rows)
     if isinstance(side, mp.MetricTuple):
         return mp.MetricTuple(space, side.chain)
     return mp.MetricPair(space, side.subset)
+
+
+def scaled(side, factor):
+    return with_rows(side, [[float(v) * factor for v in row] for row in side.space.dist])
+
+
+def skewed(rng, side):
+    return with_rows(side, [[float(v) + rng.choice(SKEWS) for v in row] for row in side.space.dist])
+
+
+def float_graph_pair(rng):
+    """A pair on the shortest-path metric of a connected graph on 4 to 6
+    vertices with float weights."""
+    n = rng.randint(4, 6)
+    edges = [(rng.randrange(v), v, rng.uniform(0.1, 3.0)) for v in range(1, n)]
+    edges += [
+        (u, v, rng.uniform(0.1, 3.0))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.4
+    ]
+    return mp.MetricPair(mp.graph_space(n, edges), mp.random_subset(rng, n))
+
+
+def graphs(out, seed):
+    rng = random.Random(f"witness_dump:graphs:{seed}")
+    left, right = float_graph_pair(rng), float_graph_pair(rng)
+    both_variants(out, f"graph:{seed}", left, right)
+    try:
+        out[f"pipeline:{seed}"] = [repr(row) for row in mp.approximation_pipeline(left).rows]
+    except mp.DisconnectedComplexError as exc:
+        out[f"pipeline:{seed}"] = str(exc)
 
 
 def compare(groups, base) -> bool:
@@ -192,7 +232,8 @@ def main() -> int:
     if len(sys.argv) == 3:
         base = json.loads(Path(sys.argv[2]).read_text(encoding="utf-8"))
     groups = {"pool": {}, "tail": {}, "float": {}, "tuples": {}, "relations": {}, "keys": {},
-              "totals": {}}
+              "totals": {}, "skewed": {}}
+    skew_rng = random.Random("witness_dump:skewed")
     recorded = load_expected("exact_hard")["instances"]
     for index, (ms, _) in enumerate(recorded):
         group = groups["pool" if ms is not None and ms <= POOL_MS else "tail"]
@@ -209,6 +250,8 @@ def main() -> int:
             for factor in SCALINGS:
                 left, right = (scaled(side, factor) for side in operands)
                 both_variants(groups["float"], f"{label}:x{factor:.4g}", left, right)
+            left, right = (skewed(skew_rng, side) for side in operands)
+            both_variants(groups["skewed"], label, left, right)
     for seed in range(TUPLE_SEEDS):
         rng = random.Random(f"witness_dump:{seed}")
         k = 2 + seed % 3
@@ -226,6 +269,8 @@ def main() -> int:
     groups["keys"]["family"] = mp.family_iso_classes(mp.enumerate_family())
     for seed in range(TOTAL_SEEDS):
         totals(groups["totals"], seed)
+    for seed in range(GRAPH_SEEDS):
+        graphs(groups["skewed"], seed)
     Path(sys.argv[1]).write_text(json.dumps(groups, indent=1) + "\n", encoding="utf-8")
     for name, group in groups.items():
         refused = sum(1 for result in group.values() if result == "refused")

@@ -353,6 +353,10 @@ def cmd_apps_densify(args) -> int:
 
 def cmd_sample(args) -> int:
     _need("generators")
+    if args.min_points > args.max_points:
+        raise ValueError(
+            f"--min-points {args.min_points} is above --max-points {args.max_points}"
+        )
     rng = random.Random(args.seed)
     values, n_range = args.values, (args.min_points, args.max_points)
     if args.kind == "space":

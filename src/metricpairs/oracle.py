@@ -193,9 +193,8 @@ def _distance_sets(dx, dy, levels_left, levels_right):
     least such distance to a partner, and likewise with a and b swapped.
     Points with one profile count once, and the distance of two profiles
     is computed once per solve.  This is the pair form of Memoli's local
-    distance-set bound (DCG 2012).  Its differences are the search's own
-    when the distances are symmetric, so in floats too it never exceeds
-    a leaf's entry there.
+    distance-set bound (DCG 2012).  Its differences are the search's own,
+    so in floats too it never exceeds a leaf's entry.
     """
     nlev = len(levels_left)
 
@@ -267,12 +266,9 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
 
     Reused entries: a right-side slot whose point an earlier left-side
     slot of its level already matched has one child that re-places that
-    entry.  With symmetric distances that child changes no row and no
-    entry of m, and every leaf below a later sibling holds a superset of
-    the entries of a leaf below it, so is worth no less; once that child
-    is searched, the scan stops.  With asymmetric distances a repeated
-    entry is priced against the entries between its two places the
-    other way round, so the cut is off there.
+    entry.  That child changes no row and no entry of m, and every leaf
+    below a later sibling holds a superset of the entries of a leaf below
+    it, so is worth no less; once that child is searched, the scan stops.
 
     Rows and m only grow down a path and the incumbent only falls, so no
     cut or dead candidate hides a strictly better leaf; a leaf replaces
@@ -283,8 +279,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     built once per solve; no leaf is worth less.  So the first leaf whose
     value is not above the floor is optimal, and, as the first optimum
     found, it is the witness a full search would return: the search stops
-    there.  The floor needs symmetric distances, which a positive
-    tolerance need not give; with asymmetric ones no leaf stops the search.
+    there.
 
     The map-union variants (pairs only) search map unions for the least
     doubled distortion, _distortion2 (the full sup _max_entry(m) plus the
@@ -298,20 +293,18 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
     weighs 1, but 2 for the distortion when it and the placed entry are
     both subset-level, as r then counts in both terms.
 
-    ``dx`` and ``dy`` are distance matrices, on one integer scale when
-    exact, and ``zero`` seeds m.  Raises BudgetExceededError once more
-    than ``budget`` nodes are visited.  Returns the per-level entry lists
-    and the mismatch matrix.
+    ``dx`` and ``dy`` are the distance matrices of validated spaces, so
+    d[i][j] == d[j][i], on one integer scale when exact, and ``zero``
+    seeds m.  Raises BudgetExceededError once more than ``budget`` nodes
+    are visited.  Returns the per-level entry lists and the mismatch
+    matrix.
     """
     nlev = len(levels_left)
     value_fn = {"sum": _assignment_value2, "distortion": _distortion2}.get(variant, _max_entry)
     key_fn = _cheap_value2 if variant == "sum" and nlev > 2 else value_fn
     union = variant in ("distortion", "sup_full")
-    symmetric = all(list(row) == list(col) for d in (dx, dy) for row, col in zip(d, zip(*d)))
     # no leaf is worth less than 0, so with the floor off none stops the search
-    floor = -1
-    if symmetric and not union:
-        floor = value_fn(_distance_sets(dx, dy, levels_left, levels_right))
+    floor = -1 if union else value_fn(_distance_sets(dx, dy, levels_left, levels_right))
 
     # per slot, innermost level first and left-side points before right-side
     # ones: its level and its candidates (x, y, dx[x], dy[y], row); a slot
@@ -431,7 +424,7 @@ def _search(dx, dy, zero, levels_left, levels_right, variant, budget):
                 continue
             # re-placing an entry the level already holds: every later
             # sibling's leaves hold a superset of this child's entries
-            reused = symmetric and (x, y) in entries[lvl]
+            reused = (x, y) in entries[lvl]
             entries[lvl].append((x, y))
             mark = len(undo)
             if raise_rows(si, lvl, x, y) and run(si + 1):

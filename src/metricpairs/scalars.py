@@ -3,6 +3,13 @@
 Distances are either exact (int / Fraction, compared with zero tolerance)
 or floats (compared with a global absolute tolerance).  Mixing the two in
 one matrix demotes the computation to float mode.
+
+The tolerance lets ``spaces.validate_metric`` admit a matrix that is
+asymmetric, or has a nonzero diagonal, within it.  The report describes
+the matrix as given, but the space it returns is canonical: each lower
+entry takes its upper mirror's value and the diagonal is ``zero_for`` of
+the given entries, so 0.0 in float mode.  No computation downstream
+meets an asymmetric distance.
 """
 from __future__ import annotations
 

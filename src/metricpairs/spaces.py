@@ -4,6 +4,14 @@ A metric pair is a space together with a nonempty subset; a metric tuple
 carries a nested chain of subsets.  A cross metric glues two spaces along
 a positive cross-distance block; when its mixed triangle inequalities hold
 the assembled disjoint-union matrix is again a metric.
+
+Every validated space is canonical: symmetric, with a zero diagonal that
+is 0.0 when the validated matrix holds a float entry.  A positive tolerance admits
+a matrix that breaks either rule within it; ``validate_metric`` reports
+on the matrix as given, then checks and stores its canonical form.
+``restrict``, ``assemble`` and ``product_max_metric`` build symmetric
+matrices with a zero diagonal from canonical factors.  So no algorithm
+has to decide what an asymmetric distance means.
 """
 from __future__ import annotations
 
@@ -20,6 +28,7 @@ from .scalars import (
     left_sum,
     tolerance_for,
     value_class,
+    zero_for,
 )
 
 
@@ -35,8 +44,11 @@ class InvalidMetricError(ValueError):
 class MetricViolations:
     """Every axiom failure of a candidate matrix.
 
-    ``triangles`` lists (i, j, k) with d[i][k] > d[i][j] + d[j][k], scanned
-    over i < k and every middle point j.
+    ``asymmetric`` and ``diagonal`` describe the matrix as given;
+    ``nonpositive`` and ``triangles`` its canonical form, in which each
+    lower entry takes its upper mirror's value.  ``triangles`` lists
+    (i, j, k) with d[i][k] > d[i][j] + d[j][k], scanned over i < k and
+    every middle point j.
     """
 
     size: int
@@ -101,13 +113,30 @@ def _on_integer_scale(tol, *matrices):
     )
 
 
+def _upper_mirrored(matrix) -> list:
+    """``matrix`` as lists of rows, each lower entry whose value differs
+    from its upper mirror replaced by that mirror."""
+    rows = [list(row) for row in matrix]
+    for i, row in enumerate(rows):
+        for j in range(i):
+            if row[j] != rows[j][i]:
+                row[j] = rows[j][i]
+    return rows
+
+
 def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
     """Validate a square matrix as a finite metric.
 
     Returns the space when every axiom holds, otherwise a MetricViolations
-    report listing each failure.  Non-square input, ``labels`` not one
-    per point, negative or non-finite entries and a ``tol`` that is not a
-    finite number >= 0 raise ValueError.
+    report listing each failure.  Symmetry and the diagonal are checked
+    on the matrix as given; positivity and the triangle inequality on its
+    canonical form, in which each lower entry takes the value of its
+    upper mirror.  The space stores that form with the zero of the given
+    entries' kind (``zero_for``) on every diagonal entry that is nonzero
+    or, when a given entry is a float, not 0.0; a matrix already in that
+    form comes back entry for entry.  Non-square input, ``labels`` not
+    one per point, negative or non-finite entries and a ``tol`` that is
+    not a finite number >= 0 raise ValueError.
     """
     if tol is not None and not (tol >= 0 and (is_exact(tol) or math.isfinite(tol))):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
@@ -119,7 +148,7 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
             raise ValueError("matrix is not square")
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
-    _, tol, d = _on_integer_scale(tol, matrix)
+    scale, tol, d = _on_integer_scale(tol, matrix)
     for i in range(n):
         for j in range(n):
             v = d[i][j]
@@ -136,17 +165,17 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
         if abs(d[i][j] - d[j][i]) > tol
     )
     diagonal = tuple(i for i in range(n) if abs(d[i][i]) > tol)
+    d = _upper_mirrored(d)
     nonpositive = tuple(
         (i, j) for i in range(n) for j in range(n) if i != j and d[i][j] <= tol
     )
-    columns = list(zip(*d))
     triangles = []
     for i, row in enumerate(d):
         for k in range(i + 1, n):
             dik = row[k]
             triangles.extend(
                 (i, j, k)
-                for j, dij, djk in zip(range(n), row, columns[k])
+                for j, dij, djk in zip(range(n), row, d[k])
                 if dik > dij + djk + tol and j != i and j != k
             )
     report = MetricViolations(n, asymmetric, diagonal, nonpositive, tuple(triangles))
@@ -154,7 +183,13 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
         return report
     if labels is None:
         labels = tuple(str(i) for i in range(n))
-    return FiniteMetricSpace(tuple(labels), tuple(tuple(row) for row in matrix))
+    # the checked matrix is the canonical one when it was not rescaled
+    dist = d if scale is None else _upper_mirrored(matrix)
+    zero = zero_for(*matrix)
+    for i, row in enumerate(dist):
+        if row[i] != 0 or isinstance(zero, float):
+            row[i] = zero
+    return FiniteMetricSpace(tuple(labels), tuple(map(tuple, dist)))
 
 
 @value_class

@@ -251,6 +251,18 @@ def test_hausdorff_between_named_subsets(tmp_path, capsys):
     assert json.loads(out)["value"] == "2"
 
 
+def test_hausdorff_of_a_point_with_itself_is_zero_in_float_mode(tmp_path, capsys):
+    """A diagonal entry within the tolerance validates to 0.0."""
+    path = _write(tmp_path, "space.json", {"distances": [[1e-10, 1], [1, 0]]})
+    code, out, _ = _run(
+        capsys,
+        ["hausdorff", "--input", path, "--mode", "float", "--left", "0", "--right", "0"],
+    )
+    assert code == 0
+    assert json.loads(out)["value"] == 0.0
+    assert '"value": 0.0' in out
+
+
 def test_hausdorff_reads_csv_input(tmp_path, capsys):
     path = tmp_path / "space.csv"
     path.write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")

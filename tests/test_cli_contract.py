@@ -288,6 +288,14 @@ def test_point_counts_below_one_are_refused_on_every_seed(capsys, flag):
         assert _contract(capsys, argv) == 2, seed
 
 
+@pytest.mark.parametrize("kind", ["space", "pair", "tuple", "corr"])
+def test_sample_refuses_more_min_points_than_max_points(capsys, kind):
+    code = main(["sample", kind, "--min-points", "5", "--max-points", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --min-points 5 is above --max-points 2\n"
+
+
 def test_validate_rejects_a_tolerance_that_switches_checks_off(docs, capsys):
     for tol in ("nan", "-1", "inf", "-inf"):
         argv = ["validate", "--input", docs["triangle"], "--tol", tol]

@@ -19,6 +19,7 @@ from metricpairs.complexes import (
     subcomplex_metric,
 )
 from metricpairs.generators import circle_space
+from metricpairs.scalars import zero_for
 from metricpairs.spaces import FiniteMetricSpace, MetricPair, covering_radius
 
 
@@ -264,9 +265,11 @@ _WEIGHTS = {
 @pytest.mark.parametrize("kind", sorted(_WEIGHTS))
 def test_graph_distances_on_the_integer_scale_match_the_reference(kind):
     """Exact weights are searched as ints and mapped back; the values are
-    the Dijkstra's on the weights as given, float weights keep every bit,
-    and only mixed int and fraction weights may come back as fractions
-    where the reference has ints."""
+    the Dijkstra's on the weights as given, and only mixed int and
+    fraction weights may come back as fractions where the reference has
+    ints.  Float weights keep every bit of the upper triangle, which
+    validation mirrors onto the lower one, and a 0.0 diagonal once there
+    is an edge."""
     rng = random.Random(f"graph-apsp:{kind}")
     draw = _WEIGHTS[kind]
     for _ in range(60):
@@ -279,6 +282,12 @@ def test_graph_distances_on_the_integer_scale_match_the_reference(kind):
             if rng.random() < 0.3
         ]
         want = _reference_shortest_paths(n, edges)
+        if kind == "float":
+            zero = zero_for(*want)  # the int 0 of one vertex holds no float
+            want = [
+                [zero if s == t else want[min(s, t)][max(s, t)] for t in range(n)]
+                for s in range(n)
+            ]
         got = _graph_apsp(n, edges, tuple(range(n))).dist
         for got_row, want_row in zip(got, want):
             assert list(got_row) == want_row

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +76,11 @@ _TOL = st.one_of(
 
 
 def _reference_validate(matrix, labels=None, tol=None):
+    """Symmetry and the diagonal checked on the matrix as given, the rest
+    on its canonical form, which the space stores: each lower entry that
+    differs from its upper mirror replaced by it, and the diagonal the
+    entries' zero (0.0 when one is a float) where it is nonzero or the
+    matrix holds a float."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
@@ -94,6 +100,16 @@ def _reference_validate(matrix, labels=None, tol=None):
         if abs(matrix[i][j] - matrix[j][i]) > tol
     )
     diagonal = tuple(i for i in range(n) if abs(matrix[i][i]) > tol)
+    floats = any(isinstance(v, float) for row in matrix for v in row)
+    zero = 0.0 if floats else 0
+    canonical = [list(row) for row in matrix]
+    for i in range(n):
+        for j in range(n):
+            if i > j and matrix[i][j] != matrix[j][i]:
+                canonical[i][j] = matrix[j][i]
+            if i == j and (floats or matrix[i][i] != 0):
+                canonical[i][i] = zero
+    matrix = canonical
     nonpositive = tuple(
         (i, j) for i in range(n) for j in range(n) if i != j and matrix[i][j] <= tol
     )
@@ -164,6 +180,46 @@ def test_validate_metric_matches_the_reference(matrix, tol):
     assert _outcome(validate_metric, matrix, tol=tol) == _outcome(
         _reference_validate, matrix, tol=tol
     )
+
+
+@_BOUNDED
+@given(
+    st.sampled_from(_KINDS).flatmap(_square),
+    st.sampled_from((None, 0, Fraction(1, 4), 0.25)),
+    st.data(),
+)
+def test_every_validated_space_is_symmetric_with_a_zero_diagonal(matrix, tol, data):
+    """Also when each entry, the diagonal included, is moved up by half
+    the tolerance or not at all; a space that holds a float has 0.0 on
+    its diagonal."""
+    moves = (0, tol / 2) if tol else (0,)
+    matrix = [[v + data.draw(st.sampled_from(moves)) for v in row] for row in matrix]
+    try:
+        space = validate_metric(matrix, tol=tol)
+    except ValueError:  # a negative entry
+        return
+    if not isinstance(space, FiniteMetricSpace):
+        return
+    d = space.dist
+    floats = any(isinstance(v, float) for row in matrix for v in row)
+    assert all(v == w for row, col in zip(d, zip(*d)) for v, w in zip(row, col))
+    assert all(row[i] == 0 and (isinstance(row[i], float) or not floats) for i, row in enumerate(d))
+
+
+@pytest.mark.parametrize("tol", [None, 0, Fraction(1, 4), 0.25])
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0, Fraction(1)], [1, 0]],
+        [[Fraction(0), 2, Fraction(3, 2)], [2, 0, 1], [Fraction(3, 2), 1, Fraction(0)]],
+        [[0.0, 1.5, 1], [1.5, 0.0, Fraction(1)], [1, 1, 0.0]],
+    ],
+)
+def test_canonical_input_comes_back_entry_for_entry(matrix, tol):
+    space = validate_metric(matrix, tol=tol)
+    assert [[(v, type(v)) for v in row] for row in space.dist] == [
+        [(v, type(v)) for v in row] for row in matrix
+    ]
 
 
 @st.composite

@@ -513,9 +513,10 @@ def _exact_hard_pairs():
 
 
 def _within_tolerance(rng, pair):
-    """A float copy of ``pair`` whose entries are moved by less than the
-    float tolerance: asymmetric, with a nonzero diagonal, and with ties
-    that only the last bits break."""
+    """A float copy of ``pair`` from a matrix whose entries are moved by
+    less than the float tolerance: asymmetric and with a nonzero diagonal
+    as given, validated to a symmetric space with ties that only the
+    last bits break."""
     rows = [
         [float(v) + rng.choice((0.0, 1e-10, 2e-10)) for v in row]
         for row in pair.space.dist
