@@ -34,8 +34,14 @@ groups are:
   pairs and tuples with every entry, the diagonal included, moved up by
   less than the tolerance, both variants; and seeded pairs on the
   shortest-path metrics of graphs with float weights, both variants,
-  with the ``approximation_pipeline`` rows of the left pair (or the
-  message of its DisconnectedComplexError).
+  with the ``approximation_pipeline`` rows of the left pair;
+- ``pipelines``: the ``approximation_pipeline`` rows of seeded pairs on
+  3 to 10 points with integer distances 1 to 5, and of circles of
+  circumference 1 on 3 to 39 points with an arc as the subset.
+
+A pipeline that raises DisconnectedComplexError, as checkouts whose
+pipeline did not always connect its graphs do, is written as the
+error's message.
 
 Writes one JSON object per group to OUT and prints one sha256 per group.
 Two checkouts whose search visits other nodes but finds the same first
@@ -74,6 +80,8 @@ RELATION_GRIDS = ((1, 16), (2, 8), (8, 2), (4, 4), (3, 5), (5, 3), (2, 2), (3, 3
 TOTAL_SEEDS = 300
 SKEWS = (0.0, 1e-10, 2e-10)
 GRAPH_SEEDS = 200
+PIPELINE_SEEDS = 200
+CIRCLE_POINTS = range(3, 40)
 
 
 def solved(solve):
@@ -189,14 +197,27 @@ def float_graph_pair(rng):
     return mp.MetricPair(mp.graph_space(n, edges), mp.random_subset(rng, n))
 
 
+def pipeline(pair):
+    try:
+        return [repr(row) for row in mp.approximation_pipeline(pair).rows]
+    except mp.DisconnectedComplexError as exc:
+        return str(exc)
+
+
 def graphs(out, seed):
     rng = random.Random(f"witness_dump:graphs:{seed}")
     left, right = float_graph_pair(rng), float_graph_pair(rng)
     both_variants(out, f"graph:{seed}", left, right)
-    try:
-        out[f"pipeline:{seed}"] = [repr(row) for row in mp.approximation_pipeline(left).rows]
-    except mp.DisconnectedComplexError as exc:
-        out[f"pipeline:{seed}"] = str(exc)
+    out[f"pipeline:{seed}"] = pipeline(left)
+
+
+def pipelines(out):
+    for seed in range(PIPELINE_SEEDS):
+        rng = random.Random(f"witness_dump:pipelines:{seed}")
+        out[f"random:{seed}"] = pipeline(mp.random_pair(rng, (3, 10), (1, 2, 3, 4, 5)))
+    for n in CIRCLE_POINTS:
+        space = mp.circle_space(n, circumference=1)
+        out[f"circle:{n}"] = pipeline(mp.MetricPair(space, tuple(range(n // 3 + 1))))
 
 
 def compare(groups, base) -> bool:
@@ -232,7 +253,7 @@ def main() -> int:
     if len(sys.argv) == 3:
         base = json.loads(Path(sys.argv[2]).read_text(encoding="utf-8"))
     groups = {"pool": {}, "tail": {}, "float": {}, "tuples": {}, "relations": {}, "keys": {},
-              "totals": {}, "skewed": {}}
+              "totals": {}, "skewed": {}, "pipelines": {}}
     skew_rng = random.Random("witness_dump:skewed")
     recorded = load_expected("exact_hard")["instances"]
     for index, (ms, _) in enumerate(recorded):
@@ -271,6 +292,7 @@ def main() -> int:
         totals(groups["totals"], seed)
     for seed in range(GRAPH_SEEDS):
         graphs(groups["skewed"], seed)
+    pipelines(groups["pipelines"])
     Path(sys.argv[1]).write_text(json.dumps(groups, indent=1) + "\n", encoding="utf-8")
     for name, group in groups.items():
         refused = sum(1 for result in group.values() if result == "refused")

@@ -261,9 +261,7 @@ def cmd_geodesic_audit(args) -> int:
 def cmd_cassorla_run(args) -> int:
     _need("complexes")
     pair = _read(args, args.input[0], "pair")
-    result = approximation_pipeline(
-        pair, levels=args.levels, saturate=not args.no_saturate
-    )
+    result = approximation_pipeline(pair, levels=args.levels)
     rows = result.csv_rows()
     payload = {
         "rows": [
@@ -486,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = cas_sub.add_parser("run", help="build complexes across scales")
     _common(sub, 1, csv=True)
     sub.add_argument("--levels", type=_integer, nargs="+", default=(2, 3))
-    sub.add_argument("--no-saturate", action="store_true")
     sub.set_defaults(func=cmd_cassorla_run)
 
     apps = commands.add_parser("apps", help="application-side constructions")
@@ -537,7 +534,6 @@ def main(argv=None) -> int:
         return 2
     except (
         *_raised_by("oracle", "BudgetExceededError"),
-        *_raised_by("complexes", "DisconnectedComplexError"),
         OSError, json.JSONDecodeError, ValueError, TypeError, KeyError, OverflowError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")

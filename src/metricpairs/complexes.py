@@ -3,7 +3,10 @@
 A net of the subset seeds a net of the whole space; short pairs become
 weighted edges, and the shortest-path metric of that graph approximates
 the original pair.  The pipeline tracks how the certified estimate decays
-as the scale parameter grows.
+as the scale parameter grows.  It raises the cutoff of a level above the
+net's bottleneck where needed, so its graphs are always connected; a
+complex built with an explicit smaller ``theta`` may not be, and its
+metrics then raise DisconnectedComplexError.
 """
 from __future__ import annotations
 
@@ -41,8 +44,10 @@ class ApproxParams:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
+        n = as_index(self.n, "n")
+        if n < 2:
             raise ValueError("n must be at least 2")
+        object.__setattr__(self, "n", n)
 
     @property
     def nu(self) -> Fraction:
@@ -254,34 +259,32 @@ class PipelineResult:
         return out
 
 
-def _max_nearest(space: FiniteMetricSpace, members) -> Scalar:
-    if len(members) < 2:
-        return 0
+def _bottleneck(space: FiniteMetricSpace, members) -> Scalar:
+    """The largest edge of a minimum spanning tree of ``members``, by
+    Prim's scan: every cutoff above it connects them."""
+    reach = {v: space.dist[members[0]][v] for v in members[1:]}
     worst: Scalar = 0
-    for v in members:
-        best = None
-        for w in members:
-            if w == v:
-                continue
-            d = space.dist[v][w]
-            if best is None or d < best:
-                best = d
-        if best > worst:
-            worst = best
+    while reach:
+        v = min(reach, key=reach.get)
+        worst = max(worst, reach.pop(v))
+        row = space.dist[v]
+        for w, d in reach.items():
+            if row[w] < d:
+                reach[w] = row[w]
     return worst
 
 
 def approximation_pipeline(
     pair: MetricPair,
     levels: Sequence[int] = (2, 3),
-    saturate: bool = True,
 ) -> PipelineResult:
     """Run the complex construction across scales and certify estimates.
 
-    With saturation the edge cutoff is pushed up to just above twice the
-    largest nearest-neighbor gap of the net, so coarse nets stay
-    connected; rows record when that kicked in.  The estimate is four
-    times a strict matched-net radius, so it upper-bounds the exact
+    The edge cutoff of a level is saturated, raised to (2 + 2^-20) times
+    the net's bottleneck (the largest edge of its minimum spanning tree)
+    when that is above 5^-n, so every tree edge is kept and every level's
+    graph is connected; rows record when that kicked in.  The estimate is
+    four times a strict matched-net radius, so it upper-bounds the exact
     distance between the original pair and the complex pair.
     """
     rows = []
@@ -290,7 +293,7 @@ def approximation_pipeline(
     for n in sorted(set(as_index(v, "level") for v in levels)):
         params = ApproxParams(n)
         cx = build_complex(pair, params)
-        floor = (2 + _SLACK) * _max_nearest(pair.space, cx.vertices) if saturate else 0
+        floor = (2 + _SLACK) * _bottleneck(pair.space, cx.vertices)
         saturated = floor > cx.theta
         if saturated:
             cx = build_complex(pair, params, theta=floor)

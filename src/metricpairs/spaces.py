@@ -10,8 +10,9 @@ is 0.0 when the validated matrix holds a float entry.  A positive tolerance admi
 a matrix that breaks either rule within it; ``validate_metric`` reports
 on the matrix as given, then checks and stores its canonical form.
 ``restrict``, ``assemble`` and ``product_max_metric`` build symmetric
-matrices with a zero diagonal from canonical factors.  So no algorithm
-has to decide what an asymmetric distance means.
+matrices from canonical factors, with the zero of every entry they hold
+on the diagonal.  So no algorithm has to decide what an asymmetric
+distance means.
 """
 from __future__ import annotations
 
@@ -124,6 +125,15 @@ def _upper_mirrored(matrix) -> list:
     return rows
 
 
+def _zero_diagonal(rows: list, zero: Scalar) -> tuple:
+    """``rows``, a list of lists, as tuples with ``zero`` on every
+    diagonal entry that is nonzero or, when ``zero`` is a float, not 0.0."""
+    for i, row in enumerate(rows):
+        if row[i] != 0 or isinstance(zero, float):
+            row[i] = zero
+    return tuple(map(tuple, rows))
+
+
 def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
     """Validate a square matrix as a finite metric.
 
@@ -185,11 +195,7 @@ def validate_metric(matrix: Sequence[Sequence[Scalar]], labels=None, tol=None):
         labels = tuple(str(i) for i in range(n))
     # the checked matrix is the canonical one when it was not rescaled
     dist = d if scale is None else _upper_mirrored(matrix)
-    zero = zero_for(*matrix)
-    for i, row in enumerate(dist):
-        if row[i] != 0 or isinstance(zero, float):
-            row[i] = zero
-    return FiniteMetricSpace(tuple(labels), tuple(map(tuple, dist)))
+    return FiniteMetricSpace(tuple(labels), _zero_diagonal(dist, zero_for(*matrix)))
 
 
 @value_class
@@ -368,17 +374,19 @@ class CrossMetric:
         return _cross_violations(dx, dy, c, tol, require_positive)
 
     def assemble(self) -> FiniteMetricSpace:
-        """Full disjoint-union matrix (left block first)."""
+        """Full disjoint-union matrix (left block first), with the zero
+        of all three blocks' kind on its diagonal."""
         nl, nr = self.left.n, self.right.n
         labels = tuple(f"X:{l}" for l in self.left.labels) + tuple(
             f"Y:{l}" for l in self.right.labels
         )
         rows = []
         for i in range(nl):
-            rows.append(tuple(self.left.dist[i]) + tuple(self.cross[i]))
+            rows.append([*self.left.dist[i], *self.cross[i]])
         for j in range(nr):
-            rows.append(tuple(self.cross[i][j] for i in range(nl)) + tuple(self.right.dist[j]))
-        return FiniteMetricSpace(labels, tuple(rows))
+            rows.append([*(self.cross[i][j] for i in range(nl)), *self.right.dist[j]])
+        zero = zero_for(*self.left.dist, *self.right.dist, *self.cross)
+        return FiniteMetricSpace(labels, _zero_diagonal(rows, zero))
 
     def transpose(self) -> "CrossMetric":
         flipped = tuple(
@@ -546,6 +554,8 @@ class ProductSpace:
 
 
 def product_max_metric(left: FiniteMetricSpace, right: FiniteMetricSpace) -> ProductSpace:
+    """X x Y with the max metric, the zero of both factors' kind on its
+    diagonal; an off-diagonal tie takes the left factor's entry."""
     nl, nr = left.n, right.n
     labels = tuple(
         f"({left.labels[i]},{right.labels[j]})" for i in range(nl) for j in range(nr)
@@ -559,5 +569,6 @@ def product_max_metric(left: FiniteMetricSpace, right: FiniteMetricSpace) -> Pro
                 for j2 in range(nr):
                     dyj = right.dist[j][j2]
                     row.append(dxi if dxi >= dyj else dyj)
-            rows.append(tuple(row))
-    return ProductSpace(FiniteMetricSpace(labels, tuple(rows)), nl, nr)
+            rows.append(row)
+    zero = zero_for(*left.dist, *right.dist)
+    return ProductSpace(FiniteMetricSpace(labels, _zero_diagonal(rows, zero)), nl, nr)

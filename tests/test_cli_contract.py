@@ -146,6 +146,7 @@ BAD_ARGUMENTS = [
     ["cassorla", "run", "--input", "GOOD_PAIR", "--levels", "-2"],
     ["cassorla", "run", "--input", "GOOD_PAIR", "--levels", "x"],
     ["cassorla", "run", "--input", "GOOD_CORR"],
+    ["cassorla", "run", "--input", "GOOD_PAIR", "--no-saturate"],
     ["apps", "realize", "--input", "GOOD_COMPLEX", "GOOD_COMPLEX", "--step", "0"],
     ["apps", "realize", "--input", "GOOD_COMPLEX", "GOOD_COMPLEX", "--step", "-1"],
     ["apps", "realize", "--input", "GOOD_COMPLEX", "GOOD_COMPLEX", "--step", "nan"],
@@ -177,7 +178,7 @@ BAD_ARGUMENTS = [
 
 def _circle(n: int) -> dict:
     """n points at integer arc length on a circle; every point a subset
-    member.  Without saturation its level-2 complex is disconnected."""
+    member."""
     rows = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
     return {"distances": rows, "subset": list(range(n))}
 
@@ -199,7 +200,6 @@ def docs(tmp_path_factory):
         "GOOD_COMPLEX": GOOD_COMPLEX,
         "GOOD_COMPLEX_3D": GOOD_COMPLEX_3D,
         "CIRCLE6": _circle(6),
-        "CIRCLE12": _circle(12),
         "PATH6": _path_pair(6),
     }
     for name, doc in {**BROKEN, **good}.items():
@@ -331,6 +331,22 @@ def test_realize_rejects_a_step_that_is_not_finite_and_positive(docs, capsys):
         assert "argument --step" in capsys.readouterr().err, step
 
 
+def test_cassorla_run_connects_a_line_of_two_clusters(tmp_path, capsys):
+    """Points 0, 1, 10 and 11 on a line: both default levels saturate
+    their cutoff past the gap of 9 between the clusters."""
+    points = (0, 1, 10, 11)
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(
+        {"distances": [[abs(a - b) for b in points] for a in points], "subset": [0, 1]}
+    ))
+    code, out = _contract_output(capsys, ["cassorla", "run", "--input", str(path)])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(row["n"], row["saturated"], row["mismatch"]) for row in rows] == [
+        (2, True, "0"), (3, True, "0")
+    ]
+
+
 def test_csv_output_is_offered_only_where_there_is_a_csv_form(docs, capsys):
     """``--out csv`` is a choice of ``geodesic audit`` and ``cassorla run``
     only; every other command refuses it as a usage error."""
@@ -350,8 +366,6 @@ def test_csv_output_is_offered_only_where_there_is_a_csv_form(docs, capsys):
 FRESH = [
     (["gh", "exact", "--input", "CIRCLE6", "PATH6", "--budget", "1"],
      "error: witness search visited"),
-    (["cassorla", "run", "--input", "CIRCLE12", "--levels", "2", "--no-saturate"],
-     "vertex pairs are disconnected"),
     (["hausdorff", "--input", "triangle", "--left", "0", "--right", "1"],
      "error: invalid metric in input: not a metric"),
     (["validate", "--input", "MISSING"], "error: "),
@@ -365,7 +379,7 @@ FRESH = [
     "argv, message",
     FRESH,
     ids=[
-        "budget", "disconnected", "invalid_metric", "missing_file", "broken_json", "usage",
+        "budget", "invalid_metric", "missing_file", "broken_json", "usage",
         "third_corr_input",
     ],
 )

@@ -18,7 +18,7 @@ from metricpairs.complexes import (
     stretch_report,
     subcomplex_metric,
 )
-from metricpairs.generators import circle_space
+from metricpairs.generators import circle_space, graph_space, random_pair, random_subset
 from metricpairs.scalars import zero_for
 from metricpairs.spaces import FiniteMetricSpace, MetricPair, covering_radius
 
@@ -148,7 +148,7 @@ def test_stretch_report_lists_lower_and_upper_failures():
 
 
 def test_pipeline_on_a_one_point_pair_has_nothing_to_saturate():
-    """A one-vertex net has no nearest-neighbor gap to push the cutoff."""
+    """A one-vertex net has no tree edge to push the cutoff."""
     pair = MetricPair(FiniteMetricSpace.from_matrix([[0]]), (0,))
     for row in approximation_pipeline(pair).rows:
         assert row.net_size == 1
@@ -179,7 +179,7 @@ def test_pipeline_estimates_decay():
 
 
 def test_pipeline_saturation_flags():
-    """A 12-point unit circle has nearest gaps of 1/12 > theta(2), so the
+    """A 12-point unit circle has a bottleneck of 1/12 > theta(2), so the
     n = 2 row must saturate its cutoff to stay connected."""
     pair = MetricPair(circle_space(12, circumference=1), (0, 1, 2))
     result = approximation_pipeline(pair, levels=(2,))
@@ -191,8 +191,87 @@ def test_pipeline_saturation_flags():
     result = approximation_pipeline(dense, levels=(2,))
     assert not result.rows[0].saturated
 
-    with pytest.raises(DisconnectedComplexError):
-        approximation_pipeline(pair, levels=(2,), saturate=False)
+
+def _minimax_edge(space, members):
+    """Reference bottleneck: the largest entry of the minimax path matrix
+    of ``members`` (the least possible longest edge of a path), by a
+    Floyd-Warshall pass."""
+    m = {(u, v): space.dist[u][v] for u in members for v in members}
+    for k in members:
+        for u in members:
+            for v in members:
+                m[u, v] = min(m[u, v], max(m[u, k], m[k, v]))
+    return max(m.values())
+
+
+def test_pipeline_connects_a_line_of_two_clusters():
+    """Points 0, 1, 10 and 11 on a line: every nearest gap is 1, so twice
+    it would keep the clusters apart; the bottleneck 9 joins them."""
+    points = (0, 1, 10, 11)
+    space = FiniteMetricSpace.from_matrix([[abs(a - b) for b in points] for a in points])
+    rows = approximation_pipeline(MetricPair(space, (0, 1))).rows
+    assert [row.n for row in rows] == [2, 3]
+    for row in rows:
+        assert row.saturated
+        assert row.theta_eff == (2 + Fraction(1, 2**20)) * 9
+        assert row.mismatch == 0
+
+
+def _float_graph_pair(rng):
+    """A pair on the shortest-path metric of a connected graph on 4 to 6
+    vertices with float weights, drawn as ``scripts/witness_dump.py``
+    draws its graph pairs."""
+    n = rng.randint(4, 6)
+    edges = [(rng.randrange(v), v, rng.uniform(0.1, 3.0)) for v in range(1, n)]
+    edges += [
+        (u, v, rng.uniform(0.1, 3.0))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.4
+    ]
+    return MetricPair(graph_space(n, edges), random_subset(rng, n))
+
+
+@pytest.mark.parametrize("seed", [8, 10, 20, 71, 72, 83, 100, 113, 126, 134, 137, 184])
+def test_pipeline_connects_graph_pairs_whose_nearest_gaps_do_not(seed):
+    """The float graph pairs on which a cutoff of twice the largest
+    nearest gap left the level-2 graph disconnected."""
+    pair = _float_graph_pair(random.Random(f"witness_dump:graphs:{seed}"))
+    rows = approximation_pipeline(pair).rows
+    assert rows[0].saturated
+    net = build_complex(pair, ApproxParams(2)).vertices
+    assert 2 * max(
+        min(pair.space.dist[v][w] for w in net if w != v) for v in net
+    ) < _minimax_edge(pair.space, net)
+
+
+_PAIRS = {
+    "exact": lambda rng: random_pair(rng, (3, 10), (1, 2, 3, 4, 5)),
+    # small distances, so some levels need no saturation
+    "fraction": lambda rng: random_pair(
+        rng, (3, 8), (Fraction(1, 300), Fraction(1, 70), Fraction(1, 7))
+    ),
+    "float": lambda rng: random_pair(rng, (3, 8), (0.003, 0.008, 0.05, 0.3)),
+    "float graph": _float_graph_pair,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIRS))
+def test_pipeline_cutoff_exceeds_the_nets_bottleneck(kind):
+    """Every level answers, with a cutoff above the minimax edge of its
+    net; a saturated cutoff is (2 + 2^-20) times that edge."""
+    rng = random.Random(f"pipeline-bottleneck:{kind}")
+    for _ in range(40):
+        pair = _PAIRS[kind](rng)
+        for row in approximation_pipeline(pair, levels=(2, 3, 4)).rows:
+            net = build_complex(pair, ApproxParams(row.n)).vertices
+            assert row.net_size == len(net)
+            edge = _minimax_edge(pair.space, net)
+            assert row.theta_eff > edge
+            if row.saturated:
+                assert row.theta_eff == (2 + Fraction(1, 2**20)) * edge
+            else:
+                assert row.theta_eff == ApproxParams(row.n).theta
 
 
 @pytest.mark.parametrize("level", [2.7, 2.0, True, "2"])
@@ -200,6 +279,8 @@ def test_pipeline_refuses_a_level_that_is_not_an_int(level):
     pair = MetricPair(circle_space(12, circumference=1), (0, 1, 2))
     with pytest.raises(ValueError, match="level must be an integer index"):
         approximation_pipeline(pair, levels=[level])
+    with pytest.raises(ValueError, match="n must be an integer index"):
+        ApproxParams(level)
 
 
 def test_pipeline_estimate_bounds_exact_distance():

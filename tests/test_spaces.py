@@ -305,6 +305,44 @@ def test_product_max_metric_values():
     assert prod.index(1, 2) == 5
 
 
+def _typed(rows):
+    return [[(v, type(v)) for v in row] for row in rows]
+
+
+def test_product_and_union_of_exact_and_float_factors_have_a_float_zero_diagonal():
+    """The diagonal holds the zero of every entry, as ``validate_metric``
+    stores it; off the diagonal the entries keep their values and types,
+    a product's ties going to the left factor."""
+    exact = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
+    floats = FiniteMetricSpace.from_matrix([[0.0, 0.5], [0.5, 0.0]])
+    product = product_max_metric(exact, floats).space.dist
+    assert _typed(product) == _typed(
+        [[0.0, 0.5, 1, 1], [0.5, 0.0, 1, 1], [1, 1, 0.0, 0.5], [1, 1, 0.5, 0.0]]
+    )
+    union = CrossMetric(exact, floats, ((1.0, 1.0), (1.0, 1.0))).assemble().dist
+    assert _typed(union) == _typed(
+        [[0.0, 1, 1.0, 1.0], [1, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.5], [1.0, 1.0, 0.5, 0.0]]
+    )
+
+
+def test_product_and_union_of_exact_factors_keep_every_entry():
+    """Exact factors come back entry for entry, types included."""
+    left = FiniteMetricSpace.from_matrix([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    right = _path_space()
+    product = product_max_metric(left, right).space.dist
+    want = [
+        [dx if dx >= dy else dy for dx in left.dist[i] for dy in right.dist[j]]
+        for i in range(2)
+        for j in range(3)
+    ]
+    assert _typed(product) == _typed(want)
+    cross = [[2, Fraction(5, 2), 3], [Fraction(3, 2), 2, Fraction(5, 2)]]
+    union = CrossMetric(left, right, cross).assemble().dist
+    want = [[*left.dist[i], *cross[i]] for i in range(2)]
+    want += [[*(row[j] for row in cross), *right.dist[j]] for j in range(3)]
+    assert _typed(union) == _typed(want)
+
+
 _TWO = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
 _ONE = FiniteMetricSpace.from_matrix([[0]])
 
